@@ -261,6 +261,11 @@ class Netlist:
         return [d for d in self.devices if isinstance(d, Junction)]
 
     def validate(self) -> None:
+        seen: set[str] = set()
+        for d in self.devices:
+            if d.name in seen:
+                raise NetlistError(f"duplicate device name {d.name!r}")
+            seen.add(d.name)
         inductors = {d.name: d for d in self.devices if isinstance(d, Inductor)}
         for d in self.devices:
             if isinstance(d, Mutual):

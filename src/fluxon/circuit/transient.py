@@ -8,16 +8,27 @@ RCSJ model
 
 integrated with the trapezoidal rule; the first step uses backward
 Euler, which needs no derivative history and so honors inductor
-initial currents cleanly. The sin(phi) term is handled by Newton
-iteration with companion conductance Ic cos(phi) dphi/dV folded into
-the nodal matrix. Assembly order is fixed by netlist order and the
-arithmetic is pure float64, so identical inputs give bit-identical
-traces.
+initial currents cleanly.
+
+Every stamp except the supercurrents Ic sin(phi) is linear. The solver
+keeps one state vector u: the MNA unknowns, a ground slot, and the
+junction phases, voltages and capacitor currents. The linear matrix A
+is inverted once per run for the Euler step and once for the
+trapezoidal steps, which turns a step into u = K u_prev + B w - Z c:
+w holds the source values, sampled over the whole time grid up front,
+and c = Ic sin(phi_new) the supercurrents, whose columns Z follow from
+A^-1 P (P the junction incidence, junction voltages v = P^T x). Newton
+iteration then runs on the n_j new phases alone, with the n_j x n_j
+Jacobian I + a P^T A^-1 P diag(Ic cos phi) (a = d phi / d v), and stops
+when its update of the MNA unknowns falls below NEWTON_RTOL relative.
+Assembly order is fixed by netlist order and the arithmetic is pure
+float64, so identical inputs give bit-identical traces.
 
 Because the junction phase update is the trapezoidal rule applied to
 dphi/dt = (2 pi / PHI0) V, trapezoid-rule quadrature of a junction's
-voltage trace equals (PHI0 / 2 pi) * (phase advance) exactly; detected
-pulses therefore integrate to one flux quantum up to window clipping.
+voltage trace equals (PHI0 / 2 pi) * (phase advance) exactly from the
+second step on; detected pulses therefore integrate to one flux quantum
+up to window clipping.
 """
 
 from __future__ import annotations
@@ -42,7 +53,6 @@ DEFAULT_STEP_PS = 0.05
 MAX_STEP_PS = 0.1
 NEWTON_MAX_ITER = 50
 NEWTON_RTOL = 1e-9
-_TWO_PI = 2.0 * math.pi
 
 
 class CircuitError(RuntimeError):
@@ -50,12 +60,14 @@ class CircuitError(RuntimeError):
 
 
 class NewtonError(CircuitError):
-    def __init__(self, time_ps: float):
+    def __init__(self, time_ps: float, iterations: int, update: float):
         super().__init__(
-            f"Newton iteration failed to converge within {NEWTON_MAX_ITER} "
-            f"iterations at t = {time_ps:.4f} ps"
+            f"Newton iteration failed to converge within {iterations} "
+            f"iterations at t = {time_ps:.4f} ps (last update {update:.3e})"
         )
         self.time_ps = time_ps
+        self.iterations = iterations
+        self.update = update
 
 
 @dataclass
@@ -64,7 +76,9 @@ class TraceSet:
 
     node_voltage holds the requested nodes (all nodes when the netlist
     carries no print requests); junction phases/voltages and inductor
-    currents are always recorded in full.
+    currents are always recorded in full. newton_iterations counts the
+    Newton iterations of the whole run, newton_max_per_step the most
+    any one step took.
     """
 
     time_ps: np.ndarray
@@ -73,6 +87,8 @@ class TraceSet:
     junction_voltage: dict[str, np.ndarray]
     inductor_current: dict[str, np.ndarray]
     step_ps: float = 0.0
+    newton_iterations: int = 0
+    newton_max_per_step: int = 0
 
 
 def run_transient(
@@ -97,182 +113,83 @@ def run_transient(
 
     h = step * 1e-12  # SI seconds
     n_steps = int(round(stop / step))
+    times = np.arange(n_steps + 1) * step
 
     nodes = netlist.nodes
-    node_ix = {n: i for i, n in enumerate(nodes)}
-    node_ix["0"] = -1
     n_nodes = len(nodes)
-
     inductors = [d for d in netlist.devices if isinstance(d, Inductor)]
     vsources = [d for d in netlist.devices if isinstance(d, VoltageSource)]
-    isources = [d for d in netlist.devices if isinstance(d, CurrentSource)]
+    sources = [d for d in netlist.devices if isinstance(d, (CurrentSource, VoltageSource))]
     junctions = [d for d in netlist.devices if isinstance(d, Junction)]
-    resistors = [d for d in netlist.devices if isinstance(d, Resistor)]
-    mutuals = [d for d in netlist.devices if isinstance(d, Mutual)]
+    branch = {d.name: n_nodes + i for i, d in enumerate(inductors + vsources)}
+    m = n_nodes + len(branch) + 1  # MNA unknowns, then a ground slot held at 0
+    node_ix = {n: i for i, n in enumerate(nodes)}
+    node_ix["0"] = m - 1
+    n_j = len(junctions)
+    ph = slice(m, m + n_j)  # junction phases; voltages and capacitor currents follow
 
-    n_branch = len(inductors) + len(vsources)
-    dim = n_nodes + n_branch
-    lbr = {d.name: i for i, d in enumerate(inductors)}
-
-    # Junction arrays.
-    j_a = np.array([node_ix[d.np_] for d in junctions], dtype=int)
-    j_b = np.array([node_ix[d.nm] for d in junctions], dtype=int)
-    j_ic = np.array([d.ic for d in junctions])
-    j_gs = np.array([1.0 / d.rn for d in junctions])
-    j_c = np.array([d.cap for d in junctions])
-
-    def base_matrix(fac: float) -> np.ndarray:
-        """Linear stamps for a step factor fac = 1/h (BE) or 2/h (TR)."""
-        A = np.zeros((dim, dim))
-        for r in resistors:
-            _stamp_g(A, node_ix[r.np_], node_ix[r.nm], 1.0 / r.r)
-        for g, a, b in zip(j_gs + j_c * fac, j_a, j_b):
-            _stamp_g(A, a, b, g)
-        for i, L in enumerate(inductors):
-            br = n_nodes + i
-            a, b = node_ix[L.np_], node_ix[L.nm]
-            _stamp_branch(A, a, b, br)
-            A[br, br] = -fac * L.l
-        for m in mutuals:
-            b1 = n_nodes + lbr[m.l1]
-            b2 = n_nodes + lbr[m.l2]
-            A[b1, b2] += -fac * m.m
-            A[b2, b1] += -fac * m.m
-        for i, V in enumerate(vsources):
-            br = n_nodes + len(inductors) + i
-            _stamp_branch(A, node_ix[V.np_], node_ix[V.nm], br)
-        return A
-
-    A_be = base_matrix(1.0 / h)
-    A_tr = base_matrix(2.0 / h)
-
-    # Flat index arrays for vectorized junction stamping.
-    j_stamp_idx: list[np.ndarray] = []
-    j_stamp_sign: list[np.ndarray] = []
-    j_node_idx: list[np.ndarray] = []
-    j_node_sign: list[np.ndarray] = []
-    for a, b in zip(j_a, j_b):
-        idx, sgn, nix, nsn = [], [], [], []
-        if a >= 0:
-            idx.append(a * dim + a); sgn.append(1.0)
-            nix.append(a); nsn.append(-1.0)
-        if b >= 0:
-            idx.append(b * dim + b); sgn.append(1.0)
-            nix.append(b); nsn.append(1.0)
-        if a >= 0 and b >= 0:
-            idx.extend([a * dim + b, b * dim + a]); sgn.extend([-1.0, -1.0])
-        j_stamp_idx.append(np.asarray(idx, dtype=int))
-        j_stamp_sign.append(np.asarray(sgn))
-        j_node_idx.append(np.asarray(nix, dtype=int))
-        j_node_sign.append(np.asarray(nsn))
-    if junctions:
-        jg_idx = np.concatenate(j_stamp_idx)
-        jg_sign = np.concatenate(j_stamp_sign)
-        jg_rep = np.repeat(np.arange(len(junctions)), [len(i) for i in j_stamp_idx])
-        jr_idx = np.concatenate(j_node_idx)
-        jr_sign = np.concatenate(j_node_sign)
-        jr_rep = np.repeat(np.arange(len(junctions)), [len(i) for i in j_node_idx])
-    # Mutual partners per inductor: (partner branch index, M).
-    l_partners: list[list[tuple[int, float]]] = [[] for _ in inductors]
-    for m in mutuals:
-        l_partners[lbr[m.l1]].append((n_nodes + lbr[m.l2], m.m))
-        l_partners[lbr[m.l2]].append((n_nodes + lbr[m.l1], m.m))
-
-    # State.
-    x = np.zeros(dim)                 # node voltages then branch currents
-    x[n_nodes : n_nodes + len(inductors)] = [L.ic for L in inductors]
-    phi = np.zeros(len(junctions))
-    i_cap = np.zeros(len(junctions))  # capacitor branch current history
-    v_jct = np.zeros(len(junctions))
-    v_ind = np.zeros(len(inductors))  # inductor branch voltage history
-
-    times = np.arange(n_steps + 1) * step
+    j_names = {d.name for d in junctions}
+    for kind, name in netlist.prints:
+        if name not in (node_ix if kind == "v" else j_names):
+            what = "node" if kind == "v" else "junction"
+            raise CircuitError(f"print request for unknown {what} {name!r}")
     want_nodes = [n for kind, n in netlist.prints if kind == "v"] or nodes
-    for n in want_nodes:
-        if n not in node_ix:
-            raise CircuitError(f"print request for unknown node {n!r}")
-    node_tr = {n: np.zeros(n_steps + 1) for n in want_nodes}
-    phase_tr = {d.name: np.zeros(n_steps + 1) for d in junctions}
-    vj_tr = {d.name: np.zeros(n_steps + 1) for d in junctions}
-    il_tr = {d.name: np.zeros(n_steps + 1) for d in inductors}
-    for name, i0 in ((L.name, L.ic) for L in inductors):
-        il_tr[name][0] = i0
 
-    def node_v(vec: np.ndarray, ix: int) -> float:
-        return vec[ix] if ix >= 0 else 0.0
+    # Sources sampled over the whole grid, one column per source.
+    waves = np.empty((n_steps + 1, len(sources)))
+    for k, src in enumerate(sources):
+        waves[:, k] = np.fromiter(map(src.waveform, times.tolist()), float, n_steps + 1)
 
-    jv = lambda vec: np.where(j_a >= 0, vec[j_a], 0.0) - np.where(j_b >= 0, vec[j_b], 0.0)
+    # Recorded rows of the state: print nodes, inductor currents,
+    # junction phases, junction voltages.
+    rec_ix = np.array(
+        [node_ix[n] for n in want_nodes]
+        + [branch[L.name] for L in inductors]
+        + list(range(m, m + 2 * n_j)),
+        dtype=int,
+    )
+    rec = np.empty((len(rec_ix), n_steps + 1))
+    u = np.zeros(m + 3 * n_j)
+    u[[branch[L.name] for L in inductors]] = [L.ic for L in inductors]
+    rec[:, 0] = u[rec_ix]
+    j_ic = np.array([d.ic for d in junctions])
+    eye = np.eye(n_j)
 
+    iterations = max_iter = 0
     for n in range(1, n_steps + 1):
-        t_new = n * step
-        first = n == 1
-        fac = (1.0 / h) if first else (2.0 / h)
-        A_base = A_be if first else A_tr
-        # Phase update phi_new = phi_old + a_coef*V_new + b_coef*V_old.
-        a_coef = (_TWO_PI / PHI0) * h if first else (math.pi / PHI0) * h
-        b_coef = 0.0 if first else (math.pi / PHI0) * h
-
-        rhs_base = np.zeros(dim)
-        for s in isources:
-            w = s.waveform(t_new)
-            a, b = node_ix[s.np_], node_ix[s.nm]
-            if a >= 0:
-                rhs_base[a] -= w
-            if b >= 0:
-                rhs_base[b] += w
-        for i, L in enumerate(inductors):
-            br = n_nodes + i
-            hist = -fac * L.l * x[br]
-            for pbr, m_val in l_partners[i]:
-                hist += -fac * m_val * x[pbr]
-            if not first:
-                hist -= v_ind[i]
-            rhs_base[br] = hist
-        for i, V in enumerate(vsources):
-            rhs_base[n_nodes + len(inductors) + i] = V.waveform(t_new)
-        # Junction capacitor history current.
-        hist_c = -(fac * j_c) * v_jct - (0.0 if first else i_cap)
-
-        x_new = x.copy()
-        converged = False
-        for _ in range(NEWTON_MAX_ITER):
-            A = A_base.copy()
-            rhs = rhs_base.copy()
-            if junctions:
-                v_new = jv(x_new)
-                phi_new = phi + a_coef * v_new + b_coef * v_jct
-                g_nl = j_ic * np.cos(phi_new) * a_coef
-                i_fixed = j_ic * np.sin(phi_new) - g_nl * v_new + hist_c
-                np.add.at(A.reshape(-1), jg_idx, jg_sign * g_nl[jg_rep])
-                np.add.at(rhs, jr_idx, jr_sign * i_fixed[jr_rep])
+        if n <= 2:  # backward Euler on the first step, trapezoidal after
+            K, B, Z, Q = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
+            Zp = Z[ph]
+        u0 = K.dot(u) + B.dot(waves[n])
+        r = u0[ph]  # the new phases if no supercurrent flowed
+        p = Q.dot(u)  # linearize at the previous junction voltages
+        x_k = u[:m]
+        for it in range(1, NEWTON_MAX_ITER + 1):
+            s = j_ic * np.sin(p)
+            d = j_ic * np.cos(p)
             try:
-                x_next = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise CircuitError(f"singular system matrix: {exc}") from None
-            delta = float(np.max(np.abs(x_next - x_new)))
-            x_new = x_next
-            if delta <= NEWTON_RTOL * max(float(np.max(np.abs(x_new))), 1e-3):
-                converged = True
+                dp = np.linalg.solve(eye + Zp * d, r - p - Zp.dot(s))
+            except np.linalg.LinAlgError:
+                raise CircuitError(f"singular junction Jacobian at t = {times[n]:.4f} ps") from None
+            p = p + dp
+            u_next = u0 - Z.dot(s + d * dp)
+            x_next = u_next[:m]
+            delta = float(np.abs(x_next - x_k).max())
+            if delta <= NEWTON_RTOL * max(float(np.abs(x_next).max()), 1e-3):
                 break
-        if not converged:
-            raise NewtonError(t_new)
+            x_k = x_next
+        else:
+            raise NewtonError(float(times[n]), NEWTON_MAX_ITER, delta)
+        iterations += it
+        max_iter = max(max_iter, it)
+        u = u_next
+        rec[:, n] = u[rec_ix]
 
-        v_new = jv(x_new)
-        phi = phi + a_coef * v_new + b_coef * v_jct
-        i_cap = (fac * j_c) * v_new + hist_c
-        v_jct = v_new
-        for i, L in enumerate(inductors):
-            v_ind[i] = node_v(x_new, node_ix[L.np_]) - node_v(x_new, node_ix[L.nm])
-        x = x_new
-
-        for name in want_nodes:
-            node_tr[name][n] = node_v(x, node_ix[name])
-        for k, d in enumerate(junctions):
-            phase_tr[d.name][n] = phi[k]
-            vj_tr[d.name][n] = v_jct[k]
-        for i, L in enumerate(inductors):
-            il_tr[L.name][n] = x[n_nodes + i]
-
+    rows = iter(rec)  # views, in the order of rec_ix
+    node_tr = {name: next(rows) for name in want_nodes}
+    il_tr = {L.name: next(rows) for L in inductors}
+    phase_tr = {d.name: next(rows) for d in junctions}
+    vj_tr = {d.name: next(rows) for d in junctions}
     return TraceSet(
         time_ps=times,
         node_voltage=node_tr,
@@ -280,26 +197,100 @@ def run_transient(
         junction_voltage=vj_tr,
         inductor_current=il_tr,
         step_ps=step,
+        newton_iterations=iterations,
+        newton_max_per_step=max_iter,
     )
 
 
+def _step_operators(
+    netlist: Netlist,
+    node_ix: dict[str, int],
+    branch: dict[str, int],
+    sources: list,
+    junctions: list[Junction],
+    h: float,
+    first: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(K, B, Z, Q) for a backward-Euler (first) or trapezoidal step of h seconds.
+
+    The state u stacks the MNA unknowns x, a ground slot, and the
+    junction phases, voltages v = P^T x and capacitor currents. A step
+    is u0 = K u + B w (w the source values), u = u0 - Z Ic sin(phi_new),
+    and Q u is the phase the previous voltages extrapolate to. A holds
+    every linear stamp, H the inductor and capacitor history, S the
+    sources and P the junction incidence; the ground row and column are
+    left out of the inversion.
+    """
+    fac = (1.0 if first else 2.0) / h
+    # phi_new = phi + a*v_new + b*v, i_cap_new = fac*C*(v_new - v) - i_cap
+    a = (2.0 if first else 1.0) * math.pi / PHI0 * h
+    b = 0.0 if first else a
+    m, n_j = node_ix["0"] + 1, len(junctions)  # ground is the last MNA slot
+    A = np.zeros((m, m))
+    H = np.zeros((m, m))
+    S = np.zeros((m, len(sources)))
+    P = np.zeros((m, n_j))
+    col = {d.name: k for k, d in enumerate(sources)}
+    jcol = {d.name: k for k, d in enumerate(junctions)}
+    for d in netlist.devices:
+        if isinstance(d, Mutual):
+            b1, b2 = branch[d.l1], branch[d.l2]
+            for p, q in ((b1, b2), (b2, b1)):
+                A[p, q] -= fac * d.m
+                H[p, q] -= fac * d.m
+            continue
+        na, nb = node_ix[d.np_], node_ix[d.nm]
+        if isinstance(d, Resistor):
+            _stamp_g(A, na, nb, 1.0 / d.r)
+        elif isinstance(d, Junction):
+            _stamp_g(A, na, nb, 1.0 / d.rn + fac * d.cap)
+            _stamp_g(H, na, nb, fac * d.cap)
+            P[na, jcol[d.name]] += 1.0
+            P[nb, jcol[d.name]] -= 1.0
+        elif isinstance(d, Inductor):
+            br = branch[d.name]
+            _stamp_branch(A, na, nb, br)
+            A[br, br] = H[br, br] = -fac * d.l
+            if not first:  # trapezoidal history: minus the previous branch voltage
+                H[br, na] -= 1.0
+                H[br, nb] += 1.0
+        elif isinstance(d, VoltageSource):
+            _stamp_branch(A, na, nb, branch[d.name])
+            S[branch[d.name], col[d.name]] = 1.0
+        else:
+            S[na, col[d.name]] -= 1.0
+            S[nb, col[d.name]] += 1.0
+    try:
+        inv = np.linalg.inv(A[:-1, :-1])
+    except np.linalg.LinAlgError as exc:
+        raise CircuitError(f"singular system matrix: {exc}") from None
+
+    X = np.zeros((m, m + len(sources) + n_j))  # the ground row stays 0
+    X[:-1] = inv @ np.hstack([H[:-1], S[:-1], P[:-1]])
+    Hx, Sx, Px = np.split(X, [m, m + len(sources)], axis=1)
+    # x_new = Hx x + Sx w + Px (i_cap - c), and the new state is T x_new + U u.
+    fac_c = fac * np.array([d.cap for d in junctions])
+    T = np.vstack([np.eye(m), a * P.T, P.T, fac_c[:, None] * P.T])
+    eye, zero = np.eye(n_j), np.zeros((n_j, n_j))
+    U = np.zeros((m + 3 * n_j, m + 3 * n_j))
+    U[m:, m:] = np.block([[eye, b * eye, zero], [zero, zero, zero], [zero, -fac_c * eye, -eye]])
+    K = T @ np.hstack([Hx, np.zeros((m, 2 * n_j)), Px]) + U
+    Q = np.hstack([np.zeros((n_j, m)), eye, (a + b) * eye, zero])
+    return K, T @ Sx, T @ Px, Q
+
+
 def _stamp_g(A: np.ndarray, a: int, b: int, g: float) -> None:
-    if a >= 0:
-        A[a, a] += g
-    if b >= 0:
-        A[b, b] += g
-    if a >= 0 and b >= 0:
-        A[a, b] -= g
-        A[b, a] -= g
+    A[a, a] += g
+    A[b, b] += g
+    A[a, b] -= g
+    A[b, a] -= g
 
 
 def _stamp_branch(A: np.ndarray, a: int, b: int, br: int) -> None:
-    if a >= 0:
-        A[a, br] += 1.0
-        A[br, a] += 1.0
-    if b >= 0:
-        A[b, br] -= 1.0
-        A[br, b] -= 1.0
+    A[a, br] += 1.0
+    A[br, a] += 1.0
+    A[b, br] -= 1.0
+    A[br, b] -= 1.0
 
 
 def write_waveform_csv(fh, traces: TraceSet, netlist: Netlist) -> None:

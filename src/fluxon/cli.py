@@ -23,6 +23,7 @@ import numpy as np
 
 from . import behavioral, power as powermod, snn, train as trainmod
 from .circuit import (
+    CircuitError,
     MarginError,
     NetlistError,
     detect_pulses_in,
@@ -260,8 +261,8 @@ def cmd_simulate(cfg: dict, args) -> int:
         name = args.netlist or "soma2"
         netlist = parse_netlist(load_netlist_text(name))
         traces = run_transient(netlist)
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "waveform.csv", "w") as fh:
-            out.mkdir(parents=True, exist_ok=True)
             write_waveform_csv(fh, traces, netlist)
         events = []
         for jname in traces.junction_phase:
@@ -517,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reproduce-paper":
             return cmd_reproduce(cfg, args)
         raise UserError(f"unknown command {args.command!r}")
-    except (UserError, MarginError, NetlistError, KeyError) as exc:
+    except (UserError, MarginError, NetlistError, CircuitError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except trainmod.DataError as exc:

@@ -96,6 +96,22 @@ class TestSimulate:
         assert pulses[0] == "time_ps,node"
         assert len(pulses) == 3  # one slip each on b1 and b2
 
+    def test_circuit_error_exits_2(self, tmp_path, capsys):
+        cir = tmp_path / "coarse.cir"
+        cir.write_text("r1 1 0 1\ni1 0 1 dc 1m\n.tran 0.5 10\n")
+        assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
+                   "--netlist", str(cir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step must lie in")
+        assert "internal error" not in err
+
+    def test_unknown_phase_print_exits_2(self, tmp_path, capsys):
+        cir = tmp_path / "bzz.cir"
+        cir.write_text("b1 1 0 ic=100u\ni1 0 1 dc 50u\n.tran 0.1 1\n.print phi(bzz)\n")
+        assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
+                   "--netlist", str(cir)) == 2
+        assert "unknown junction 'bzz'" in capsys.readouterr().err
+
 
 class TestPower:
     def test_reports(self, tmp_path, capsys):

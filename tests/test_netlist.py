@@ -116,6 +116,10 @@ class TestParse:
         nl = parse_netlist("l1 1 0 10p\nl2 2 0 10p\nk1 l1 l2 10p")
         assert any(isinstance(d, Mutual) for d in nl.devices)
 
+    def test_duplicate_device_name(self):
+        with pytest.raises(NetlistError, match="duplicate device name 'b1'"):
+            parse_netlist("b1 1 0 ic=100u\nb1 2 0 ic=100u\nl1 1 2 2p")
+
     def test_print_requests(self):
         nl = parse_netlist("b1 1 0 ic=100u\n.print v(1) phi(b1)")
         assert nl.prints == (("v", "1"), ("phi", "b1"))

@@ -1,10 +1,50 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from fluxon.circuit import CircuitError, parse_netlist, run_transient
+from fluxon.circuit import (
+    CircuitError,
+    NewtonError,
+    detect_pulses_in,
+    parse_netlist,
+    run_transient,
+    transient,
+)
 from fluxon.core import PHI0
+
+# Pulse times (ps) of every junction of the bundled cells under their own
+# stimulus and .tran settings.
+BUNDLED_PULSES = {
+    "soma2": {
+        "bj1": [124.458243, 144.893222],
+        "bj2": [128.15619, 159.597636],
+        "b1": [151.97637, 182.734748],
+        "b2": [161.881057],
+        "bo1": [178.359154],
+        "bout": [181.890484],
+    },
+    "soma3": {
+        "bj1": [124.489268, 144.711088, 164.745024],
+        "bj2": [127.7275, 150.216469, 172.065502],
+        "b1": [154.004212, 198.711742],
+        "b2": [203.242865],
+        "bo1": [223.063912],
+        "bout": [226.509099],
+    },
+    "jtl": {"b1": [104.449484], "b2": [107.674741]},
+    "sm1": {"b0": [], "b1": []},
+}
+
+
+@pytest.fixture(scope="module")
+def bundled_traces():
+    def load(cell):
+        text = resources.files("fluxon.data").joinpath(f"netlists/{cell}.cir").read_text()
+        return run_transient(parse_netlist(text))
+
+    return {cell: load(cell) for cell in BUNDLED_PULSES}
 
 
 class TestJunctionStatics:
@@ -107,6 +147,33 @@ class TestSolverContract:
         with pytest.raises(CircuitError):
             run_transient(nl)
 
+    def test_unknown_phase_print_target(self):
+        nl = parse_netlist("b1 1 0 ic=100u\ni1 0 1 dc 50u\n.tran 0.1 1\n.print phi(bzz)")
+        with pytest.raises(CircuitError, match="unknown junction 'bzz'"):
+            run_transient(nl)
+
+    def test_newton_counters_repeat_across_reruns(self):
+        nl = parse_netlist("b1 1 0 ic=100u\ni1 0 1 dc 150u\n.tran 0.05 100")
+        a, b = run_transient(nl), run_transient(nl)
+        steps = len(a.time_ps) - 1
+        assert (a.newton_iterations, a.newton_max_per_step) == (
+            b.newton_iterations,
+            b.newton_max_per_step,
+        )
+        assert steps <= a.newton_iterations <= steps * a.newton_max_per_step
+        assert 1 <= a.newton_max_per_step <= transient.NEWTON_MAX_ITER
+
+    def test_newton_error_reports_iterations_and_update(self, monkeypatch):
+        monkeypatch.setattr(transient, "NEWTON_MAX_ITER", 1)
+        nl = parse_netlist("b1 1 0 ic=100u\ni1 0 1 dc 150u\n.tran 0.05 10")
+        with pytest.raises(NewtonError) as info:
+            run_transient(nl)
+        err = info.value
+        assert err.time_ps == pytest.approx(0.05)
+        assert err.iterations == 1
+        assert err.update > 0.0
+        assert "1 iterations" in str(err) and "last update" in str(err)
+
     def test_requested_node_traces(self):
         nl = parse_netlist("r1 1 2 1\nr2 2 0 1\ni1 0 1 dc 1m\n.tran 0.1 1\n.print v(2)")
         tr = run_transient(nl)
@@ -118,3 +185,144 @@ class TestSolverContract:
         nl = parse_netlist("b1 1 0 ic=100u\ni1 0 1 dc 150u\n.tran 0.05 200")
         tr = run_transient(nl)
         assert np.max(np.abs(np.diff(tr.junction_phase["b1"]))) < math.pi
+
+
+class TestBundledCells:
+    @pytest.mark.parametrize("cell", sorted(BUNDLED_PULSES))
+    def test_pulse_times_pinned(self, bundled_traces, cell):
+        traces = bundled_traces[cell]
+        assert set(traces.junction_phase) == set(BUNDLED_PULSES[cell])
+        for junction, want in BUNDLED_PULSES[cell].items():
+            got = detect_pulses_in(traces, junction).times
+            assert got == pytest.approx(want, abs=1e-5), junction
+
+    @pytest.mark.parametrize("cell", sorted(BUNDLED_PULSES))
+    def test_voltage_integral_equals_phase_advance(self, bundled_traces, cell):
+        traces = bundled_traces[cell]
+        for junction, phase in traces.junction_phase.items():
+            flux = np.trapezoid(traces.junction_voltage[junction], traces.time_ps * 1e-12)
+            want = PHI0 / (2 * math.pi) * (phase[-1] - phase[0])
+            assert flux == pytest.approx(want, rel=1e-5), junction
+
+
+def dense_reference(netlist, stop):
+    """Reference solver: Newton on the whole MNA matrix at every iteration.
+
+    Same discretization and convergence test as run_transient (Euler
+    first step, trapezoidal after), assembled and solved densely.
+    """
+    from fluxon.circuit import CurrentSource, Inductor, Junction, Mutual, Resistor, VoltageSource
+
+    step = netlist.tran_step
+    h, fac_tr = step * 1e-12, 2.0 / (step * 1e-12)
+    nodes = netlist.nodes
+    devs = netlist.devices
+    inductors = [d for d in devs if isinstance(d, Inductor)]
+    junctions = [d for d in devs if isinstance(d, Junction)]
+    branches = inductors + [d for d in devs if isinstance(d, VoltageSource)]
+    br = {d.name: len(nodes) + k for k, d in enumerate(branches)}
+    dim = len(nodes) + len(branches)
+
+    def inc(d):
+        e = np.zeros(dim)
+        if d.np_ != "0":
+            e[nodes.index(d.np_)] += 1.0
+        if d.nm != "0":
+            e[nodes.index(d.nm)] -= 1.0
+        return e
+
+    pj = np.array([inc(d) for d in junctions]).reshape(len(junctions), dim)
+    ic = np.array([d.ic for d in junctions])
+    cap = np.array([d.cap for d in junctions])
+    x = np.zeros(dim)
+    for L in inductors:
+        x[br[L.name]] = L.ic
+    phi, v, i_cap = np.zeros(len(junctions)), np.zeros(len(junctions)), np.zeros(len(junctions))
+    out = [np.concatenate([x, phi, v])]
+    for n in range(1, int(round(stop / step)) + 1):
+        first, t = n == 1, n * step
+        fac = fac_tr / 2 if first else fac_tr
+        a = (2.0 if first else 1.0) * math.pi / PHI0 * h
+        b = 0.0 if first else a
+        A, rhs = np.zeros((dim, dim)), np.zeros(dim)
+        for d in devs:
+            if isinstance(d, Resistor):
+                A += np.outer(inc(d), inc(d)) / d.r
+            elif isinstance(d, Junction):
+                A += np.outer(inc(d), inc(d)) * (1.0 / d.rn + fac * d.cap)
+            elif isinstance(d, Inductor):
+                k, e = br[d.name], inc(d)
+                A[k] += e
+                A[:, k] += e
+                A[k, k] -= fac * d.l
+                rhs[k] -= fac * d.l * x[k] + (0.0 if first else e @ x)
+            elif isinstance(d, Mutual):
+                k1, k2 = br[d.l1], br[d.l2]
+                A[k1, k2] -= fac * d.m
+                A[k2, k1] -= fac * d.m
+                rhs[k1] -= fac * d.m * x[k2]
+                rhs[k2] -= fac * d.m * x[k1]
+            elif isinstance(d, CurrentSource):
+                rhs -= inc(d) * d.waveform(t)
+            elif isinstance(d, VoltageSource):
+                k, e = br[d.name], inc(d)
+                A[k] += e
+                A[:, k] += e
+                rhs[k] += d.waveform(t)
+        hist_c = -fac * cap * v - (0.0 if first else i_cap)
+        x_new = x.copy()
+        for _ in range(transient.NEWTON_MAX_ITER):
+            vn = pj @ x_new
+            ph = phi + a * vn + b * v
+            g = ic * np.cos(ph) * a
+            x_next = np.linalg.solve(
+                A + pj.T @ (g[:, None] * pj),
+                rhs - pj.T @ (ic * np.sin(ph) - g * vn + hist_c),
+            )
+            delta = np.max(np.abs(x_next - x_new))
+            x_new = x_next
+            if delta <= transient.NEWTON_RTOL * max(np.max(np.abs(x_new)), 1e-3):
+                break
+        vn = pj @ x_new
+        phi = phi + a * vn + b * v
+        i_cap = fac * cap * vn + hist_c
+        v, x = vn, x_new
+        out.append(np.concatenate([x, phi, v]))
+    return np.array(out).T
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize(
+        "text,stop",
+        [
+            # junction between two non-ground nodes, a mutual pair and a
+            # voltage source
+            (
+                "v1 in 0 pulse 10 2 0 2 1.034m\nlin in 1 2p\nb1 1 2 ic=250u\n"
+                "b2 2 0 ic=200u\nl1 2 3 4p\nl2 4 0 6p\nk1 l1 l2 1p\nr1 3 0 1\n"
+                "r2 4 0 2\nib 0 1 dc 150u\n.tran 0.05 60",
+                60.0,
+            ),
+            (resources.files("fluxon.data").joinpath("netlists/jtl.cir").read_text(), 150.0),
+            (resources.files("fluxon.data").joinpath("netlists/sm1.cir").read_text(), 100.0),
+        ],
+        ids=["mixed", "jtl", "sm1"],
+    )
+    def test_traces_match_dense_newton(self, text, stop):
+        nl = parse_netlist(text)
+        ref = dense_reference(nl, stop)
+        tr = run_transient(nl, stop=stop)
+        branch0 = len(nl.nodes)
+        n_j = len(tr.junction_phase)
+        got = {}
+        for k, name in enumerate(nl.nodes):
+            if name in tr.node_voltage:
+                got[f"v({name})"] = (tr.node_voltage[name], ref[k])
+        for k, name in enumerate(tr.inductor_current):
+            got[f"i({name})"] = (tr.inductor_current[name], ref[branch0 + k])
+        for k, name in enumerate(tr.junction_phase):
+            got[f"phi({name})"] = (tr.junction_phase[name], ref[-2 * n_j + k])
+            got[f"vj({name})"] = (tr.junction_voltage[name], ref[-n_j + k])
+        for label, (new, old) in got.items():
+            scale = max(np.max(np.abs(old)), 1e-30)
+            assert np.max(np.abs(new - old)) <= 1e-9 * scale, label
