@@ -165,7 +165,10 @@ def cmd_discretize(cfg: dict) -> int:
     samples = _load_samples(cfg)
     train_s, test_s, quantizer, Xq_train = _split_and_quantize(cfg, samples)
     y_train = trainmod.labels_of(train_s)
-    ga_cfg = trainmod.GaConfig(seed=cfg["seed"], **cfg["ga"])
+    try:
+        ga_cfg = trainmod.GaConfig(seed=cfg["seed"], **cfg["ga"])
+    except (TypeError, ValueError) as exc:
+        raise UserError(f"bad ga config: {exc}") from None
     spec, trace = trainmod.ga_discretize(mlp, Xq_train, y_train, ga_cfg)
     _write(out / "network.json", spec.to_json())
     _write(

@@ -22,7 +22,6 @@ import numpy as np
 
 from .behavioral import (
     BqConfig,
-    SomaParams,
     SynapseConfig,
     bq_quantize,
     soma_fire_times,
@@ -161,9 +160,6 @@ class SimReport:
     def final_outputs(self) -> np.ndarray:
         return self.outputs[-1]
 
-    def metrics_row(self) -> dict:
-        return {"fired_class": self.fired_class}
-
 
 def classify_outputs(bits: Sequence[int]) -> int | str | None:
     """Exactly one set bit -> its index; none -> None; several -> AMBIGUOUS."""
@@ -171,10 +167,6 @@ def classify_outputs(bits: Sequence[int]) -> int | str | None:
     if len(on) == 1:
         return on[0]
     return None if not on else AMBIGUOUS
-
-
-def _soma_params_for(spec: NetworkSpec, threshold: int) -> SomaParams:
-    return soma_for_threshold(threshold)
 
 
 def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
@@ -207,7 +199,7 @@ def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
             prefix = f"layer{li}/neuron{j}"
             burst = bq_quantize(u, bq, t0, node=f"{prefix}/bq")
             events.extend(burst.events())
-            soma = _soma_params_for(spec, layer.thresholds[j])
+            soma = soma_for_threshold(layer.thresholds[j])
             fires = soma_fire_times(soma, burst.renamed(f"{prefix}/soma"))
             events.extend(fires.events())
             if len(fires):

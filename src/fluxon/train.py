@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -197,18 +198,26 @@ def mlp_loss(mlp: RealMlp, X: np.ndarray, T: np.ndarray) -> float:
     return 0.5 * float(np.mean((O - T) ** 2))
 
 
-def mlp_gradients(mlp: RealMlp, X: np.ndarray, T: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic full-batch gradients of mlp_loss."""
+def _loss_and_gradients(
+    mlp: RealMlp, X: np.ndarray, T: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
+    """mlp_loss and its analytic full-batch gradients from one forward pass."""
     H, O = mlp.forward(X)
     n = O.size
     d_o = (O - T) / n * O * (1.0 - O)
     d_h = (d_o @ mlp.w2) * H * (1.0 - H)
-    return {
+    grads = {
         "w2": d_o.T @ H,
         "b2": d_o.sum(axis=0),
         "w1": d_h.T @ X,
         "b1": d_h.sum(axis=0),
     }
+    return 0.5 * float(np.mean((O - T) ** 2)), grads
+
+
+def mlp_gradients(mlp: RealMlp, X: np.ndarray, T: np.ndarray) -> dict[str, np.ndarray]:
+    """Analytic full-batch gradients of mlp_loss."""
+    return _loss_and_gradients(mlp, X, T)[1]
 
 
 def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
@@ -241,18 +250,20 @@ def train_mlp(
     if not train_biases:
         mlp.b1[:] = 0.0
         mlp.b2[:] = 0.0
-    losses = [mlp_loss(mlp, X, T)]
+    t0 = time.perf_counter()
+    loss, grads = _loss_and_gradients(mlp, X, T)
+    losses = [loss]
     for epoch in range(epochs):
-        grads = mlp_gradients(mlp, X, T)
         mlp.w1 -= learning_rate * grads["w1"]
         mlp.w2 -= learning_rate * grads["w2"]
         if train_biases:
             mlp.b1 -= learning_rate * grads["b1"]
             mlp.b2 -= learning_rate * grads["b2"]
-        loss = mlp_loss(mlp, X, T)
+        loss, grads = _loss_and_gradients(mlp, X, T)
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss} at epoch {epoch + 1}")
         losses.append(loss)
+    log.info("mlp: %d epochs in %.3f s", epochs, time.perf_counter() - t0)
     return mlp, losses
 
 
@@ -274,43 +285,73 @@ class GaConfig:
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be >= 2")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
+        if not 0 <= self.elitism <= self.population:
+            raise ValueError("elitism must lie in [0, population]")
         for r in (self.mutation_rate, self.crossover_rate):
             if not 0.0 <= r <= 1.0:
                 raise ValueError("rates must lie in [0,1]")
+        if len(self.threshold_set) == 0:
+            raise ValueError("threshold_set must not be empty")
+        lo, hi = self.scale_bounds
+        if not 0.0 < lo <= hi:
+            raise ValueError("scale_bounds must satisfy 0 < lo <= hi")
+        lo, hi = self.weight_range
+        if not -2 <= lo <= hi <= 2:
+            raise ValueError("weight_range must satisfy -2 <= lo <= hi <= 2")
 
 
 def _decode(
-    mlp: RealMlp, scales: np.ndarray, thresholds: np.ndarray, cfg: GaConfig
+    mlp: RealMlp, scales: np.ndarray, cfg: GaConfig
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Integer weights of a (P, n_neurons) block of scales: (P,H,I) and (P,O,H)."""
     lo, hi = cfg.weight_range
     n_hidden = mlp.w1.shape[0]
-    w1 = np.clip(np.round(scales[:n_hidden, None] * mlp.w1), lo, hi).astype(int)
-    w2 = np.clip(np.round(scales[n_hidden:, None] * mlp.w2), lo, hi).astype(int)
+    w1 = np.clip(np.round(scales[:, :n_hidden, None] * mlp.w1), lo, hi)
+    w2 = np.clip(np.round(scales[:, n_hidden:, None] * mlp.w2), lo, hi)
     return w1, w2
 
 
-def _batch_fitness(
-    w1: np.ndarray,
-    th1: np.ndarray,
-    w2: np.ndarray,
-    th2: np.ndarray,
-    Xq: np.ndarray,
-    labels: np.ndarray,
-) -> tuple[float, int, int]:
-    """(accuracy, nonzero weight count, sum |w|) for tie-breaking."""
-    H = (Xq @ w1.T >= th1).astype(int)
-    O = (H @ w2.T >= th2).astype(int)
-    want = np.zeros_like(O)
-    want[np.arange(len(labels)), labels] = 1
-    acc = float(np.mean(np.all(O == want, axis=1)))
-    nz = int(np.count_nonzero(w1) + np.count_nonzero(w2))
-    mass = int(np.abs(w1).sum() + np.abs(w2).sum())
+def _population_fitness(
+    mlp: RealMlp,
+    scales: np.ndarray,
+    thresholds: np.ndarray,
+    X: np.ndarray,
+    want: np.ndarray,
+    counts: np.ndarray,
+    cfg: GaConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accuracy, nonzero weight count and sum |w| of every candidate.
+
+    X holds the distinct (input, label) rows as columns, want their
+    one-hot labels as (n_out, rows) and counts how often each occurs.
+    Weights, inputs and thresholds are small integers, so the float
+    matmuls and comparisons are exact.
+    """
+    w1, w2 = _decode(mlp, scales, cfg)
+    P, n_hidden, n_in = w1.shape
+    H = (w1.reshape(-1, n_in) @ X).reshape(P, n_hidden, -1) >= thresholds[:, :n_hidden, None]
+    O = w2 @ H.astype(float) >= thresholds[:, n_hidden:, None]
+    acc = (np.all(O == want, axis=1) @ counts) / counts.sum()
+    nz = np.count_nonzero(w1, axis=(1, 2)) + np.count_nonzero(w2, axis=(1, 2))
+    mass = np.abs(w1).sum(axis=(1, 2)) + np.abs(w2).sum(axis=(1, 2))
     return acc, nz, mass
 
 
-def _fitness_key(f: tuple[float, int, int]) -> tuple[float, int, int]:
-    acc, nz, mass = f
-    return (acc, -nz, -mass)
+def _rank(acc: np.ndarray, nz: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-first order (accuracy desc, nz asc, mass asc, index asc) and dense rank.
+
+    Equal fitness shares a rank, so the first lowest rank among
+    tournament candidates is the first best of them.
+    """
+    order = np.lexsort((mass, nz, -acc))
+    keys = np.stack([acc, nz, mass])[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.cumsum(new)
+    return order, rank
 
 
 def ga_discretize(
@@ -324,79 +365,101 @@ def ga_discretize(
     Chromosome: one scale in scale_bounds (log-uniform init) and one
     threshold from threshold_set per neuron. Tournament selection
     (k=3), uniform crossover, Gaussian log-space mutation on scales,
-    random-reset mutation on thresholds, plus elitism. Returns the
-    best NetworkSpec and the (generation, best, mean) accuracy trace.
+    random-reset mutation on thresholds, plus elitism. Fitness is
+    accuracy, ties broken by fewer nonzero weights, then by a smaller
+    sum |w|. Returns the best NetworkSpec and the (generation, best,
+    mean) accuracy trace.
     """
     Xq = np.asarray(Xq, dtype=int)
     labels = np.asarray(labels, dtype=int)
     if len(Xq) == 0:
         raise ValueError("empty training data")
+    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    n_neurons = mlp.w1.shape[0] + mlp.w2.shape[0]
+    n_hidden = mlp.w1.shape[0]
+    n_neurons = n_hidden + mlp.w2.shape[0]
     thr_set = np.asarray(cfg.threshold_set, dtype=int)
     s_lo, s_hi = cfg.scale_bounds
+    P = cfg.population
+    # Accuracy depends on the training set only through how often each
+    # distinct (input, label) pair occurs.
+    rows, counts = np.unique(np.column_stack([Xq, labels]), axis=0, return_counts=True)
+    X = rows[:, :-1].T.astype(float)
+    want = np.zeros((mlp.w2.shape[0], len(rows)), dtype=bool)
+    want[rows[:, -1], np.arange(len(rows))] = True
 
-    scales = np.exp(rng.uniform(math.log(s_lo), math.log(s_hi), size=(cfg.population, n_neurons)))
-    thresholds = rng.choice(thr_set, size=(cfg.population, n_neurons))
+    scales = np.exp(rng.uniform(math.log(s_lo), math.log(s_hi), size=(P, n_neurons)))
+    thresholds = rng.choice(thr_set, size=(P, n_neurons))
     # Identity-scale candidates with uniform thresholds: if the MLP's
     # weights are already integers in range, generation 0 contains the
     # undistorted network for each available threshold.
-    for i, t in enumerate(thr_set[: cfg.population]):
+    for i, t in enumerate(thr_set[:P]):
         scales[i] = 1.0
         thresholds[i] = t
 
-    def evaluate(sc, th):
-        w1, w2 = _decode(mlp, sc, th, cfg)
-        nh = mlp.w1.shape[0]
-        return _batch_fitness(w1, th[:nh], w2, th[nh:], Xq, labels)
+    def score(scales, thresholds):
+        acc, nz, mass = _population_fitness(mlp, scales, thresholds, X, want, counts, cfg)
+        order, rank = _rank(acc, nz, mass)
+        i = order[0]
+        key = (float(acc[i]), -int(nz[i]), -int(mass[i]))
+        return order, rank, (scales[i], thresholds[i], key), float(np.mean(acc))
 
-    fits = [evaluate(scales[i], thresholds[i]) for i in range(cfg.population)]
-    best_i = max(range(cfg.population), key=lambda i: _fitness_key(fits[i]))
-    best = (scales[best_i].copy(), thresholds[best_i].copy(), fits[best_i])
-    trace = [(0, best[2][0], float(np.mean([f[0] for f in fits])))]
+    order, rank, best, mean_acc = score(scales, thresholds)
+    trace = [(0, best[2][0], mean_acc)]
 
+    n_children = P - cfg.elitism
     for gen in range(1, cfg.generations + 1):
-        order = sorted(range(cfg.population), key=lambda i: _fitness_key(fits[i]), reverse=True)
-        new_s = [scales[i].copy() for i in order[: cfg.elitism]]
-        new_t = [thresholds[i].copy() for i in order[: cfg.elitism]]
-
-        def tournament():
-            cand = rng.integers(0, cfg.population, size=3)
-            return max(cand, key=lambda i: _fitness_key(fits[i]))
-
-        while len(new_s) < cfg.population:
-            pa, pb = tournament(), tournament()
-            sa, ta = scales[pa].copy(), thresholds[pa].copy()
+        # Draw in the order of a child-by-child loop, then breed the
+        # whole block at once.
+        cands = np.empty((n_children, 6), dtype=int)
+        cross = np.zeros((n_children, n_neurons), dtype=bool)
+        mut_s = np.empty((n_children, n_neurons), dtype=bool)
+        mut_t = np.empty((n_children, n_neurons), dtype=bool)
+        deltas, resets = [], []
+        for c in range(n_children):
+            cands[c] = rng.integers(0, P, size=6)
             if rng.random() < cfg.crossover_rate:
-                mask = rng.random(n_neurons) < 0.5
-                sa[mask] = scales[pb][mask]
-                ta[mask] = thresholds[pb][mask]
-            mut = rng.random(n_neurons) < cfg.mutation_rate
-            if mut.any():
-                sa[mut] = np.clip(sa[mut] * np.exp(rng.normal(0.0, 0.35, mut.sum())), s_lo, s_hi)
-            mut_t = rng.random(n_neurons) < cfg.mutation_rate
-            if mut_t.any():
-                ta[mut_t] = rng.choice(thr_set, size=mut_t.sum())
-            new_s.append(sa)
-            new_t.append(ta)
+                cross[c] = rng.random(n_neurons) < 0.5
+            m = mut_s[c] = rng.random(n_neurons) < cfg.mutation_rate
+            k = np.count_nonzero(m)
+            if k:
+                deltas.append(rng.normal(0.0, 0.35, k))
+            m = mut_t[c] = rng.random(n_neurons) < cfg.mutation_rate
+            k = np.count_nonzero(m)
+            if k:
+                resets.append(rng.integers(0, len(thr_set), k))
 
-        scales = np.asarray(new_s)
-        thresholds = np.asarray(new_t)
-        fits = [evaluate(scales[i], thresholds[i]) for i in range(cfg.population)]
-        gen_best = max(range(cfg.population), key=lambda i: _fitness_key(fits[i]))
-        if _fitness_key(fits[gen_best]) > _fitness_key(best[2]):
-            best = (scales[gen_best].copy(), thresholds[gen_best].copy(), fits[gen_best])
-        trace.append((gen, best[2][0], float(np.mean([f[0] for f in fits]))))
+        cands = cands.reshape(n_children, 2, 3)
+        winner = np.argmin(rank[cands], axis=2)
+        pa, pb = np.take_along_axis(cands, winner[:, :, None], axis=2)[:, :, 0].T
+        child_s = np.where(cross, scales[pb], scales[pa])
+        child_t = np.where(cross, thresholds[pb], thresholds[pa])
+        if deltas:
+            mutated = child_s[mut_s] * np.exp(np.concatenate(deltas))
+            child_s[mut_s] = np.clip(mutated, s_lo, s_hi)
+        if resets:
+            child_t[mut_t] = thr_set[np.concatenate(resets)]
+        elite = order[: cfg.elitism]
+        scales = np.concatenate([scales[elite], child_s])
+        thresholds = np.concatenate([thresholds[elite], child_t])
 
-    w1, w2 = _decode(mlp, best[0], best[1], cfg)
-    nh = mlp.w1.shape[0]
+        order, rank, gen_best, mean_acc = score(scales, thresholds)
+        if gen_best[2] > best[2]:
+            best = gen_best
+        trace.append((gen, best[2][0], mean_acc))
+
+    w1, w2 = (w[0].astype(int) for w in _decode(mlp, best[0][None], cfg))
     spec = NetworkSpec(
         input_dim=mlp.w1.shape[1],
         layers=(
-            LayerSpec(w1, tuple(int(t) for t in best[1][:nh]), "SM4"),
-            LayerSpec(w2, tuple(int(t) for t in best[1][nh:]), "SM2"),
+            LayerSpec(w1, tuple(int(t) for t in best[1][:n_hidden]), "SM4"),
+            LayerSpec(w2, tuple(int(t) for t in best[1][n_hidden:]), "SM2"),
         ),
         threshold_set=cfg.threshold_set,
+    )
+    log.info(
+        "ga: %d generations of %d in %.3f s",
+        cfg.generations, P, time.perf_counter() - t0,
     )
     return spec, trace
 

@@ -61,6 +61,16 @@ class TestDiscretize:
     def test_requires_trained_mlp(self, tmp_path, fast_config, capsys):
         assert run("--config", fast_config, "--out", str(tmp_path / "x"), "discretize") == 2
 
+    @pytest.mark.parametrize("ga", [{"population": 1}, {"popsize": 10}])
+    def test_bad_ga_config_exits_2(self, tmp_path, fast_config, capsys, ga):
+        out = tmp_path / "out"
+        assert run("--config", fast_config, "--out", str(out), "train") == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"ga": ga}))
+        assert run("--config", str(bad), "--out", str(out), "discretize") == 2
+        err = capsys.readouterr().err
+        assert "bad ga config" in err and "internal error" not in err
+
     def test_seeded_rerun_identical_network(self, tmp_path, fast_config):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

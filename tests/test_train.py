@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from fluxon.snn import LayerSpec, NetworkSpec
 from fluxon.train import (
     DataError,
     FeatureQuantizer,
@@ -208,6 +211,40 @@ class TestGa:
         with pytest.raises(ValueError):
             ga_discretize(self._integer_mlp(), np.zeros((0, 4), dtype=int), [], GaConfig(population=4))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"population": 1},
+            {"generations": -1},
+            {"elitism": -1},
+            {"population": 4, "elitism": 5},
+            {"mutation_rate": 1.5},
+            {"crossover_rate": -0.1},
+            {"threshold_set": ()},
+            {"scale_bounds": (0.0, 20.0)},
+            {"scale_bounds": (-1.0, 2.0)},
+            {"scale_bounds": (3.0, 2.0)},
+            {"weight_range": (-3, 3)},
+            {"weight_range": (1, -1)},
+        ],
+    )
+    def test_config_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            GaConfig(**kwargs)
+
+    def test_config_edges_accepted(self):
+        GaConfig(population=4, elitism=0, generations=0)
+        GaConfig(population=4, elitism=4, scale_bounds=(1.0, 1.0), threshold_set=(2,))
+
+    def test_stage_timing_logged(self, caplog):
+        mlp = self._integer_mlp()
+        X = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=int)
+        with caplog.at_level("INFO", logger="fluxon.train"):
+            train_mlp(X.astype(float), one_hot([0, 1], 3), epochs=3, learning_rate=0.5, seed=0)
+            ga_discretize(mlp, X, [0, 1], GaConfig(population=6, generations=2, seed=0))
+        assert "mlp: 3 epochs in" in caplog.text
+        assert "ga: 2 generations of 6 in" in caplog.text
+
     def test_seed_determinism(self, iris_samples):
         train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
         _, Xq = quantize_features(train)
@@ -217,3 +254,176 @@ class TestGa:
         a, _ = ga_discretize(mlp, Xq, y, GaConfig(population=12, generations=6, seed=5))
         b, _ = ga_discretize(mlp, Xq, y, GaConfig(population=12, generations=6, seed=5))
         assert a.to_json() == b.to_json()
+
+
+# --- loop references -----------------------------------------------------
+#
+# The child-by-child GA and the two-forward training loop that the
+# batched code replaced. The batched code must draw the same random
+# stream and reproduce them exactly.
+
+
+def _reference_ga_discretize(mlp, Xq, labels, cfg):
+    Xq = np.asarray(Xq, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    rng = np.random.default_rng(cfg.seed)
+    nh = mlp.w1.shape[0]
+    n_neurons = nh + mlp.w2.shape[0]
+    thr_set = np.asarray(cfg.threshold_set, dtype=int)
+    s_lo, s_hi = cfg.scale_bounds
+    lo, hi = cfg.weight_range
+
+    def decode(sc):
+        w1 = np.clip(np.round(sc[:nh, None] * mlp.w1), lo, hi).astype(int)
+        w2 = np.clip(np.round(sc[nh:, None] * mlp.w2), lo, hi).astype(int)
+        return w1, w2
+
+    def evaluate(sc, th):
+        w1, w2 = decode(sc)
+        H = (Xq @ w1.T >= th[:nh]).astype(int)
+        O = (H @ w2.T >= th[nh:]).astype(int)
+        want = np.zeros_like(O)
+        want[np.arange(len(labels)), labels] = 1
+        acc = float(np.mean(np.all(O == want, axis=1)))
+        nz = int(np.count_nonzero(w1) + np.count_nonzero(w2))
+        mass = int(np.abs(w1).sum() + np.abs(w2).sum())
+        return acc, nz, mass
+
+    def key(f):
+        return (f[0], -f[1], -f[2])
+
+    scales = np.exp(rng.uniform(math.log(s_lo), math.log(s_hi), size=(cfg.population, n_neurons)))
+    thresholds = rng.choice(thr_set, size=(cfg.population, n_neurons))
+    for i, t in enumerate(thr_set[: cfg.population]):
+        scales[i] = 1.0
+        thresholds[i] = t
+
+    fits = [evaluate(scales[i], thresholds[i]) for i in range(cfg.population)]
+    best_i = max(range(cfg.population), key=lambda i: key(fits[i]))
+    best = (scales[best_i].copy(), thresholds[best_i].copy(), fits[best_i])
+    trace = [(0, best[2][0], float(np.mean([f[0] for f in fits])))]
+
+    for gen in range(1, cfg.generations + 1):
+        order = sorted(range(cfg.population), key=lambda i: key(fits[i]), reverse=True)
+        new_s = [scales[i].copy() for i in order[: cfg.elitism]]
+        new_t = [thresholds[i].copy() for i in order[: cfg.elitism]]
+
+        def tournament():
+            cand = rng.integers(0, cfg.population, size=3)
+            return max(cand, key=lambda i: key(fits[i]))
+
+        while len(new_s) < cfg.population:
+            pa, pb = tournament(), tournament()
+            sa, ta = scales[pa].copy(), thresholds[pa].copy()
+            if rng.random() < cfg.crossover_rate:
+                mask = rng.random(n_neurons) < 0.5
+                sa[mask] = scales[pb][mask]
+                ta[mask] = thresholds[pb][mask]
+            mut = rng.random(n_neurons) < cfg.mutation_rate
+            if mut.any():
+                sa[mut] = np.clip(sa[mut] * np.exp(rng.normal(0.0, 0.35, mut.sum())), s_lo, s_hi)
+            mut_t = rng.random(n_neurons) < cfg.mutation_rate
+            if mut_t.any():
+                ta[mut_t] = rng.choice(thr_set, size=mut_t.sum())
+            new_s.append(sa)
+            new_t.append(ta)
+
+        scales = np.asarray(new_s)
+        thresholds = np.asarray(new_t)
+        fits = [evaluate(scales[i], thresholds[i]) for i in range(cfg.population)]
+        gen_best = max(range(cfg.population), key=lambda i: key(fits[i]))
+        if key(fits[gen_best]) > key(best[2]):
+            best = (scales[gen_best].copy(), thresholds[gen_best].copy(), fits[gen_best])
+        trace.append((gen, best[2][0], float(np.mean([f[0] for f in fits]))))
+
+    w1, w2 = decode(best[0])
+    spec = NetworkSpec(
+        input_dim=mlp.w1.shape[1],
+        layers=(
+            LayerSpec(w1, tuple(int(t) for t in best[1][:nh]), "SM4"),
+            LayerSpec(w2, tuple(int(t) for t in best[1][nh:]), "SM2"),
+        ),
+        threshold_set=cfg.threshold_set,
+    )
+    return spec, trace
+
+
+def _reference_train_mlp(X, T, *, epochs, learning_rate, seed, n_hidden=4, train_biases=True):
+    X = np.asarray(X, dtype=float)
+    T = np.asarray(T, dtype=float)
+    mlp = RealMlp.init(X.shape[1], n_hidden, T.shape[1], seed)
+    if not train_biases:
+        mlp.b1[:] = 0.0
+        mlp.b2[:] = 0.0
+    losses = [mlp_loss(mlp, X, T)]
+    for _ in range(epochs):
+        grads = mlp_gradients(mlp, X, T)
+        mlp.w1 -= learning_rate * grads["w1"]
+        mlp.w2 -= learning_rate * grads["w2"]
+        if train_biases:
+            mlp.b1 -= learning_rate * grads["b1"]
+            mlp.b2 -= learning_rate * grads["b2"]
+        losses.append(mlp_loss(mlp, X, T))
+    return mlp, losses
+
+
+@pytest.fixture(scope="module")
+def iris_mlp(iris_samples):
+    """The training partition and MLP of the default pipeline (seed 7)."""
+    train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
+    _, Xq = quantize_features(train)
+    y = labels_of(train)
+    mlp, _ = train_mlp(Xq.astype(float), one_hot(y, 3), epochs=3000,
+                       learning_rate=0.5, seed=7, train_biases=False)
+    return mlp, Xq, y
+
+
+class TestLoopReferences:
+    @pytest.mark.parametrize(
+        "seed,population,generations,elitism",
+        [
+            (0, 7, 15, 2),      # odd population
+            (1, 12, 10, 0),     # no elites
+            (2, 9, 6, 9),       # elites only: no children
+            (3, 30, 0, 2),      # generation 0 only
+            (4, 2, 8, 1),       # smallest population
+            (5, 41, 25, 3),
+        ],
+    )
+    def test_ga_matches_reference(self, iris_mlp, seed, population, generations, elitism):
+        mlp, Xq, y = iris_mlp
+        cfg = GaConfig(population=population, generations=generations,
+                       elitism=elitism, seed=seed)
+        spec, trace = ga_discretize(mlp, Xq, y, cfg)
+        ref_spec, ref_trace = _reference_ga_discretize(mlp, Xq, y, cfg)
+        assert spec.to_json() == ref_spec.to_json()
+        assert repr(trace) == repr(ref_trace)
+
+    def test_ga_matches_reference_at_default_size(self, iris_mlp):
+        mlp, Xq, y = iris_mlp
+        cfg = GaConfig(population=100, generations=200, seed=7)
+        spec, trace = ga_discretize(mlp, Xq, y, cfg)
+        ref_spec, ref_trace = _reference_ga_discretize(mlp, Xq, y, cfg)
+        assert spec.to_json() == ref_spec.to_json()
+        assert repr(trace) == repr(ref_trace)
+
+    def test_ga_matches_reference_with_other_alphabet_and_bounds(self, iris_mlp):
+        mlp, Xq, y = iris_mlp
+        cfg = GaConfig(population=15, generations=12, seed=8, threshold_set=(2, 3),
+                       weight_range=(-1, 1), scale_bounds=(0.5, 1.5),
+                       mutation_rate=0.5, crossover_rate=0.0)
+        spec, trace = ga_discretize(mlp, Xq, y, cfg)
+        ref_spec, ref_trace = _reference_ga_discretize(mlp, Xq, y, cfg)
+        assert spec.to_json() == ref_spec.to_json()
+        assert repr(trace) == repr(ref_trace)
+
+    @pytest.mark.parametrize("train_biases", [False, True])
+    def test_train_mlp_matches_reference(self, iris_samples, train_biases):
+        train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
+        _, Xq = quantize_features(train)
+        T = one_hot(labels_of(train), 3)
+        kw = dict(epochs=400, learning_rate=0.5, seed=3, train_biases=train_biases)
+        mlp, losses = train_mlp(Xq.astype(float), T, **kw)
+        ref_mlp, ref_losses = _reference_train_mlp(Xq.astype(float), T, **kw)
+        assert mlp.to_json() == ref_mlp.to_json()
+        assert repr(losses) == repr(ref_losses)
