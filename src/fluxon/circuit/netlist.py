@@ -370,7 +370,7 @@ def critical_damping_cap(ic: float, rn: float) -> float:
 def parse_netlist(text: str, *, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> Netlist:
     """Parse netlist text into a validated Netlist."""
     devices: list[Device] = []
-    tran_step = tran_stop = None
+    tran_step = tran_stop = tran_line = None
     prints: list[tuple[str, str]] = []
     title = ""
 
@@ -387,6 +387,9 @@ def parse_netlist(text: str, *, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> N
             if head == ".tran":
                 if len(toks) != 3:
                     raise NetlistError(".tran takes <step> <stop>", lineno)
+                if tran_line is not None:
+                    raise NetlistError(f"repeated .tran; the first is on line {tran_line}", lineno)
+                tran_line = lineno
                 tran_step = parse_time_ps(toks[1], lineno)
                 tran_stop = parse_time_ps(toks[2], lineno)
             elif head == ".print":

@@ -303,5 +303,5 @@ def write_waveform_csv(fh, traces: TraceSet, netlist: Netlist) -> None:
         else:
             cols.append((f"phi({name})", traces.junction_phase[name]))
     fh.write(",".join(["time_ps"] + [c[0] for c in cols]) + "\n")
-    for i, t in enumerate(traces.time_ps):
-        fh.write(",".join([repr(float(t))] + [repr(float(c[1][i])) for c in cols]) + "\n")
+    rows = np.column_stack([traces.time_ps] + [c[1] for c in cols]).tolist()
+    fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

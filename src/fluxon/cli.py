@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -181,6 +182,7 @@ def cmd_discretize(cfg: dict) -> int:
     m_train = snn.accuracy_metrics(spec, Xq_train, y_train)
     m_test = snn.accuracy_metrics(spec, Xq_test, trainmod.labels_of(test_s))
     Xq_all = quantizer.apply(trainmod.features_of(samples))
+    t0 = time.perf_counter()
     match = sum(
         int(
             np.array_equal(
@@ -190,6 +192,7 @@ def cmd_discretize(cfg: dict) -> int:
         )
         for xv in Xq_all
     )
+    log.info("spiking: %d inputs in %.3f s", len(Xq_all), time.perf_counter() - t0)
     pct = 100.0 * match / len(samples)
     print(f"train accuracy {m_train['accuracy']:.4f}, test accuracy {m_test['accuracy']:.4f}")
     print(f"spiking/discrete match: {match}/{len(samples)} ({pct:.1f}%)")
@@ -220,10 +223,17 @@ def cmd_simulate(cfg: dict, args) -> int:
         net_path = out / "network.json"
         if not net_path.exists():
             raise UserError(f"{net_path} missing; run `fluxon discretize` first")
-        spec = snn.NetworkSpec.from_json(net_path.read_text())
+        # network.json does not record the threshold set the GA drew from
+        thr_set = cfg["ga"].get("threshold_set", snn.DEFAULT_THRESHOLD_SET)
+        try:
+            spec = snn.NetworkSpec.from_json(net_path.read_text(), tuple(thr_set))
+        except (TypeError, ValueError) as exc:
+            raise UserError(f"bad {net_path}: {exc}") from None
         if args.input:
             vec = _parse_input_vector(args.input, spec.input_dim)
+            t0 = time.perf_counter()
             report = snn.simulate_spiking(spec, vec)
+            log.info("spiking: 1 inputs in %.3f s", time.perf_counter() - t0)
             with open(out / "events.csv", "w") as fh:
                 write_event_log(fh, report.event_log)
             _write(
@@ -245,12 +255,14 @@ def cmd_simulate(cfg: dict, args) -> int:
         _, test_s, quantizer, _ = _split_and_quantize(cfg, samples)
         Xq = quantizer.apply(trainmod.features_of(test_s))
         seen: dict[tuple, tuple] = {}
+        t0 = time.perf_counter()
         for xv, lab in zip(Xq, trainmod.labels_of(test_s)):
             key = tuple(int(v) for v in xv)
             if key not in seen:
                 rep = snn.simulate_spiking(spec, xv)
                 ref = snn.classify_outputs(snn.evaluate_discrete(spec, xv)[-1])
                 seen[key] = (rep.fired_class, ref, int(lab))
+        log.info("spiking: %d inputs in %.3f s", len(seen), time.perf_counter() - t0)
         rows = ["input,spiking_class,discrete_class,label"]
         for key in sorted(seen):
             fired, ref, lab = seen[key]

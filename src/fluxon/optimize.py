@@ -86,16 +86,18 @@ def pso_minimize(
     """
     if not isinstance(obj, Objective):
         obj = Objective(obj)
-
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        evaluate_swarm = lambda pts: np.asarray(list(pool.map(obj, pts)))
-    else:
-        pool = None
-        evaluate_swarm = lambda pts: np.asarray([obj(p) for p in pts])
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return _swarm(lambda pts: np.asarray(list(pool.map(obj, pts))), cfg)
+    return _swarm(lambda pts: np.asarray([obj(p) for p in pts]), cfg)
 
+
+def _swarm(
+    evaluate_swarm: Callable[[np.ndarray], np.ndarray], cfg: PsoConfig
+) -> tuple[np.ndarray, float, list[tuple[int, float, float]]]:
+    """The swarm loop of pso_minimize; evaluate_swarm scores every row of a block."""
     rng = np.random.default_rng(cfg.seed)
     lo = np.asarray([b[0] for b in cfg.bounds])
     hi = np.asarray([b[1] for b in cfg.bounds])
@@ -131,8 +133,6 @@ def pso_minimize(
             gbest, gbest_score = pbest[g].copy(), float(pbest_scores[g])
         trace.append((it, gbest_score, float(np.mean(scores))))
 
-    if pool is not None:
-        pool.shutdown()
     return gbest, gbest_score, trace
 
 

@@ -14,6 +14,7 @@ per-neuron pulse-count thresholds. Two engines evaluate it:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,7 +46,8 @@ class LayerSpec:
     synapse: str = "SM4"
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=int)
+        w = np.array(self.weights, dtype=int)
+        w.flags.writeable = False  # `synapses` is derived from it once
         if w.ndim != 2:
             raise ValueError("layer weights must be a 2-D matrix")
         if np.any(w < -2) or np.any(w > 2):
@@ -56,6 +58,12 @@ class LayerSpec:
             raise ValueError("one threshold per neuron required")
         if self.synapse not in ("SM2", "SM4"):
             raise ValueError(f"layer synapse must be SM2 or SM4, got {self.synapse!r}")
+
+    @functools.cached_property
+    def synapses(self) -> tuple[tuple[SynapseConfig, ...], ...]:
+        """The synapse model of every weight, row by row, built on first use."""
+        cells = {w: SynapseConfig(self.synapse, w) for w in range(-2, 3)}
+        return tuple(tuple(cells[w] for w in row) for row in self.weights.tolist())
 
     @property
     def n_neurons(self) -> int:
@@ -169,6 +177,30 @@ def classify_outputs(bits: Sequence[int]) -> int | str | None:
     return None if not on else AMBIGUOUS
 
 
+# Bound of the neuron response cache. A response depends only on its
+# four arguments, and networks share few of them: totals lie in -64..64
+# and thresholds in a small set, so this holds the keys of many
+# networks at once.
+RESPONSE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=RESPONSE_CACHE_SIZE)
+def _neuron_response(
+    total: int, threshold: int | None, clock_start: float, clock_ps: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """BQ burst times for a synaptic total, and the fire times of a soma of
+    `threshold` fed by that burst (none for threshold None, the input encoder).
+
+    The behavioral models are the only definition of both; an error they
+    raise propagates on every call, since lru_cache stores only returns.
+    """
+    bq = BqConfig(pulse_spacing=20.0, clock_period=clock_ps)
+    burst = bq_quantize(total, bq, clock_start)
+    if threshold is None:
+        return burst.times, ()
+    return burst.times, soma_fire_times(soma_for_threshold(threshold), burst).times
+
+
 def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
     """Clocked event-level simulation of the network.
 
@@ -178,45 +210,37 @@ def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
     soma, and squeezed to at most one latched pulse per clock.
     """
     xv = _check_input(spec, x)
-    bq = BqConfig(pulse_spacing=20.0, clock_period=spec.clock_ps)
+    clock = spec.clock_ps
     events: list[PulseEvent] = []
 
-    for k, level in enumerate(xv):
-        train = bq_quantize(int(level), bq, 0.0, node=f"input/{k}")
-        events.extend(train.events())
+    for k, level in enumerate(xv.tolist()):
+        node = f"input/{k}"
+        events += [PulseEvent(t, node) for t in _neuron_response(level, None, 0.0, clock)[0]]
 
-    acts = xv
-    per_clock: list[np.ndarray] = [np.zeros(spec.output_dim, dtype=int) for _ in spec.layers]
+    acts = xv.tolist()
     for li, layer in enumerate(spec.layers):
-        t0 = li * spec.clock_ps
-        latch_t = t0 + spec.clock_ps
-        fired = np.zeros(layer.n_neurons, dtype=int)
-        for j in range(layer.n_neurons):
-            u = 0
-            for k in range(layer.fan_in):
-                cfg = SynapseConfig(layer.synapse, int(layer.weights[j, k]))
-                u += synapse_contribution(cfg, int(acts[k]))
+        t0 = li * clock
+        latch_t = t0 + clock
+        fired: list[int] = []
+        for j, (synapses, threshold) in enumerate(zip(layer.synapses, layer.thresholds)):
+            u = sum(map(synapse_contribution, synapses, acts))
+            burst, fires = _neuron_response(u, threshold, t0, clock)
             prefix = f"layer{li}/neuron{j}"
-            burst = bq_quantize(u, bq, t0, node=f"{prefix}/bq")
-            events.extend(burst.events())
-            soma = soma_for_threshold(layer.thresholds[j])
-            fires = soma_fire_times(soma, burst.renamed(f"{prefix}/soma"))
-            events.extend(fires.events())
-            if len(fires):
-                fired[j] = 1
+            bq_node, soma_node = f"{prefix}/bq", f"{prefix}/soma"
+            events += [PulseEvent(t, bq_node) for t in burst]
+            events += [PulseEvent(t, soma_node) for t in fires]
+            if fires:
                 events.append(PulseEvent(latch_t, f"{prefix}/out"))
+            fired.append(1 if fires else 0)
         acts = fired
-        if li == len(spec.layers) - 1:
-            per_clock[li] = fired
-        else:
-            per_clock[li] = np.zeros(spec.output_dim, dtype=int)
 
-    report = SimReport(
+    per_clock = [np.zeros(spec.output_dim, dtype=int) for _ in spec.layers[:-1]]
+    per_clock.append(np.asarray(acts, dtype=int))
+    return SimReport(
         outputs=per_clock,
         event_log=sorted_events(events),
-        fired_class=classify_outputs(per_clock[-1]),
+        fired_class=classify_outputs(acts),
     )
-    return report
 
 
 def classify(spec: NetworkSpec, x: Sequence[int], *, spiking: bool = False) -> int | str | None:

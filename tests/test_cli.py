@@ -91,6 +91,41 @@ class TestSimulate:
         report = json.loads((out / "sim_report.json").read_text())
         assert report["fired_class"] is None
 
+    def test_custom_threshold_set(self, tmp_path, capsys):
+        cfg = tmp_path / "thr.json"
+        cfg.write_text(json.dumps({**FAST_CONFIG, "ga": {**FAST_CONFIG["ga"], "threshold_set": [3, 4]}}))
+        out = tmp_path / "out"
+        for stage in ("train", "discretize", "simulate"):
+            assert run("--config", str(cfg), "--out", str(out), stage) == 0, stage
+        net = json.loads((out / "network.json").read_text())
+        assert {t for layer in net["layers"] for t in layer["thresholds"]} <= {3, 4}
+        assert "spiking == discrete: True" in capsys.readouterr().out
+
+    def test_network_outside_threshold_set_exits_2(self, tmp_path, fast_config, capsys):
+        out = tmp_path / "out"
+        run("--config", fast_config, "--out", str(out), "train")
+        run("--config", fast_config, "--out", str(out), "discretize")
+        cfg = tmp_path / "thr.json"
+        cfg.write_text(json.dumps({"ga": {"threshold_set": [6]}}))
+        assert run("--config", str(cfg), "--out", str(out), "simulate") == 2
+        err = capsys.readouterr().err
+        assert "outside the soma set (6,)" in err and "internal error" not in err
+
+    def test_spiking_pass_logged(self, tmp_path, fast_config, capsys, caplog):
+        out = tmp_path / "out"
+        run("--config", fast_config, "--out", str(out), "train")
+        with caplog.at_level("INFO", logger="fluxon.cli"):
+            run("--config", fast_config, "--out", str(out), "discretize")
+            assert "spiking: 150 inputs in" in caplog.text
+            caplog.clear()
+            run("--config", fast_config, "--out", str(out), "simulate", "--input", "1,0,2,1")
+            assert "spiking: 1 inputs in" in caplog.text
+            caplog.clear()
+            capsys.readouterr()
+            run("--config", fast_config, "--out", str(out), "simulate")
+        unique = len(capsys.readouterr().out.splitlines()) - 1  # one line per test vector
+        assert f"spiking: {unique} inputs in" in caplog.text
+
     def test_malformed_input_vector(self, tmp_path, fast_config, capsys):
         out = tmp_path / "out"
         run("--config", fast_config, "--out", str(out), "train")

@@ -120,6 +120,11 @@ class TestParse:
         with pytest.raises(NetlistError, match="duplicate device name 'b1'"):
             parse_netlist("b1 1 0 ic=100u\nb1 2 0 ic=100u\nl1 1 2 2p")
 
+    def test_repeated_tran(self):
+        with pytest.raises(NetlistError, match="line 4: repeated .tran; the first is on line 2") as exc:
+            parse_netlist("r1 1 0 1\n.tran 0.1 10\ni1 0 1 dc 1m\n.tran 0.2 20\n")
+        assert exc.value.lineno == 4
+
     def test_print_requests(self):
         nl = parse_netlist("b1 1 0 ic=100u\n.print v(1) phi(b1)")
         assert nl.prints == (("v", "1"), ("phi", "b1"))

@@ -1,4 +1,5 @@
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ class TestPso:
             _, best, _ = pso_minimize(Objective(nasty, "nasty"), cfg)
         assert np.isfinite(best)
         assert "NaN" in caplog.text
+
+    def test_failing_objective_releases_worker_threads(self):
+        lock = threading.Lock()
+        calls = []
+
+        def third_call_raises(x):
+            with lock:
+                calls.append(x)
+                n = len(calls)
+            if n == 3:
+                raise RuntimeError("objective failed")
+            return sphere(x)
+
+        cfg = PsoConfig(bounds=((-1.0, 1.0),), n_particles=6, n_iterations=4, seed=3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="objective failed"):
+            pso_minimize(third_call_raises, cfg, jobs=2)
+        assert threading.active_count() == before
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

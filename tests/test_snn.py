@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import all_ternary_inputs, random_spec
+from fluxon.behavioral import (
+    BqConfig,
+    SynapseConfig,
+    bq_quantize,
+    soma_fire_times,
+    soma_for_threshold,
+    synapse_contribution,
+)
+from fluxon.core import PulseEvent, sorted_events
 from fluxon.snn import (
     AMBIGUOUS,
     LayerSpec,
     NetworkSpec,
+    SimReport,
     accuracy_metrics,
     classify,
     classify_outputs,
@@ -124,6 +134,121 @@ class TestSpiking:
             after = evaluate_discrete(bumped, x)[li][j]
             if before == 1:
                 assert after == 1
+
+
+def reference_simulate_spiking(spec: NetworkSpec, x) -> SimReport:
+    """The engine before neuron responses were memoized: a validated
+    SynapseConfig per synapse, and a fresh BQ burst, soma and fold per
+    neuron, on every input. The oracle for simulate_spiking."""
+    xv = np.asarray(x, dtype=int)
+    if xv.shape != (spec.input_dim,):
+        raise ValueError(f"input shape {xv.shape} != ({spec.input_dim},)")
+    if np.any(xv < 0) or np.any(xv > 2):
+        raise ValueError("first-layer inputs must lie in {0, 1, 2}")
+    bq = BqConfig(pulse_spacing=20.0, clock_period=spec.clock_ps)
+    events = []
+    for k, level in enumerate(xv):
+        events.extend(bq_quantize(int(level), bq, 0.0, node=f"input/{k}").events())
+    acts = xv
+    per_clock = [np.zeros(spec.output_dim, dtype=int) for _ in spec.layers]
+    for li, layer in enumerate(spec.layers):
+        t0 = li * spec.clock_ps
+        fired = np.zeros(layer.n_neurons, dtype=int)
+        for j in range(layer.n_neurons):
+            u = 0
+            for k in range(layer.fan_in):
+                cfg = SynapseConfig(layer.synapse, int(layer.weights[j, k]))
+                u += synapse_contribution(cfg, int(acts[k]))
+            prefix = f"layer{li}/neuron{j}"
+            burst = bq_quantize(u, bq, t0, node=f"{prefix}/bq")
+            events.extend(burst.events())
+            soma = soma_for_threshold(layer.thresholds[j])
+            fires = soma_fire_times(soma, burst.renamed(f"{prefix}/soma"))
+            events.extend(fires.events())
+            if len(fires):
+                fired[j] = 1
+                events.append(PulseEvent(t0 + spec.clock_ps, f"{prefix}/out"))
+        acts = fired
+        if li == len(spec.layers) - 1:
+            per_clock[li] = fired
+    return SimReport(per_clock, sorted_events(events), classify_outputs(per_clock[-1]))
+
+
+def assert_same_report(got: SimReport, want: SimReport):
+    assert [(e.time, e.node) for e in got.event_log] == [(e.time, e.node) for e in want.event_log]
+    assert len(got.outputs) == len(want.outputs)
+    for a, b in zip(got.outputs, want.outputs):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert got.fired_class == want.fired_class
+
+
+def negative_spec():
+    # every first-layer weight -2: totals run down to -16 and clamp to zero
+    return small_spec(np.full((4, 4), -2), (1, 2, 5, 1), np.full((3, 4), -1), (1, 1, 2))
+
+
+def short_clock_spec():
+    # clock_ps=200 clamps BQ bursts at 200 // 20 = 10 pulses; totals reach 16
+    return NetworkSpec(
+        input_dim=4,
+        layers=(
+            LayerSpec(np.full((2, 4), 2), (1, 5), "SM4"),
+            LayerSpec(np.ones((3, 2), dtype=int), (1, 2, 5), "SM2"),
+        ),
+        clock_ps=200.0,
+    )
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (4, 16, 3)])
+    def test_random_specs_all_inputs(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        inputs = all_ternary_inputs()
+        for _ in range(6):
+            spec = random_spec(rng, shape)
+            for x in inputs:
+                assert_same_report(simulate_spiking(spec, x), reference_simulate_spiking(spec, x))
+
+    @pytest.mark.parametrize("make_spec", [short_clock_spec, negative_spec])
+    def test_clamped_totals(self, make_spec):
+        spec = make_spec()
+        for x in all_ternary_inputs():
+            assert_same_report(simulate_spiking(spec, x), reference_simulate_spiking(spec, x))
+
+    def test_short_clock_clamps_burst(self):
+        report = simulate_spiking(short_clock_spec(), (2, 2, 2, 2))
+        burst = [e.time for e in report.event_log if e.node == "layer0/neuron0/bq"]
+        assert burst == [20.0 * k for k in range(10)]
+
+    def test_negative_totals_emit_nothing(self):
+        report = simulate_spiking(negative_spec(), (2, 2, 2, 2))
+        assert {e.node.split("/")[0] for e in report.event_log} == {"input"}
+        assert report.fired_class is None
+
+    def test_total_beyond_bq_bound_raises_every_call(self):
+        # 17 synapses of weight 2 at level 2: total 68 > 64
+        spec = NetworkSpec(17, (LayerSpec(np.full((1, 17), 2), (1,), "SM4"),))
+        with pytest.raises(ValueError, match="outside sane bound") as want:
+            reference_simulate_spiking(spec, [2] * 17)
+        for _ in range(2):
+            with pytest.raises(ValueError) as got:
+                simulate_spiking(spec, [2] * 17)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("x", [(3, 0, 0, 0), (0, -1, 0, 0), (1, 1)])
+    def test_bad_input_raises_every_call(self, x):
+        spec = small_spec([[1, 1, 1, 1]], (1,), [[1]], (1,))
+        with pytest.raises(ValueError) as want:
+            reference_simulate_spiking(spec, x)
+        for _ in range(2):
+            with pytest.raises(ValueError) as got:
+                simulate_spiking(spec, x)
+            assert str(got.value) == str(want.value)
+
+    def test_weights_are_read_only(self):
+        spec = small_spec([[1, 1, 1, 1]], (1,), [[1]], (1,))
+        with pytest.raises(ValueError):
+            spec.layers[0].weights[0, 0] = 2
 
 
 class TestSpecValidation:

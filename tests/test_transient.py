@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import math
 from importlib import resources
 
@@ -11,6 +13,7 @@ from fluxon.circuit import (
     parse_netlist,
     run_transient,
     transient,
+    write_waveform_csv,
 )
 from fluxon.core import PHI0
 
@@ -203,6 +206,36 @@ class TestBundledCells:
             flux = np.trapezoid(traces.junction_voltage[junction], traces.time_ps * 1e-12)
             want = PHI0 / (2 * math.pi) * (phase[-1] - phase[0])
             assert flux == pytest.approx(want, rel=1e-5), junction
+
+
+def reference_waveform_csv(traces, netlist) -> str:
+    """The row-by-row writer that write_waveform_csv replaced."""
+    cols = []
+    requests = netlist.prints or tuple(("v", n) for n in traces.node_voltage)
+    for kind, name in requests:
+        trace = traces.node_voltage[name] if kind == "v" else traces.junction_phase[name]
+        cols.append((f"{kind}({name})", trace))
+    lines = [",".join(["time_ps"] + [c[0] for c in cols]) + "\n"]
+    for i, t in enumerate(traces.time_ps):
+        lines.append(",".join([repr(float(t))] + [repr(float(c[1][i])) for c in cols]) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("cell", ["soma2", "jtl"])
+@pytest.mark.parametrize("own_prints", [True, False])
+def test_waveform_csv_matches_row_writer(bundled_traces, cell, own_prints):
+    text = resources.files("fluxon.data").joinpath(f"netlists/{cell}.cir").read_text()
+    netlist = parse_netlist(text)
+    if not own_prints:  # no .print: every node voltage
+        netlist = dataclasses.replace(netlist, prints=())
+    fh = io.StringIO()
+    write_waveform_csv(fh, bundled_traces[cell], netlist)
+    got = fh.getvalue().splitlines(keepends=True)
+    want = reference_waveform_csv(bundled_traces[cell], netlist).splitlines(keepends=True)
+    # name the first differing row: pytest's own diff of thousands of rows takes minutes
+    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b][:1]
+    assert not bad, f"row {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"
+    assert len(got) == len(want)
 
 
 def dense_reference(netlist, stop):
