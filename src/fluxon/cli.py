@@ -356,15 +356,11 @@ def cmd_margins(cfg: dict, args) -> int:
         except KeyError as exc:
             raise UserError(str(exc)) from None
     resolution = mc.get("resolution", 0.02)
-    jobs = cfg.get("_jobs", 1)
-    scan = lambda sel: margin_scan(netlist, sel, pass_test, resolution=resolution)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan, mc["params"]))
-    else:
-        results = [scan(sel) for sel in mc["params"]]
+    results = []
+    for sel in mc["params"]:
+        t0 = time.perf_counter()
+        results.append(margin_scan(netlist, sel, pass_test, resolution=resolution))
+        log.info("margins: %s in %.3f s", sel, time.perf_counter() - t0)
     rows = ["param,low_pct,high_pct"]
     for sel, (low, high) in zip(mc["params"], results):
         rows.append(f"{sel},{low * 100:.1f},{high * 100:.1f}")
@@ -415,7 +411,10 @@ def cmd_pso(cfg: dict, args) -> int:
             n_iterations=pc.get("n_iterations", 10),
             seed=cfg["seed"],
         )
-    best_x, best_f, trace = pso_minimize(obj, pso_cfg, jobs=cfg.get("_jobs", 1))
+    t0 = time.perf_counter()
+    best_x, best_f, trace = pso_minimize(obj, pso_cfg)
+    n_evals = pso_cfg.n_particles * pso_cfg.n_iterations
+    log.info("pso: %d evaluations in %.3f s", n_evals, time.perf_counter() - t0)
     _write(
         out / "pso_trace.csv",
         "iteration,best_score,mean_score\n"
@@ -490,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config overriding the built-in defaults")
     ap.add_argument("--seed", type=int, help="seed for every stochastic stage")
     ap.add_argument("--out", help="artifact directory (default ./out)")
-    ap.add_argument("--jobs", type=int, default=1, help="max concurrent evaluations")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("train")
     sub.add_parser("discretize")
@@ -516,7 +514,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.out)
-        cfg["_jobs"] = max(1, args.jobs)
         Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
         if args.command == "train":
             return cmd_train(cfg)

@@ -74,23 +74,14 @@ def _reflect(x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tu
 def pso_minimize(
     obj: Objective | Callable[[np.ndarray], float],
     cfg: PsoConfig,
-    jobs: int = 1,
 ) -> tuple[np.ndarray, float, list[tuple[int, float, float]]]:
     """Minimize obj within cfg.bounds.
 
     Returns (best_vector, best_score, trace) where trace rows are
-    (iteration, best_score_so_far, mean_score_of_swarm). With jobs > 1
-    the particle evaluations of each iteration run concurrently; the
-    update step stays an ordered sequential barrier, so results match
-    the single-worker run.
+    (iteration, best_score_so_far, mean_score_of_swarm).
     """
     if not isinstance(obj, Objective):
         obj = Objective(obj)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return _swarm(lambda pts: np.asarray(list(pool.map(obj, pts))), cfg)
     return _swarm(lambda pts: np.asarray([obj(p) for p in pts]), cfg)
 
 
@@ -152,7 +143,7 @@ def margin_objective(
     the worst-side margins of the listed parameters (more margin is a
     lower, better score).
     """
-    from .circuit import margin_scan, run_transient
+    from .circuit import MarginError, margin_scan
 
     selectors = [p.lower() for p in params]
     for sel in selectors:
@@ -162,12 +153,13 @@ def margin_objective(
         nl = netlist
         for sel, value in zip(selectors, vec):
             nl = nl.with_param(sel, float(value))
-        if not pass_test(run_transient(nl)):
-            return NOMINAL_FAIL_PENALTY
         total = 0.0
-        for sel in selectors:
-            low, high = margin_scan(nl, sel, pass_test, resolution=resolution, bound=bound)
-            total += min(low, high)
+        try:  # each scan first runs the candidate itself at nominal
+            for sel in selectors:
+                low, high = margin_scan(nl, sel, pass_test, resolution=resolution, bound=bound)
+                total += min(low, high)
+        except MarginError:
+            return NOMINAL_FAIL_PENALTY
         return -total
 
     return Objective(evaluate, description=f"margins of {', '.join(selectors)}")

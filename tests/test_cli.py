@@ -172,6 +172,28 @@ class TestPower:
         assert run("--out", str(tmp_path / "o"), "power", "--network", "/missing.json") == 2
 
 
+class TestMargins:
+    def test_scan_logged(self, tmp_path, capsys, caplog):
+        from importlib import resources
+
+        text = resources.files("fluxon.data").joinpath("netlists/jtl.cir").read_text()
+        netlist = tmp_path / "jtl.cir"
+        netlist.write_text(text.replace(".tran 0.05 300", ".tran 0.05 150"))
+        cfg = tmp_path / "margins.json"
+        cfg.write_text(json.dumps({"margins": {
+            "netlist": str(netlist), "params": ["ib1.amp", "b2.ic"],
+            "junction": "b2", "count": 1, "resolution": 0.3,
+        }}))
+        out = tmp_path / "out"
+        with caplog.at_level("INFO", logger="fluxon.cli"):
+            assert run("--config", str(cfg), "--out", str(out), "margins") == 0
+        assert "margins: ib1.amp in " in caplog.text and "margins: b2.ic in " in caplog.text
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == ["ib1.amp", "b2.ic"]
+        rows = (out / "margins.csv").read_text().splitlines()
+        assert rows[0] == "param,low_pct,high_pct" and len(rows) == 3
+
+
 class TestPso:
     def test_sphere_benchmark(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -180,6 +202,12 @@ class TestPso:
         assert best["best_score"] < 1e-6
         rows = (out / "pso_trace.csv").read_text().splitlines()
         assert rows[0] == "iteration,best_score,mean_score"
+
+    def test_run_logged(self, tmp_path, capsys, caplog):
+        with caplog.at_level("INFO", logger="fluxon.cli"):
+            assert run("--out", str(tmp_path / "out"), "pso", "--benchmark", "rosenbrock") == 0
+        assert "pso: 16000 evaluations in " in caplog.text  # 40 particles x 400 iterations
+        assert capsys.readouterr().out.startswith("pso best score ")
 
     def test_unknown_benchmark(self, tmp_path):
         assert run("--out", str(tmp_path / "o"), "pso", "--benchmark", "zzz") == 2

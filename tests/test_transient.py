@@ -41,13 +41,18 @@ BUNDLED_PULSES = {
 }
 
 
+def bundled_text(cell, inputs=None):
+    """A bundled netlist, with soma2's two-pulse input train cut to `inputs` pulses."""
+    text = resources.files("fluxon.data").joinpath(f"netlists/{cell}.cir").read_text()
+    if inputs is None:
+        return text
+    assert cell == "soma2" and "ptrain 120 20 2 " in text
+    return text.replace("ptrain 120 20 2 ", f"ptrain 120 20 {inputs} ")
+
+
 @pytest.fixture(scope="module")
 def bundled_traces():
-    def load(cell):
-        text = resources.files("fluxon.data").joinpath(f"netlists/{cell}.cir").read_text()
-        return run_transient(parse_netlist(text))
-
-    return {cell: load(cell) for cell in BUNDLED_PULSES}
+    return {cell: run_transient(parse_netlist(bundled_text(cell))) for cell in BUNDLED_PULSES}
 
 
 class TestJunctionStatics:
@@ -177,6 +182,24 @@ class TestSolverContract:
         assert err.update > 0.0
         assert "1 iterations" in str(err) and "last update" in str(err)
 
+    def test_newton_error_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(transient, "NEWTON_FTOL", -1.0)  # never met
+        nl = parse_netlist("b1 1 0 ic=100u\ni1 0 1 dc 150u\n.tran 0.05 10")
+        with pytest.raises(NewtonError) as info:
+            run_transient(nl)
+        err = info.value
+        assert err.time_ps == pytest.approx(0.05)
+        assert err.iterations == transient.NEWTON_MAX_ITER
+        # Newton has converged long before: both figures are round-off
+        assert 0.0 <= err.residual < 1e-12 and 0.0 <= err.update < 1e-12
+        assert "residual" in str(err)
+
+    def test_junction_free_netlist_skips_newton(self):
+        nl = parse_netlist("v1 1 0 dc 1m\nr1 1 2 2\nl1 2 0 10p\n.tran 0.05 40")
+        tr = run_transient(nl)
+        assert tr.junction_phase == {} and tr.junction_voltage == {}
+        assert (tr.newton_iterations, tr.newton_max_per_step, tr.newton_residual) == (0, 0, 0.0)
+
     def test_requested_node_traces(self):
         nl = parse_netlist("r1 1 2 1\nr2 2 0 1\ni1 0 1 dc 1m\n.tran 0.1 1\n.print v(2)")
         tr = run_transient(nl)
@@ -206,6 +229,19 @@ class TestBundledCells:
             flux = np.trapezoid(traces.junction_voltage[junction], traces.time_ps * 1e-12)
             want = PHI0 / (2 * math.pi) * (phase[-1] - phase[0])
             assert flux == pytest.approx(want, rel=1e-5), junction
+
+    @pytest.mark.parametrize("cell", sorted(BUNDLED_PULSES))
+    def test_accepted_residual_within_tolerance(self, bundled_traces, cell):
+        traces = bundled_traces[cell]
+        assert 0.0 < traces.newton_residual <= transient.NEWTON_FTOL <= 1e-10
+
+    @pytest.mark.parametrize("inputs", [1, 2])
+    def test_soma2_takes_about_one_solve_per_step(self, inputs):
+        # a converged step ends on its residual; a confirming second solve
+        # on every step would double the count
+        traces = run_transient(parse_netlist(bundled_text("soma2", inputs)))
+        steps = len(traces.time_ps) - 1
+        assert steps <= traces.newton_iterations <= 1.2 * steps
 
 
 def reference_waveform_csv(traces, netlist) -> str:
@@ -238,11 +274,16 @@ def test_waveform_csv_matches_row_writer(bundled_traces, cell, own_prints):
     assert len(got) == len(want)
 
 
+# The dense reference stops Newton on its own update of the MNA unknowns.
+NEWTON_RTOL = 1e-9
+
+
 def dense_reference(netlist, stop):
     """Reference solver: Newton on the whole MNA matrix at every iteration.
 
-    Same discretization and convergence test as run_transient (Euler
-    first step, trapezoidal after), assembled and solved densely.
+    Same discretization as run_transient (Euler first step, trapezoidal
+    after), assembled and solved densely; Newton stops when its update
+    falls below NEWTON_RTOL relative.
     """
     from fluxon.circuit import CurrentSource, Inductor, Junction, Mutual, Resistor, VoltageSource
 
@@ -314,7 +355,7 @@ def dense_reference(netlist, stop):
             )
             delta = np.max(np.abs(x_next - x_new))
             x_new = x_next
-            if delta <= transient.NEWTON_RTOL * max(np.max(np.abs(x_new)), 1e-3):
+            if delta <= NEWTON_RTOL * max(np.max(np.abs(x_new)), 1e-3):
                 break
         vn = pj @ x_new
         phi = phi + a * vn + b * v
@@ -336,10 +377,17 @@ class TestDenseReference:
                 "r2 4 0 2\nib 0 1 dc 150u\n.tran 0.05 60",
                 60.0,
             ),
-            (resources.files("fluxon.data").joinpath("netlists/jtl.cir").read_text(), 150.0),
-            (resources.files("fluxon.data").joinpath("netlists/sm1.cir").read_text(), 100.0),
+            # no junctions: the linear step alone
+            ("v1 1 0 pulse 5 3 0 2 1m\nr1 1 2 2\nl1 2 0 10p\nl2 2 3 4p\nk1 l1 l2 2p\n"
+             "r2 3 0 1\n.tran 0.05 40", 40.0),
+            (bundled_text("jtl"), 150.0),
+            (bundled_text("sm1"), 100.0),
+            # every pulse of the soma cells falls before these stop times
+            (bundled_text("soma2", 1), 250.0),
+            (bundled_text("soma2", 2), 250.0),
+            (bundled_text("soma3"), 300.0),
         ],
-        ids=["mixed", "jtl", "sm1"],
+        ids=["mixed", "passive", "jtl", "sm1", "soma2x1", "soma2x2", "soma3"],
     )
     def test_traces_match_dense_newton(self, text, stop):
         nl = parse_netlist(text)
