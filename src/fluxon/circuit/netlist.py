@@ -31,6 +31,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import Union
 
+import numpy as np
+
 from ..core import PHI0
 
 DEFAULT_ICRN_PRODUCT = 0.25e-3  # V
@@ -70,14 +72,17 @@ def parse_time_ps(token: str, lineno: int | None = None) -> float:
 
 
 # --- waveforms ------------------------------------------------------------
+# Each waveform takes a time in ps, or a numpy array of times, and
+# returns the value(s) at those times: a whole time grid is sampled in one
+# call, with the same float expressions evaluated elementwise.
 
 
 @dataclass(frozen=True)
 class Dc:
     value: float
 
-    def __call__(self, t_ps: float) -> float:
-        return self.value
+    def __call__(self, t_ps: float | np.ndarray) -> float | np.ndarray:
+        return np.full(np.shape(t_ps), self.value, dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -92,19 +97,17 @@ class Pulse:
         if min(self.delay, self.rise, self.width, self.fall) < 0.0:
             raise NetlistError("pulse durations must be >= 0")
 
-    def __call__(self, t_ps: float) -> float:
-        t = t_ps - self.delay
-        if t <= 0.0:
-            return 0.0
-        if t < self.rise:
-            return self.amplitude * t / self.rise
-        t -= self.rise
-        if t < self.width:
-            return self.amplitude
-        t -= self.width
-        if t < self.fall:
-            return self.amplitude * (1.0 - t / self.fall)
-        return 0.0
+    def __call__(self, t_ps: float | np.ndarray) -> float | np.ndarray:
+        t = np.asarray(t_ps, dtype=float) - self.delay
+        t_top = t - self.rise
+        t_fall = t_top - self.width
+        amp = self.amplitude
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero-length edges
+            return np.select(
+                [t <= 0.0, t < self.rise, t_top < self.width, t_fall < self.fall],
+                [0.0, amp * t / self.rise, amp, amp * (1.0 - t_fall / self.fall)],
+                0.0,
+            )[()]
 
 
 @dataclass(frozen=True)
@@ -123,18 +126,18 @@ class PulseTrain:
         if self.period <= self.width:
             raise NetlistError("pulse-train period must exceed the pulse width")
 
-    def __call__(self, t_ps: float) -> float:
-        t = t_ps - self.start
-        if t < 0.0 or self.count == 0:
-            return 0.0
-        k = min(int(t // self.period), self.count - 1)
+    def __call__(self, t_ps: float | np.ndarray) -> float | np.ndarray:
+        t = np.asarray(t_ps, dtype=float) - self.start
+        k = np.minimum(t // self.period, self.count - 1)  # the pulse t falls in
         u = t - k * self.period
         half = self.width / 2.0
-        if u < half:
-            return self.amplitude * u / half
-        if u < self.width:
-            return self.amplitude * (1.0 - (u - half) / half)
-        return 0.0
+        amp = self.amplitude
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero width
+            return np.select(
+                [(t < 0.0) | (self.count == 0), u < half, u < self.width],
+                [0.0, amp * u / half, amp * (1.0 - (u - half) / half)],
+                0.0,
+            )[()]
 
 
 @dataclass(frozen=True)
@@ -144,12 +147,14 @@ class Sine:
     period: float
     delay: float = 0.0
 
-    def __call__(self, t_ps: float) -> float:
-        if t_ps < self.delay:
-            return self.offset
-        return self.offset + self.amplitude * math.sin(
-            2.0 * math.pi * (t_ps - self.delay) / self.period
-        )
+    def __post_init__(self):
+        if self.period == 0.0:
+            raise NetlistError("sine period must be nonzero")
+
+    def __call__(self, t_ps: float | np.ndarray) -> float | np.ndarray:
+        t = np.asarray(t_ps, dtype=float)
+        wave = self.offset + self.amplitude * np.sin(2.0 * np.pi * (t - self.delay) / self.period)
+        return np.where(t < self.delay, self.offset, wave)[()]
 
 
 Waveform = Union[Dc, Pulse, PulseTrain, Sine]

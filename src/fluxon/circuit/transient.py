@@ -15,20 +15,33 @@ keeps one state vector u: the MNA unknowns, a ground slot, and the
 junction phases, voltages and capacitor currents. The linear matrix A
 is inverted once per run for the Euler step and once for the
 trapezoidal steps, which turns a step into u = K u_prev + B w - Z c:
-w holds the source values, sampled over the whole time grid up front,
-and c = Ic sin(phi_new) the supercurrents, whose columns Z follow from
+w holds the source values, sampled over the whole time grid up front
+(each waveform is evaluated on the time array in one call), and
+c = Ic sin(phi_new) the supercurrents, whose columns Z follow from
 A^-1 P (P the junction incidence, junction voltages v = P^T x). Newton
 iteration then runs on the n_j new phases p alone: with r the phases
 the step would reach without supercurrent and Zp the phase rows of Z,
 it drives the residual f = p - r + Zp Ic sin(p) to zero through the
 n_j x n_j Jacobian I + Zp diag(Ic cos p). Each of at most
-NEWTON_MAX_ITER passes evaluates f; once a solve has been made, a pass
-with max|f| <= NEWTON_FTOL ends the step, whose state is then
-K u_prev + B w - Z c with the supercurrents c of that residual. A
-converged step thus costs one solve and no confirming update. A
-netlist without junctions skips Newton.
-Assembly order is fixed by netlist order and the arithmetic is pure
-float64, so identical inputs give bit-identical traces.
+NEWTON_MAX_ITER passes evaluates f and solves once, except that from
+the second pass on max|f| <= NEWTON_FTOL ends the step instead; its
+state is then K u_prev + B w - Z c with the supercurrents c of that
+residual. A converged step thus costs one solve and no confirming
+update. A netlist without junctions skips Newton.
+
+K, B, Z and Q do not depend on junction critical currents or source
+waveforms, so `run_transients` advances every group of netlists that
+differ only in those (on one time grid) in lockstep: the state becomes
+a (dim, variants) array, one loop serves the group, and numpy's per-call
+overhead, which dominates a step of these small circuits, is paid once
+per step for the whole group. Newton runs under a per-variant mask: a
+variant whose residual has met NEWTON_FTOL solves for a zero update
+while the others iterate, so each variant stops on its own test and
+keeps its own counters. A single netlist keeps a 1-D state, and
+`run_transient` is a batch of one. Assembly order is fixed by netlist
+order and the arithmetic is pure float64, so identical inputs give
+bit-identical traces; a variant of a batch matches its solo run to
+round-off (the matrix products run over all variants at once).
 
 Because the junction phase update is the trapezoidal rule applied to
 dphi/dt = (2 pi / PHI0) V, trapezoid-rule quadrature of a junction's
@@ -41,12 +54,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..core import PHI0
 from .netlist import (
     CurrentSource,
+    Device,
     Inductor,
     Junction,
     Mutual,
@@ -66,16 +81,22 @@ class CircuitError(RuntimeError):
 
 
 class NewtonError(CircuitError):
-    def __init__(self, time_ps: float, iterations: int, update: float, residual: float):
+    def __init__(self, time_ps: float, iterations: int, update: float, residual: float,
+                 variant: int | None = None):
         super().__init__(
             f"Newton iteration failed to converge within {iterations} "
             f"iterations at t = {time_ps:.4f} ps (last update {update:.3e}, "
-            f"residual {residual:.3e})"
+            f"residual {residual:.3e}){_in_variant(variant)}"
         )
         self.time_ps = time_ps
         self.iterations = iterations
         self.update = update
         self.residual = residual
+        self.variant = variant
+
+
+def _in_variant(variant: int | None) -> str:
+    return "" if variant is None else f" in variant {variant} of the batch"
 
 
 @dataclass
@@ -112,19 +133,61 @@ def run_transient(
     0.05 ps step. Steps above 0.1 ps are rejected: the junction
     switching waveforms need the resolution.
     """
-    step = step if step is not None else (netlist.tran_step or DEFAULT_STEP_PS)
-    stop = stop if stop is not None else netlist.tran_stop
-    if stop is None:
-        raise CircuitError("no stop time: pass stop= or add a .tran directive")
-    if not 0.0 < step <= MAX_STEP_PS:
-        raise CircuitError(f"step must lie in (0, {MAX_STEP_PS}] ps, got {step}")
-    if not netlist.devices:
-        raise CircuitError("empty netlist")
+    return run_transients([netlist], stop, step)[0]
 
+
+def run_transients(
+    netlists: Sequence[Netlist],
+    stop: float | None = None,
+    step: float | None = None,
+) -> list[TraceSet]:
+    """run_transient of every netlist, advancing same-topology variants in lockstep.
+
+    Netlists that differ only in junction critical currents and source
+    waveforms, on the same time grid, form one group and share its
+    linear operators; the results come back in input order. Every
+    variant of a group holds its full traces until the group is done,
+    so memory grows with the group size. A numeric failure in a batch
+    of several netlists names the variant's index in `netlists`.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, nl in enumerate(netlists):
+        nl_step = step if step is not None else (nl.tran_step or DEFAULT_STEP_PS)
+        nl_stop = stop if stop is not None else nl.tran_stop
+        if nl_stop is None:
+            raise CircuitError("no stop time: pass stop= or add a .tran directive")
+        if not 0.0 < nl_step <= MAX_STEP_PS:
+            raise CircuitError(f"step must lie in (0, {MAX_STEP_PS}] ps, got {nl_step}")
+        if not nl.devices:
+            raise CircuitError("empty netlist")
+        key = (nl_step, nl_stop, nl.prints, tuple(map(_topology, nl.devices)))
+        groups.setdefault(key, []).append(i)
+    traces: list = [None] * len(netlists)
+    for (nl_step, nl_stop, *_), ix in groups.items():
+        names = ix if len(netlists) > 1 else [None]
+        for i, tr in zip(ix, _run_group([netlists[i] for i in ix], nl_stop, nl_step, names)):
+            traces[i] = tr
+    return traces
+
+
+def _topology(d: Device) -> object:
+    """A device with its junction Ic or source waveform left out."""
+    if isinstance(d, Junction):
+        return (Junction, d.name, d.np_, d.nm, d.rn, d.cap)
+    if isinstance(d, (CurrentSource, VoltageSource)):
+        return (type(d), d.name, d.np_, d.nm)
+    return d
+
+
+def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> list[TraceSet]:
+    """Transients of same-topology variants; names[v] is variant v's batch index."""
     h = step * 1e-12  # SI seconds
     n_steps = int(round(stop / step))
     times = np.arange(n_steps + 1) * step
+    # One netlist keeps a 1-D state; a batch adds a trailing variant axis.
+    bshape = (len(batch),) if len(batch) > 1 else ()
 
+    netlist = batch[0]
     nodes = netlist.nodes
     n_nodes = len(nodes)
     inductors = [d for d in netlist.devices if isinstance(d, Inductor)]
@@ -145,10 +208,20 @@ def run_transient(
             raise CircuitError(f"print request for unknown {what} {name!r}")
     want_nodes = [n for kind, n in netlist.prints if kind == "v"] or nodes
 
-    # Sources sampled over the whole grid, one column per source.
-    waves = np.empty((n_steps + 1, len(sources)))
-    for k, src in enumerate(sources):
-        waves[:, k] = np.fromiter(map(src.waveform, times.tolist()), float, n_steps + 1)
+    # Sources sampled over the whole grid, each distinct waveform once:
+    # waves[n] holds the source values (per variant) at step n.
+    src_at = [netlist.devices.index(d) for d in sources]
+    waves = np.empty((n_steps + 1, len(sources)) + bshape)
+    by_variant = waves.reshape(n_steps + 1, len(sources), len(batch))  # a view
+    sampled: dict = {}
+    for v, var in enumerate(batch):
+        for k, i in enumerate(src_at):
+            wf = var.devices[i].waveform
+            if wf not in sampled:
+                sampled[wf] = wf(times)
+            by_variant[:, k, v] = sampled[wf]
+    j_at = [netlist.devices.index(d) for d in junctions]
+    j_ic = np.array([[var.devices[i].ic for var in batch] for i in j_at]).reshape((n_j,) + bshape)
 
     # Recorded rows of the state: print nodes, inductor currents,
     # junction phases, junction voltages.
@@ -158,15 +231,19 @@ def run_transient(
         + list(range(m, m + 2 * n_j)),
         dtype=int,
     )
-    rec = np.empty((len(rec_ix), n_steps + 1))
-    u = np.zeros(m + 3 * n_j)
-    u[[branch[L.name] for L in inductors]] = [L.ic for L in inductors]
-    rec[:, 0] = u[rec_ix]
-    j_ic = np.array([d.ic for d in junctions])
+    rec = np.empty((len(rec_ix),) + bshape + (n_steps + 1,))
+    u = np.zeros((m + 3 * n_j,) + bshape)
+    for L in inductors:
+        u[branch[L.name]] = L.ic
+    rec[..., 0] = u[rec_ix]
     eye = np.eye(n_j)
 
-    iterations = max_iter = 0
-    worst = 0.0
+    # Every step with junctions makes one solve per variant; later solves
+    # and the accepted residuals are kept per variant.
+    first_solves = n_steps if n_j else 0
+    extra_solves = np.zeros(bshape, dtype=int)
+    most = np.full(bshape, min(first_solves, 1))
+    resid = np.zeros((n_steps + 1,) + bshape)
     for n in range(1, n_steps + 1):
         if n <= 2:  # backward Euler on the first step, trapezoidal after
             K, B, Z, Q = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
@@ -175,41 +252,60 @@ def run_transient(
         u = K.dot(u) + B.dot(waves[n])
         if n_j:
             r = u[ph]  # the new phases if no supercurrent flowed
+            live = True  # the variants still iterating: all on the first pass
             for it in range(1, NEWTON_MAX_ITER + 1):  # it - 1 solves so far
                 s = j_ic * np.sin(p)
                 f = p - r + Zp.dot(s)
-                res = np.abs(f).max()
-                if it > 1 and res <= NEWTON_FTOL:
-                    break
+                if it > 1:
+                    res = np.abs(f).max(axis=0)
+                    done = res <= NEWTON_FTOL  # a NaN residual is not done
+                    if done.all():
+                        break
+                    live = ~done
+                    extra_solves += live
+                    most = np.maximum(most, it * live)
+                    f = np.where(live, f, 0.0)  # converged variants solve for dp = 0
+                jac = eye + Zp * (j_ic * np.cos(p)).T[..., None, :]
                 try:
-                    dp = np.linalg.solve(eye + Zp * (j_ic * np.cos(p)), f)
+                    dp = np.linalg.solve(jac, f.T[..., None])[..., 0].T
                 except np.linalg.LinAlgError:
-                    raise CircuitError(f"singular junction Jacobian at t = {times[n]:.4f} ps") from None
+                    singular = live & (np.linalg.det(jac) == 0.0)
+                    v = _first(singular if singular.any() else live, bshape)
+                    msg = f"singular junction Jacobian at t = {times[n]:.4f} ps{_in_variant(names[v])}"
+                    raise CircuitError(msg) from None
                 p = p - dp
             else:
-                raise NewtonError(float(times[n]), NEWTON_MAX_ITER, float(np.abs(dp).max()), float(res))
-            iterations += it - 1
-            max_iter = max(max_iter, it - 1)
-            worst = max(worst, res)
+                v = _first(live, bshape)
+                update, residual = (float(np.ravel(np.abs(a).max(axis=0))[v]) for a in (dp, f))
+                raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
+            resid[n] = res
             u = u - Z.dot(s)
-        rec[:, n] = u[rec_ix]
+        rec[..., n] = u[rec_ix]
 
-    rows = iter(rec)  # views, in the order of rec_ix
-    node_tr = {name: next(rows) for name in want_nodes}
-    il_tr = {L.name: next(rows) for L in inductors}
-    phase_tr = {d.name: next(rows) for d in junctions}
-    vj_tr = {d.name: next(rows) for d in junctions}
-    return TraceSet(
-        time_ps=times,
-        node_voltage=node_tr,
-        junction_phase=phase_tr,
-        junction_voltage=vj_tr,
-        inductor_current=il_tr,
-        step_ps=step,
-        newton_iterations=iterations,
-        newton_max_per_step=max_iter,
-        newton_residual=float(worst),
-    )
+    rec = rec.reshape(len(rec_ix), len(batch), n_steps + 1)  # views
+    resid = resid.reshape(n_steps + 1, len(batch))
+    out = []
+    for v in range(len(batch)):
+        rows = iter(rec[:, v])  # in the order of rec_ix
+        out.append(
+            TraceSet(
+                time_ps=times,
+                node_voltage={name: next(rows) for name in want_nodes},
+                inductor_current={L.name: next(rows) for L in inductors},
+                junction_phase={d.name: next(rows) for d in junctions},
+                junction_voltage={d.name: next(rows) for d in junctions},
+                step_ps=step,
+                newton_iterations=first_solves + int(np.ravel(extra_solves)[v]),
+                newton_max_per_step=int(np.ravel(most)[v]),
+                newton_residual=float(resid[:, v].max()),
+            )
+        )
+    return out
+
+
+def _first(mask, bshape: tuple) -> int:
+    """Index of the first variant flagged in mask (0 for a single netlist)."""
+    return int(np.flatnonzero(np.broadcast_to(mask, bshape))[0])
 
 
 def _step_operators(

@@ -194,6 +194,32 @@ class TestMargins:
         assert rows[0] == "param,low_pct,high_pct" and len(rows) == 3
 
 
+    def test_scan_counts_logged_without_changing_outputs(self, tmp_path, capsys, caplog):
+        from importlib import resources
+
+        text = resources.files("fluxon.data").joinpath("netlists/jtl.cir").read_text()
+        netlist = tmp_path / "jtl.cir"
+        netlist.write_text(text.replace(".tran 0.05 300", ".tran 0.05 150"))
+        cfg = tmp_path / "margins.json"
+        cfg.write_text(json.dumps({"margins": {
+            "netlist": str(netlist), "params": ["vin.amp", "b2.ic"],
+            "junction": "b2", "count": 1, "resolution": 0.1,
+        }}))
+        outputs = []
+        for level in ("WARNING", "INFO"):
+            caplog.clear()
+            with caplog.at_level(level, logger="fluxon"):
+                assert run("--config", str(cfg), "--out", str(tmp_path / level), "margins") == 0
+            outputs.append((capsys.readouterr().out, (tmp_path / level / "margins.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        lines = [r.getMessage() for r in caplog.records if r.name == "fluxon.margins"]
+        # vin.amp bisects 4 levels a side, two per batch; b2.ic passes at both bounds
+        assert lines == [
+            "margins: vin.amp: 15 transients in 5 batches",
+            "margins: b2.ic: 3 transients in 1 batches",
+        ]
+
+
 class TestPso:
     def test_sphere_benchmark(self, tmp_path, capsys):
         out = tmp_path / "out"

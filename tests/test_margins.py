@@ -1,6 +1,8 @@
+from importlib import resources
+
 import pytest
 
-from fluxon.circuit import MarginError, margin_scan, parse_netlist, run_transient
+from fluxon.circuit import MarginError, detect_pulses_in, margin_scan, margins, parse_netlist, run_transient
 
 DIVIDER = """
 * current source into a resistor: v(1) = i * r
@@ -61,3 +63,66 @@ def test_bisection_matches_exhaustive_sweep(divider):
 def test_unknown_selector(divider):
     with pytest.raises(KeyError):
         margin_scan(divider, "r9.r", lambda tr: True)
+
+
+def sequential_margins(netlist, param, pass_test, resolution, bound=0.9):
+    """The one-probe-at-a-time bisection that margin_scan's batches replay."""
+    _, _, nominal = netlist.resolve_selector(param)
+
+    def passes(fraction):
+        return bool(pass_test(run_transient(netlist.with_param(param, nominal * (1.0 + fraction)))))
+
+    assert passes(0.0)
+
+    def search(sign):
+        if passes(sign * bound):
+            return bound
+        lo, hi = 0.0, bound
+        while hi - lo > resolution:
+            mid = 0.5 * (lo + hi)
+            if passes(sign * mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    return search(-1.0), search(+1.0)
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    sizes = []
+    run = margins.run_transients
+    monkeypatch.setattr(margins, "run_transients", lambda nls, **kw: sizes.append(len(nls)) or run(nls, **kw))
+    return sizes
+
+
+def short_soma2():
+    text = resources.files("fluxon.data").joinpath("netlists/soma2.cir").read_text()
+    return parse_netlist(text.replace(".tran 0.1 430", ".tran 0.1 300"))
+
+
+@pytest.mark.parametrize("param", ["b2.ic", "ib.amp"])
+def test_batched_scan_equals_sequential_bisection(param, batch_sizes):
+    nl = short_soma2()
+    pass_test = lambda tr: len(detect_pulses_in(tr, "bout")) == 1
+    got = margin_scan(nl, param, pass_test, resolution=0.05)
+    assert got == sequential_margins(nl, param, pass_test, 0.05)
+    assert max(batch_sizes) <= 3
+
+
+@pytest.mark.parametrize("band", [(0.62e-3, 1.0), (0.75e-3, 1.3e-3), (0.999e-3, 1.001e-3), (0.0, 1.5e-3)])
+def test_divider_scan_equals_sequential_bisection(divider, band, batch_sizes):
+    pass_test = lambda tr: band[0] <= float(tr.node_voltage["1"][-1]) <= band[1]
+    got = margin_scan(divider, "r1.r", pass_test, resolution=0.01)
+    assert got == sequential_margins(divider, "r1.r", pass_test, 0.01)
+    # nominal and both bounds, then up to two bisection levels per batch
+    assert batch_sizes[0] == 3 and max(batch_sizes) <= 3
+
+
+def test_scan_logs_its_counts(divider, batch_sizes, caplog):
+    with caplog.at_level("INFO", logger="fluxon.margins"):
+        margin_scan(divider, "r1.r", v_at_least(0.75e-3), resolution=0.02)
+    # high side at the bound; low side bisects 6 levels, two per batch
+    assert batch_sizes == [3, 3, 3, 3]
+    assert "margins: r1.r: 12 transients in 4 batches" in caplog.text

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluxon.circuit import (
     CurrentSource,
@@ -12,6 +14,7 @@ from fluxon.circuit import (
     Pulse,
     PulseTrain,
     Resistor,
+    Sine,
     critical_damping_cap,
     default_rn,
     parse_netlist,
@@ -100,6 +103,10 @@ class TestParse:
         with pytest.raises(NetlistError):
             parse_netlist("i1 0 1 ptrain 0 4 3 4 1m")
 
+    def test_sine_period_must_be_nonzero(self):
+        with pytest.raises(NetlistError, match="sine period"):
+            parse_netlist("i1 0 1 sin 0 1m 0")
+
     def test_negative_element_value(self):
         with pytest.raises(NetlistError):
             parse_netlist("r1 1 0 -2")
@@ -186,3 +193,82 @@ def test_waveform_shapes():
     ts = np.linspace(99.0, 105.0, 5001)
     area = np.trapezoid([t(x) for x in ts], ts)
     assert area == pytest.approx(4.0, rel=1e-3)
+
+
+# --- array-valued waveforms against the scalar formulas they replaced ------
+
+
+def reference_waveform(wf, t):
+    """The scalar waveform formulas, one time at a time."""
+    if isinstance(wf, Dc):
+        return wf.value
+    if isinstance(wf, Pulse):
+        t = t - wf.delay
+        if t <= 0.0:
+            return 0.0
+        if t < wf.rise:
+            return wf.amplitude * t / wf.rise
+        t -= wf.rise
+        if t < wf.width:
+            return wf.amplitude
+        t -= wf.width
+        if t < wf.fall:
+            return wf.amplitude * (1.0 - t / wf.fall)
+        return 0.0
+    if isinstance(wf, PulseTrain):
+        t = t - wf.start
+        if t < 0.0 or wf.count == 0:
+            return 0.0
+        k = min(int(t // wf.period), wf.count - 1)
+        u = t - k * wf.period
+        half = wf.width / 2.0
+        if u < half:
+            return wf.amplitude * u / half
+        if u < wf.width:
+            return wf.amplitude * (1.0 - (u - half) / half)
+        return 0.0
+    if t < wf.delay:
+        return wf.offset
+    return wf.offset + wf.amplitude * math.sin(2.0 * math.pi * (t - wf.delay) / wf.period)
+
+
+def segment_edges(wf):
+    """Times on the boundaries between a waveform's pieces."""
+    if isinstance(wf, Pulse):
+        edges = [wf.delay]
+        for piece in (wf.rise, wf.width, wf.fall):
+            edges.append(edges[-1] + piece)
+        return edges
+    if isinstance(wf, PulseTrain):
+        return [wf.start + k * wf.period + off
+                for k in range(wf.count + 1) for off in (0.0, wf.width / 2.0, wf.width)]
+    if isinstance(wf, Sine):
+        return [wf.delay, wf.delay + wf.period / 2.0]
+    return []
+
+
+_span = st.floats(0.0, 50.0) | st.sampled_from([0.0, 0.05, 1.0, 2.5])
+_amp = st.floats(-2e-3, 2e-3, allow_subnormal=False)
+waveforms = st.one_of(
+    st.builds(Dc, _amp),
+    st.builds(Pulse, _span, _span, _span, _span, _amp),
+    st.builds(lambda start, width, gap, count, amp: PulseTrain(start, width + gap, count, width, amp),
+              _span, _span, st.floats(0.05, 30.0), st.integers(0, 4), _amp),
+    st.builds(Sine, _amp, _amp, st.floats(0.5, 100.0), _span),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wf=waveforms, extra=st.lists(st.floats(-10.0, 300.0), max_size=20), step=st.sampled_from([0.05, 0.1]))
+def test_array_waveform_matches_scalar_formula(wf, extra, step):
+    grid = np.arange(int(120 / step) + 1) * step  # a stretch of the solver's time grid
+    times = np.concatenate([grid, segment_edges(wf), extra])
+    got = wf(times)
+    want = np.array([reference_waveform(wf, t) for t in times.tolist()])
+    assert got.shape == times.shape and got.dtype == float
+    if isinstance(wf, Sine):  # np.sin against math.sin: allow one unit in the last place
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    else:
+        assert np.array_equal(got, want)
+    # one time at a time gives the same values
+    assert [wf(t) for t in times[::97].tolist()] == got[::97].tolist()

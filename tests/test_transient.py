@@ -5,6 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluxon.circuit import (
     CircuitError,
@@ -12,6 +13,7 @@ from fluxon.circuit import (
     detect_pulses_in,
     parse_netlist,
     run_transient,
+    run_transients,
     transient,
     write_waveform_csv,
 )
@@ -407,3 +409,147 @@ class TestDenseReference:
         for label, (new, old) in got.items():
             scale = max(np.max(np.abs(old)), 1e-30)
             assert np.max(np.abs(new - old)) <= 1e-9 * scale, label
+
+
+# --- lockstep batches ------------------------------------------------------
+
+# Stops that keep every pulse of the bundled stimulus and cost little.
+LOCKSTEP_STOPS = {"soma2": 250.0, "jtl": 150.0}
+
+
+def scaled(netlist, selector, factor):
+    _, _, nominal = netlist.resolve_selector(selector)
+    return netlist.with_param(selector, nominal * factor)
+
+
+@st.composite
+def variant_stacks(draw):
+    """1-4 variants of one cell: junction Ic and source amplitudes within
+    +-30%, and with two or more variants one whose inductor differs, so
+    that a second group forms."""
+    cell = draw(st.sampled_from(sorted(LOCKSTEP_STOPS)))
+    base = parse_netlist(bundled_text(cell))
+    junctions = [d.name for d in base.junctions()]
+    sources = [d.name for d in base.devices if hasattr(d, "waveform")]
+    inductor = next(d.name for d in base.devices if d.name.startswith("l"))
+    factor = st.floats(0.7, 1.3)
+    k = draw(st.integers(1, 4))
+    stack = []
+    for _ in range(k):
+        nl = scaled(base, f"{draw(st.sampled_from(junctions))}.ic", draw(factor))
+        stack.append(scaled(nl, f"{draw(st.sampled_from(sources))}.amp", draw(factor)))
+    if k > 1:
+        odd = draw(st.integers(0, k - 1))
+        stack[odd] = scaled(stack[odd], f"{inductor}.l", 1.1)
+    return cell, stack
+
+
+def trace_rows(traces):
+    for kind in ("node_voltage", "junction_phase", "junction_voltage", "inductor_current"):
+        for name, row in getattr(traces, kind).items():
+            yield f"{kind}[{name}]", row
+
+
+class TestLockstep:
+    @settings(max_examples=6, deadline=None)
+    @given(variant_stacks())
+    def test_batch_matches_solo_runs(self, case):
+        cell, stack = case
+        stop = LOCKSTEP_STOPS[cell]
+        batch = run_transients(stack, stop=stop)
+        assert len(batch) == len(stack)
+        for nl, got in zip(stack, batch):  # input order
+            want = run_transient(nl, stop=stop)
+            assert np.array_equal(got.time_ps, want.time_ps)
+            for (label, new), (_, old) in zip(trace_rows(got), trace_rows(want), strict=True):
+                scale = max(np.max(np.abs(old)), 1e-30)
+                assert np.max(np.abs(new - old)) <= 1e-9 * scale, label
+            for j in want.junction_phase:
+                assert len(detect_pulses_in(got, j)) == len(detect_pulses_in(want, j)), j
+            assert (got.newton_iterations, got.newton_max_per_step) == (
+                want.newton_iterations,
+                want.newton_max_per_step,
+            )
+
+    @pytest.mark.parametrize("cell", sorted(LOCKSTEP_STOPS))
+    def test_batch_of_one_is_run_transient(self, cell):
+        nl = parse_netlist(bundled_text(cell))
+        (got,) = run_transients([nl], stop=LOCKSTEP_STOPS[cell])
+        want = run_transient(nl, stop=LOCKSTEP_STOPS[cell])
+        for (label, new), (_, old) in zip(trace_rows(got), trace_rows(want), strict=True):
+            assert np.array_equal(new, old), label
+        assert (got.newton_iterations, got.newton_max_per_step, got.newton_residual) == (
+            want.newton_iterations,
+            want.newton_max_per_step,
+            want.newton_residual,
+        )
+
+    def test_junction_free_batch(self):
+        nl = parse_netlist("v1 1 0 pulse 5 3 0 2 1m\nr1 1 2 2\nl1 2 0 10p\nl2 2 3 4p\n"
+                           "k1 l1 l2 2p\nr2 3 0 1\n.tran 0.05 40")
+        stack = [scaled(nl, "v1.amp", f) for f in (1.0, 2.0, 0.5)]
+        for v, got in zip(stack, run_transients(stack)):
+            want = run_transient(v)
+            for (label, new), (_, old) in zip(trace_rows(got), trace_rows(want), strict=True):
+                assert np.max(np.abs(new - old)) <= 1e-9 * max(np.max(np.abs(old)), 1e-30), label
+            assert (got.newton_iterations, got.newton_max_per_step, got.newton_residual) == (0, 0, 0.0)
+
+    def test_empty_batch(self):
+        assert run_transients([]) == []
+
+
+# An overdriven junction: its phase runs, and the Newton residual of a
+# step rises and falls with it.
+RUNNING_JUNCTION = "b1 1 0 ic=100u\ni1 0 1 dc 150u\n.tran 0.05 20"
+
+
+class TestWorstResidual:
+    def test_residual_is_worst_step_not_last(self):
+        # a run to n steps reports the worst residual of steps 1..n, so the
+        # figure cannot fall as the run gets longer
+        nl = parse_netlist(RUNNING_JUNCTION)
+        seen = [run_transient(nl, stop=n * 0.05).newton_residual for n in range(1, 121, 2)]
+        seen.append(run_transient(nl).newton_residual)
+        assert all(b >= a for a, b in zip(seen, seen[1:]))
+        assert 0.0 < seen[-1] <= transient.NEWTON_FTOL
+
+    def test_residual_is_worst_step_per_variant(self):
+        base = parse_netlist(RUNNING_JUNCTION)
+        stack = [scaled(base, "b1.ic", f) for f in (1.0, 0.8, 1.2)]
+        runs = [run_transients(stack, stop=n * 0.05) for n in (*range(1, 121, 2), 400)]
+        for v in range(len(stack)):
+            seen = [batch[v].newton_residual for batch in runs]
+            assert all(b >= a for a, b in zip(seen, seen[1:])), v
+            assert 0.0 < seen[-1] <= transient.NEWTON_FTOL
+
+
+class TestBatchFailures:
+    JUNCTION_FREE = "v1 1 0 dc 1m\nr1 1 2 2\nl1 2 0 10p\n.tran 0.05 10"
+    JUNCTION = "b1 1 0 ic=100u\ni1 0 1 dc 150u\n.tran 0.05 10"
+
+    def test_newton_error_names_variant(self, monkeypatch):
+        monkeypatch.setattr(transient, "NEWTON_FTOL", -1.0)  # never met
+        junction = parse_netlist(self.JUNCTION)
+        with pytest.raises(NewtonError) as solo:
+            run_transient(junction)
+        assert solo.value.variant is None and "variant" not in str(solo.value)
+        assert str(solo.value).endswith(")")  # the message ends on its figures
+        with pytest.raises(NewtonError) as first:
+            run_transients([junction, scaled(junction, "b1.ic", 1.1)])
+        assert first.value.variant == 0
+        assert str(first.value) == f"{solo.value} in variant 0 of the batch"
+        with pytest.raises(NewtonError) as second:
+            run_transients([parse_netlist(self.JUNCTION_FREE), junction])
+        assert second.value.variant == 1
+        assert str(second.value).endswith(" in variant 1 of the batch")
+
+    def test_singular_jacobian_names_variant(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        junction = parse_netlist(self.JUNCTION)
+        with pytest.raises(CircuitError, match=r"^singular junction Jacobian at t = 0\.0500 ps$"):
+            run_transient(junction)
+        with pytest.raises(CircuitError, match=r"at t = 0\.0500 ps in variant 1 of the batch$"):
+            run_transients([parse_netlist(self.JUNCTION_FREE), junction])
