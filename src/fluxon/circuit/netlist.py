@@ -125,6 +125,8 @@ class PulseTrain:
             raise NetlistError("pulse-train fields must be >= 0")
         if self.period <= self.width:
             raise NetlistError("pulse-train period must exceed the pulse width")
+        if self.width / 2.0 == 0.0 < self.width:  # rise and fall each take half
+            raise NetlistError("pulse-train width is too small to halve")
 
     def __call__(self, t_ps: float | np.ndarray) -> float | np.ndarray:
         t = np.asarray(t_ps, dtype=float) - self.start

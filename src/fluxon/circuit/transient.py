@@ -160,14 +160,22 @@ def run_transients(
             raise CircuitError(f"step must lie in (0, {MAX_STEP_PS}] ps, got {nl_step}")
         if not nl.devices:
             raise CircuitError("empty netlist")
-        key = (nl_step, nl_stop, nl.prints, tuple(map(_topology, nl.devices)))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((nl_step, nl_stop, _lockstep_key(nl)), []).append(i)
     traces: list = [None] * len(netlists)
     for (nl_step, nl_stop, *_), ix in groups.items():
         names = ix if len(netlists) > 1 else [None]
         for i, tr in zip(ix, _run_group([netlists[i] for i in ix], nl_stop, nl_step, names)):
             traces[i] = tr
     return traces
+
+
+def same_lockstep_group(a: Netlist, b: Netlist) -> bool:
+    """Whether run_transients advances a and b together on a shared time grid."""
+    return _lockstep_key(a) == _lockstep_key(b)
+
+
+def _lockstep_key(nl: Netlist) -> tuple:
+    return nl.prints, tuple(map(_topology, nl.devices))
 
 
 def _topology(d: Device) -> object:
@@ -239,11 +247,11 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
     eye = np.eye(n_j)
 
     # Every step with junctions makes one solve per variant; later solves
-    # and the accepted residuals are kept per variant.
+    # and the worst accepted residual are kept per variant.
     first_solves = n_steps if n_j else 0
     extra_solves = np.zeros(bshape, dtype=int)
     most = np.full(bshape, min(first_solves, 1))
-    resid = np.zeros((n_steps + 1,) + bshape)
+    worst = np.zeros(bshape)
     for n in range(1, n_steps + 1):
         if n <= 2:  # backward Euler on the first step, trapezoidal after
             K, B, Z, Q = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
@@ -278,12 +286,11 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 v = _first(live, bshape)
                 update, residual = (float(np.ravel(np.abs(a).max(axis=0))[v]) for a in (dp, f))
                 raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
-            resid[n] = res
+            worst = np.maximum(worst, res)
             u = u - Z.dot(s)
         rec[..., n] = u[rec_ix]
 
     rec = rec.reshape(len(rec_ix), len(batch), n_steps + 1)  # views
-    resid = resid.reshape(n_steps + 1, len(batch))
     out = []
     for v in range(len(batch)):
         rows = iter(rec[:, v])  # in the order of rec_ix
@@ -297,7 +304,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 step_ps=step,
                 newton_iterations=first_solves + int(np.ravel(extra_solves)[v]),
                 newton_max_per_step=int(np.ravel(most)[v]),
-                newton_residual=float(resid[:, v].max()),
+                newton_residual=float(np.ravel(worst)[v]),
             )
         )
     return out

@@ -1,8 +1,17 @@
+import math
 from importlib import resources
 
 import pytest
 
-from fluxon.circuit import MarginError, detect_pulses_in, margin_scan, margins, parse_netlist, run_transient
+from fluxon.circuit import (
+    MarginError,
+    NewtonError,
+    detect_pulses_in,
+    margin_scan,
+    margins,
+    parse_netlist,
+    run_transient,
+)
 
 DIVIDER = """
 * current source into a resistor: v(1) = i * r
@@ -111,18 +120,62 @@ def test_batched_scan_equals_sequential_bisection(param, batch_sizes):
     assert max(batch_sizes) <= 3
 
 
+@pytest.mark.parametrize("param", ["r1.r", "i1.dc"])
 @pytest.mark.parametrize("band", [(0.62e-3, 1.0), (0.75e-3, 1.3e-3), (0.999e-3, 1.001e-3), (0.0, 1.5e-3)])
-def test_divider_scan_equals_sequential_bisection(divider, band, batch_sizes):
+def test_divider_scan_equals_sequential_bisection(divider, param, band, batch_sizes):
     pass_test = lambda tr: band[0] <= float(tr.node_voltage["1"][-1]) <= band[1]
-    got = margin_scan(divider, "r1.r", pass_test, resolution=0.01)
-    assert got == sequential_margins(divider, "r1.r", pass_test, 0.01)
-    # nominal and both bounds, then up to two bisection levels per batch
-    assert batch_sizes[0] == 3 and max(batch_sizes) <= 3
+    got = margin_scan(divider, param, pass_test, resolution=0.01)
+    assert got == sequential_margins(divider, param, pass_test, 0.01)
+    if param == "i1.dc":  # nominal and both bounds, then up to two levels per batch
+        assert batch_sizes[0] == 3 and max(batch_sizes) <= 3
+    else:  # a resistance changes the solver's operators: no lockstep to gain
+        assert max(batch_sizes) == 1
 
 
-def test_scan_logs_its_counts(divider, batch_sizes, caplog):
+@pytest.mark.parametrize(
+    "param, logged",
+    [
+        # high side at the bound; low side bisects 6 levels, two per batch
+        ("i1.dc", "12 transients in 4 batches"),
+        # the same bisection, one probe at a time
+        ("r1.r", "9 transients in 9 batches"),
+    ],
+)
+def test_scan_logs_its_counts(divider, param, logged, batch_sizes, caplog):
     with caplog.at_level("INFO", logger="fluxon.margins"):
-        margin_scan(divider, "r1.r", v_at_least(0.75e-3), resolution=0.02)
-    # high side at the bound; low side bisects 6 levels, two per batch
-    assert batch_sizes == [3, 3, 3, 3]
-    assert "margins: r1.r: 12 transients in 4 batches" in caplog.text
+        margin_scan(divider, param, v_at_least(0.75e-3), resolution=0.02)
+    assert f"margins: {param}: {logged}" in caplog.text
+    assert len(batch_sizes) == int(logged.split()[-2])
+
+
+def failing_at(fraction):
+    """run_transients that raises NewtonError on the divider's i1.dc probe at fraction."""
+    run = margins.run_transients
+
+    def runs(netlists, **kw):
+        if any(math.isclose(nl.device("i1").waveform.value, 1e-3 * (1.0 + fraction)) for nl in netlists):
+            raise NewtonError(1.0, 50, 1.0, 1.0)
+        return run(netlists, **kw)
+
+    return runs
+
+
+def test_failing_bound_probe_leaves_nominal_failure_a_margin_error(divider, monkeypatch):
+    monkeypatch.setattr(margins, "run_transients", failing_at(-0.9))
+    with pytest.raises(MarginError, match="nominal fails"):
+        margin_scan(divider, "i1.dc", v_at_least(2e-3))
+
+
+def test_failing_probe_raises_where_bisection_reaches_it(divider, monkeypatch):
+    monkeypatch.setattr(margins, "run_transients", failing_at(-0.9))
+    with pytest.raises(NewtonError):
+        margin_scan(divider, "i1.dc", v_at_least(0.75e-3), resolution=0.02)
+
+
+def test_failing_look_ahead_probe_is_never_needed(divider, monkeypatch):
+    # low side: the midpoint -0.45 fails, so the bisection goes on to -0.225
+    # and never to -0.675, which was probed ahead in the same batch
+    pass_test = v_at_least(0.75e-3)
+    expected = margin_scan(divider, "i1.dc", pass_test, resolution=0.02)
+    monkeypatch.setattr(margins, "run_transients", failing_at(-0.675))
+    assert margin_scan(divider, "i1.dc", pass_test, resolution=0.02) == expected

@@ -103,6 +103,10 @@ class TestParse:
         with pytest.raises(NetlistError):
             parse_netlist("i1 0 1 ptrain 0 4 3 4 1m")
 
+    def test_ptrain_width_must_halve(self):
+        with pytest.raises(NetlistError, match="too small to halve"):
+            parse_netlist("i1 0 1 ptrain 0 4 3 5e-324 1m")
+
     def test_sine_period_must_be_nonzero(self):
         with pytest.raises(NetlistError, match="sine period"):
             parse_netlist("i1 0 1 sin 0 1m 0")
@@ -253,7 +257,8 @@ waveforms = st.one_of(
     st.builds(Dc, _amp),
     st.builds(Pulse, _span, _span, _span, _span, _amp),
     st.builds(lambda start, width, gap, count, amp: PulseTrain(start, width + gap, count, width, amp),
-              _span, _span, st.floats(0.05, 30.0), st.integers(0, 4), _amp),
+              _span, _span.filter(lambda w: w / 2.0 > 0.0 or w == 0.0),  # PulseTrain rejects the rest
+              st.floats(0.05, 30.0), st.integers(0, 4), _amp),
     st.builds(Sine, _amp, _amp, st.floats(0.5, 100.0), _span),
 )
 

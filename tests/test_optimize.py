@@ -120,12 +120,13 @@ class TestMarginObjective:
     def test_nominal_runs_only_inside_the_scan(self, divider_netlist, monkeypatch):
         # margin_scan tests the candidate at nominal before it bisects, so an
         # evaluation runs exactly the transients of its scan and no more
-        from fluxon.circuit import margin_scan, margins
+        # every transient, solo or batched, runs through transient._run_group
+        from fluxon.circuit import margin_scan, transient
 
         calls = []
-        run = margins.run_transients
-        counted = lambda netlists, *a, **k: calls.extend(netlists) or run(netlists, *a, **k)
-        monkeypatch.setattr(margins, "run_transients", counted)
+        run = transient._run_group
+        counted = lambda batch, *a, **k: calls.extend(batch) or run(batch, *a, **k)
+        monkeypatch.setattr(transient, "_run_group", counted)
         pass_test = v_end_at_least(0.75e-3)
         obj = margin_objective(divider_netlist, ["r1.r"], pass_test, resolution=0.05)
         score = obj(np.array([1.0]))

@@ -451,7 +451,9 @@ def trace_rows(traces):
 
 
 class TestLockstep:
-    @settings(max_examples=6, deadline=None)
+    # derandomized: the Newton counters must match exactly, and fixed stacks
+    # keep a round-off tie at NEWTON_FTOL from flaking between runs
+    @settings(max_examples=6, deadline=None, derandomize=True)
     @given(variant_stacks())
     def test_batch_matches_solo_runs(self, case):
         cell, stack = case
