@@ -399,6 +399,8 @@ def parse_netlist(text: str, *, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> N
                 tran_line = lineno
                 tran_step = parse_time_ps(toks[1], lineno)
                 tran_stop = parse_time_ps(toks[2], lineno)
+                if not (0.0 < tran_step < math.inf and 0.0 < tran_stop < math.inf):
+                    raise NetlistError(".tran step and stop must be positive and finite", lineno)
             elif head == ".print":
                 for req in toks[1:]:
                     m = re.match(r"^(v|phi)\((.+)\)$", req)

@@ -11,37 +11,47 @@ Euler, which needs no derivative history and so honors inductor
 initial currents cleanly.
 
 Every stamp except the supercurrents Ic sin(phi) is linear. The solver
-keeps one state vector u: the MNA unknowns, a ground slot, and the
-junction phases, voltages and capacitor currents. The linear matrix A
-is inverted once per run for the Euler step and once for the
-trapezoidal steps, which turns a step into u = K u_prev + B w - Z c:
-w holds the source values, sampled over the whole time grid up front
-(each waveform is evaluated on the time array in one call), and
-c = Ic sin(phi_new) the supercurrents, whose columns Z follow from
-A^-1 P (P the junction incidence, junction voltages v = P^T x). Newton
-iteration then runs on the n_j new phases p alone: with r the phases
-the step would reach without supercurrent and Zp the phase rows of Z,
-it drives the residual f = p - r + Zp Ic sin(p) to zero through the
-n_j x n_j Jacobian I + Zp diag(Ic cos p). Each of at most
-NEWTON_MAX_ITER passes evaluates f and solves once, except that from
-the second pass on max|f| <= NEWTON_FTOL ends the step instead; its
-state is then K u_prev + B w - Z c with the supercurrents c of that
-residual. A converged step thus costs one solve and no confirming
-update. A netlist without junctions skips Newton.
+keeps one state vector u: the MNA unknowns, a ground slot, the junction
+phases, voltages and capacitor currents, then a junction predictor and
+the source values w. The linear matrix A is solved once per run for the
+Euler step and once for the trapezoidal steps, which turns a step into
+u = M u_prev - Z c: M maps the previous state and the step's source
+values (sampled over the whole time grid up front, each waveform on the
+time array in one call) to the new state without supercurrents and to
+the predictor, the phases the previous voltages extrapolate to, in one
+product; c = Ic sin(phi_new) are the supercurrents, whose columns Z
+follow from A^-1 P (P the junction incidence, junction voltages
+v = P^T x). Newton iteration then runs on the n_j new phases p alone,
+from the predictor: with r the phases the step would reach without
+supercurrent and Zp the phase rows of Z, it drives the residual
+f = p - r + Zp Ic sin(p) to zero. It is a chord iteration (Kelley,
+Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5):
+the inverse of the n_j x n_j Jacobian I + Zp diag(Ic cos p) is kept
+across steps, so an update is p -= Jinv f, and it is inverted afresh
+only when the operators change (steps 1 and 2), at the current iterate
+whenever a residual check fails, and at a step's predictor when the
+step before needed a second update. Each of at most NEWTON_MAX_ITER
+passes evaluates f and updates once, except that from the second pass
+on max|f| <= NEWTON_FTOL ends the step instead; its state is then
+M u_prev - Z c with the supercurrents c of that residual. A converged
+step thus costs one update, a matrix-vector product, and most steps no
+inversion. A netlist without junctions skips Newton.
 
-K, B, Z and Q do not depend on junction critical currents or source
+M and Z do not depend on junction critical currents or source
 waveforms, so `run_transients` advances every group of netlists that
 differ only in those (on one time grid) in lockstep: the state becomes
 a (dim, variants) array, one loop serves the group, and numpy's per-call
 overhead, which dominates a step of these small circuits, is paid once
 per step for the whole group. Newton runs under a per-variant mask: a
-variant whose residual has met NEWTON_FTOL solves for a zero update
-while the others iterate, so each variant stops on its own test and
-keeps its own counters. A single netlist keeps a 1-D state, and
-`run_transient` is a batch of one. Assembly order is fixed by netlist
-order and the arithmetic is pure float64, so identical inputs give
-bit-identical traces; a variant of a batch matches its solo run to
-round-off (the matrix products run over all variants at once).
+variant whose residual has met NEWTON_FTOL updates by zero while the
+others iterate, and each variant keeps its own inverse and refreshes it
+on its own conditions, so each variant stops on its own test, follows
+the updates and inversions of its solo run and keeps its own counters.
+A single netlist keeps a 1-D state, and `run_transient` is a batch of
+one. Assembly order is fixed by netlist order and the arithmetic is
+pure float64, so identical inputs give bit-identical traces; a variant
+of a batch matches its solo run to round-off (the matrix products run
+over all variants at once).
 
 Because the junction phase update is the trapezoidal rule applied to
 dphi/dt = (2 pi / PHI0) V, trapezoid-rule quadrature of a junction's
@@ -73,7 +83,7 @@ from .netlist import (
 DEFAULT_STEP_PS = 0.05
 MAX_STEP_PS = 0.1
 NEWTON_MAX_ITER = 50
-NEWTON_FTOL = 1e-10  # radians, on the junction phase residual
+NEWTON_FTOL = 1e-11  # radians, on the junction phase residual
 
 
 class CircuitError(RuntimeError):
@@ -106,9 +116,11 @@ class TraceSet:
     node_voltage holds the requested nodes (all nodes when the netlist
     carries no print requests); junction phases/voltages and inductor
     currents are always recorded in full. newton_iterations counts the
-    Jacobian solves of the whole run, newton_max_per_step the most any
-    one step took, and newton_residual is the largest junction phase
-    residual of any accepted step.
+    Newton updates of the whole run, each one linear solve by a fresh or
+    a reused inverse Jacobian; newton_jacobians counts the inversions,
+    newton_max_per_step is the most updates any one step took, and
+    newton_residual is the largest junction phase residual of any
+    accepted step.
     """
 
     time_ps: np.ndarray
@@ -118,6 +130,7 @@ class TraceSet:
     inductor_current: dict[str, np.ndarray]
     step_ps: float = 0.0
     newton_iterations: int = 0
+    newton_jacobians: int = 0
     newton_max_per_step: int = 0
     newton_residual: float = 0.0
 
@@ -156,6 +169,8 @@ def run_transients(
         nl_stop = stop if stop is not None else nl.tran_stop
         if nl_stop is None:
             raise CircuitError("no stop time: pass stop= or add a .tran directive")
+        if not 0.0 <= nl_stop < math.inf:
+            raise CircuitError(f"stop must be finite and >= 0 ps, got {nl_stop}")
         if not 0.0 < nl_step <= MAX_STEP_PS:
             raise CircuitError(f"step must lie in (0, {MAX_STEP_PS}] ps, got {nl_step}")
         if not nl.devices:
@@ -207,7 +222,6 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
     node_ix = {n: i for i, n in enumerate(nodes)}
     node_ix["0"] = m - 1
     n_j = len(junctions)
-    ph = slice(m, m + n_j)  # junction phases; voltages and capacitor currents follow
 
     j_names = {d.name for d in junctions}
     for kind, name in netlist.prints:
@@ -240,54 +254,75 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
         dtype=int,
     )
     rec = np.empty((len(rec_ix),) + bshape + (n_steps + 1,))
-    u = np.zeros((m + 3 * n_j,) + bshape)
+    # The state of _step_operators, whose last rows hold the junction
+    # predictor and the step's source values.
+    dim = m + 3 * n_j
+    ph = slice(m, m + n_j)  # junction phases; voltages and capacitor currents follow
+    pred, src = slice(dim, dim + n_j), slice(dim + n_j, None)
+    u = np.zeros((dim + n_j + len(sources),) + bshape)
     for L in inductors:
         u[branch[L.name]] = L.ic
     rec[..., 0] = u[rec_ix]
     eye = np.eye(n_j)
 
-    # Every step with junctions makes one solve per variant; later solves
-    # and the worst accepted residual are kept per variant.
-    first_solves = n_steps if n_j else 0
-    extra_solves = np.zeros(bshape, dtype=int)
-    most = np.full(bshape, min(first_solves, 1))
+    # Chord Newton: variant v keeps the inverse of its junction Jacobian in
+    # jinv[v] and refreshes it only when flagged in `stale` (None when no
+    # variant is). Every step with junctions makes one update per variant;
+    # later updates, the inversions and the worst accepted residual are
+    # kept per variant.
+    jinv = np.empty(bshape + (n_j, n_j))
+    # a batch multiplies each variant's inverse into its own residual column
+    matvec = (lambda f: np.einsum("kij,jk->ik", jinv, f)) if bshape else jinv.dot
+    first_updates = n_steps if n_j else 0
+    extra_updates = np.zeros(bshape, dtype=int)
+    jacobians = np.zeros(bshape, dtype=int)
+    most = np.full(bshape, min(first_updates, 1))
     worst = np.zeros(bshape)
     for n in range(1, n_steps + 1):
         if n <= 2:  # backward Euler on the first step, trapezoidal after
-            K, B, Z, Q = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
+            M, Z = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
             Zp = Z[ph]
-        p = Q.dot(u)  # linearize at the previous junction voltages
-        u = K.dot(u) + B.dot(waves[n])
+            stale = np.ones(bshape, dtype=bool)  # the operators changed
+        u[src] = waves[n]
+        u = M.dot(u)
         if n_j:
-            r = u[ph]  # the new phases if no supercurrent flowed
+            p, r = u[pred], u[ph]  # the predictor; the new phases if no supercurrent flowed
             live = True  # the variants still iterating: all on the first pass
-            for it in range(1, NEWTON_MAX_ITER + 1):  # it - 1 solves so far
+            again = None  # the variants that needed a second update
+            for it in range(1, NEWTON_MAX_ITER + 1):  # it - 1 updates so far
                 s = j_ic * np.sin(p)
                 f = p - r + Zp.dot(s)
                 if it > 1:
                     res = np.abs(f).max(axis=0)
                     done = res <= NEWTON_FTOL  # a NaN residual is not done
-                    if done.all():
+                    if np.count_nonzero(done) == len(batch):
                         break
-                    live = ~done
-                    extra_solves += live
+                    live = stale = ~done  # refresh at the current iterate
+                    if it == 2:
+                        again = live
+                    extra_updates += live
                     most = np.maximum(most, it * live)
-                    f = np.where(live, f, 0.0)  # converged variants solve for dp = 0
-                jac = eye + Zp * (j_ic * np.cos(p)).T[..., None, :]
-                try:
-                    dp = np.linalg.solve(jac, f.T[..., None])[..., 0].T
-                except np.linalg.LinAlgError:
-                    singular = live & (np.linalg.det(jac) == 0.0)
-                    v = _first(singular if singular.any() else live, bshape)
-                    msg = f"singular junction Jacobian at t = {times[n]:.4f} ps{_in_variant(names[v])}"
-                    raise CircuitError(msg) from None
-                p = p - dp
+                    f = np.where(live, f, 0.0)  # converged variants update by 0
+                if stale is not None:
+                    jac = eye + Zp * (j_ic * np.cos(p)).T[..., None, :]
+                    try:  # one call inverts every variant's Jacobian; only the stale ones are kept
+                        np.copyto(jinv, np.linalg.inv(jac), where=stale[..., None, None])
+                    except np.linalg.LinAlgError:
+                        singular = stale & (np.linalg.det(jac) == 0.0)
+                        v = _first(singular if singular.any() else stale, bshape)
+                        msg = f"singular junction Jacobian at t = {times[n]:.4f} ps{_in_variant(names[v])}"
+                        raise CircuitError(msg) from None
+                    jacobians += stale
+                    stale = None
+                dp = matvec(f)
+                p -= dp
             else:
                 v = _first(live, bshape)
                 update, residual = (float(np.ravel(np.abs(a).max(axis=0))[v]) for a in (dp, f))
                 raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
+            stale = again  # refresh at the next predictor
             worst = np.maximum(worst, res)
-            u = u - Z.dot(s)
+            u -= Z.dot(s)
         rec[..., n] = u[rec_ix]
 
     rec = rec.reshape(len(rec_ix), len(batch), n_steps + 1)  # views
@@ -302,7 +337,8 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 junction_phase={d.name: next(rows) for d in junctions},
                 junction_voltage={d.name: next(rows) for d in junctions},
                 step_ps=step,
-                newton_iterations=first_solves + int(np.ravel(extra_solves)[v]),
+                newton_iterations=first_updates + int(np.ravel(extra_updates)[v]),
+                newton_jacobians=int(np.ravel(jacobians)[v]),
                 newton_max_per_step=int(np.ravel(most)[v]),
                 newton_residual=float(np.ravel(worst)[v]),
             )
@@ -323,16 +359,18 @@ def _step_operators(
     junctions: list[Junction],
     h: float,
     first: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(K, B, Z, Q) for a backward-Euler (first) or trapezoidal step of h seconds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, Z) for a backward-Euler (first) or trapezoidal step of h seconds.
 
-    The state u stacks the MNA unknowns x, a ground slot, and the
-    junction phases, voltages v = P^T x and capacitor currents. A step
-    is u0 = K u + B w (w the source values), u = u0 - Z Ic sin(phi_new),
-    and Q u is the phase the previous voltages extrapolate to. A holds
-    every linear stamp, H the inductor and capacitor history, S the
-    sources and P the junction incidence; the ground row and column are
-    left out of the inversion.
+    The state u stacks the MNA unknowns x, a ground slot, the junction
+    phases, voltages v = P^T x and capacitor currents, then the junction
+    predictor and the source values w. With w set to the step's values,
+    u0 = M u is the step without supercurrents, its predictor rows the
+    phases the previous voltages extrapolate to and its source rows 0;
+    the step is u = u0 - Z Ic sin(phi_new). A holds every linear stamp,
+    H the inductor and capacitor history, S the sources and P the
+    junction incidence; the ground row and column are left out of the
+    inversion.
     """
     fac = (1.0 if first else 2.0) / h
     # phi_new = phi + a*v_new + b*v, i_cap_new = fac*C*(v_new - v) - i_cap
@@ -373,13 +411,11 @@ def _step_operators(
         else:
             S[na, col[d.name]] -= 1.0
             S[nb, col[d.name]] += 1.0
+    X = np.zeros((m, m + len(sources) + n_j))  # the ground row stays 0
     try:
-        inv = np.linalg.inv(A[:-1, :-1])
+        X[:-1] = np.linalg.solve(A[:-1, :-1], np.hstack([H[:-1], S[:-1], P[:-1]]))
     except np.linalg.LinAlgError as exc:
         raise CircuitError(f"singular system matrix: {exc}") from None
-
-    X = np.zeros((m, m + len(sources) + n_j))  # the ground row stays 0
-    X[:-1] = inv @ np.hstack([H[:-1], S[:-1], P[:-1]])
     Hx, Sx, Px = np.split(X, [m, m + len(sources)], axis=1)
     # x_new = Hx x + Sx w + Px (i_cap - c), and the new state is T x_new + U u.
     fac_c = fac * np.array([d.cap for d in junctions])
@@ -387,9 +423,14 @@ def _step_operators(
     eye, zero = np.eye(n_j), np.zeros((n_j, n_j))
     U = np.zeros((m + 3 * n_j, m + 3 * n_j))
     U[m:, m:] = np.block([[eye, b * eye, zero], [zero, zero, zero], [zero, -fac_c * eye, -eye]])
-    K = T @ np.hstack([Hx, np.zeros((m, 2 * n_j)), Px]) + U
-    Q = np.hstack([np.zeros((n_j, m)), eye, (a + b) * eye, zero])
-    return K, T @ Sx, T @ Px, Q
+    dim, n_s = m + 3 * n_j, len(sources)
+    M = np.zeros((dim + n_j + n_s, dim + n_j + n_s))
+    M[:dim, :dim] = T @ np.hstack([Hx, np.zeros((m, 2 * n_j)), Px]) + U
+    M[:dim, dim + n_j:] = T @ Sx
+    M[dim:dim + n_j, m:m + 2 * n_j] = np.hstack([eye, (a + b) * eye])
+    Z = np.zeros((dim + n_j + n_s, n_j))
+    Z[:dim] = T @ Px
+    return M, Z
 
 
 def _stamp_g(A: np.ndarray, a: int, b: int, g: float) -> None:

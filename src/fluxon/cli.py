@@ -275,7 +275,11 @@ def cmd_simulate(cfg: dict, args) -> int:
     if args.mode == "circuit":
         name = args.netlist or "soma2"
         netlist = parse_netlist(load_netlist_text(name))
+        t0 = time.perf_counter()
         traces = run_transient(netlist)
+        log.info("transient: %s: %d steps, %d Newton updates, %d Jacobians in %.3f s", name,
+                 len(traces.time_ps) - 1, traces.newton_iterations, traces.newton_jacobians,
+                 time.perf_counter() - t0)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "waveform.csv", "w") as fh:
             write_waveform_csv(fh, traces, netlist)
@@ -295,6 +299,7 @@ def cmd_simulate(cfg: dict, args) -> int:
 def cmd_power(cfg: dict, args) -> int:
     out = Path(cfg["out_dir"])
     names = args.network or cfg["power"]
+    t0 = time.perf_counter()
     rows = []
     for name in names:
         if name in ("iris", "nw_a", "nw_b"):
@@ -331,6 +336,7 @@ def cmd_power(cfg: dict, args) -> int:
         )
         _write(out / f"power_{rep.name}.json", rep.to_json())
         print(f"{rep.name}: sops={rep.sops:.3g} total_w={rep.total_w:.4g} sops/W={rep.sops_per_watt:.3g}")
+    log.info("power: %d networks in %.3f s", len(rows), time.perf_counter() - t0)
     return 0
 
 

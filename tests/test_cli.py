@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -150,12 +151,49 @@ class TestSimulate:
         assert err.startswith("error: step must lie in")
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("tran", ["0.05 -5", "0 10"])
+    def test_bad_tran_exits_2(self, tmp_path, capsys, tran):
+        cir = tmp_path / "bad.cir"
+        cir.write_text(f"r1 1 0 1\ni1 0 1 dc 1m\n.tran {tran}\n")
+        assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
+                   "--netlist", str(cir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: .tran step and stop must be positive and finite")
+        assert "internal error" not in err
+
     def test_unknown_phase_print_exits_2(self, tmp_path, capsys):
         cir = tmp_path / "bzz.cir"
         cir.write_text("b1 1 0 ic=100u\ni1 0 1 dc 50u\n.tran 0.1 1\n.print phi(bzz)\n")
         assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
                    "--netlist", str(cir)) == 2
         assert "unknown junction 'bzz'" in capsys.readouterr().err
+
+
+class TestStageLogs:
+    @pytest.mark.parametrize(
+        "argv,artifacts,logged",
+        [
+            (["simulate", "--mode", "circuit", "--netlist", "jtl"], ["waveform.csv", "pulses.csv"],
+             r"^transient: jtl: 6000 steps, \d+ Newton updates, \d+ Jacobians in \d+\.\d{3} s$"),
+            (["power"], ["power_iris.json", "power_nw_a.json", "power_nw_b.json"],
+             r"^power: 3 networks in \d+\.\d{3} s$"),
+        ],
+        ids=["simulate-circuit", "power"],
+    )
+    def test_logged_without_changing_outputs(self, tmp_path, capsys, caplog, argv, artifacts, logged):
+        outputs = []
+        for level in ("WARNING", "INFO"):
+            caplog.clear()
+            out = tmp_path / level
+            with caplog.at_level(level, logger="fluxon"):
+                assert run("--out", str(out), *argv) == 0
+            files = sorted(p.name for p in out.iterdir())
+            assert set(artifacts) <= set(files)
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")  # names its artifacts
+            outputs.append((stdout, files, [(out / f).read_bytes() for f in files]))
+            lines = [r.getMessage() for r in caplog.records if r.name == "fluxon.cli"]
+        assert outputs[0] == outputs[1]
+        assert len(lines) == 1 and re.match(logged, lines[0]), lines
 
 
 class TestPower:

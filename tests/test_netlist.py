@@ -136,6 +136,14 @@ class TestParse:
             parse_netlist("r1 1 0 1\n.tran 0.1 10\ni1 0 1 dc 1m\n.tran 0.2 20\n")
         assert exc.value.lineno == 4
 
+    @pytest.mark.parametrize(
+        "tran", ["0.05 -5", "0 10", "-0.05 10", "0.05 0", "0.05 1e999", "1e999 10"]
+    )
+    def test_tran_must_be_positive_and_finite(self, tran):
+        with pytest.raises(NetlistError, match=r"^line 2: \.tran step and stop must be positive") as exc:
+            parse_netlist(f"r1 1 0 1\n.tran {tran}\n")
+        assert exc.value.lineno == 2
+
     def test_print_requests(self):
         nl = parse_netlist("b1 1 0 ic=100u\n.print v(1) phi(b1)")
         assert nl.prints == (("v", "1"), ("phi", "b1"))

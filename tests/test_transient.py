@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ class TestSolverContract:
         with pytest.raises(CircuitError):
             run_transient(nl)
 
+    @pytest.mark.parametrize("stop", [math.nan, math.inf, -math.inf, -5.0])
+    def test_stop_must_be_finite_and_not_negative(self, stop):
+        nl = parse_netlist("r1 1 0 1\ni1 0 1 dc 1m")
+        with pytest.raises(CircuitError, match="stop must be finite and >= 0 ps"):
+            run_transient(nl, stop=stop)
+        with pytest.raises(CircuitError, match="stop must be finite and >= 0 ps"):
+            run_transients([nl, nl], stop=stop)
+
+    def test_zero_stop_gives_the_initial_state(self):
+        tr = run_transient(parse_netlist("l1 1 0 10p ic=1m\nr1 1 0 1"), stop=0.0, step=0.05)
+        assert tr.time_ps.tolist() == [0.0] and tr.inductor_current["l1"].tolist() == [1e-3]
+
     def test_empty_netlist(self):
         with pytest.raises(CircuitError):
             run_transient(parse_netlist(""), stop=10.0, step=0.05)
@@ -244,6 +257,49 @@ class TestBundledCells:
         traces = run_transient(parse_netlist(bundled_text("soma2", inputs)))
         steps = len(traces.time_ps) - 1
         assert steps <= traces.newton_iterations <= 1.2 * steps
+
+    @pytest.mark.parametrize("inputs", [1, 2])
+    def test_soma2_reuses_its_jacobian_inverse(self, inputs):
+        # chord Newton inverts the Jacobian only when the operators change or
+        # a step's residual check fails, not once per update
+        traces = run_transient(parse_netlist(bundled_text("soma2", inputs)))
+        assert 2 <= traces.newton_jacobians <= 0.5 * traces.newton_iterations
+
+
+class TestChordRefresh:
+    # a junction biased far below Ic stays in its linear regime, where every
+    # predictor is accurate and a fresh inverse converges in one update
+    QUIET = "b1 1 0 ic=100u\ni1 0 1 dc 1u\n.tran 0.05 40"
+
+    def test_operators_change_refreshes_steps_1_and_2(self):
+        # the trapezoidal step 2 needs its own inverse: the backward-Euler
+        # one would leave its first update short and cost a second
+        tr = run_transient(parse_netlist(self.QUIET))
+        steps = len(tr.time_ps) - 1
+        assert (tr.newton_iterations, tr.newton_max_per_step, tr.newton_jacobians) == (steps, 1, 2)
+
+    def test_a_failed_check_refreshes_at_the_iterate(self, monkeypatch):
+        # with the stop out of reach every check fails, so every update after
+        # the first of a step comes from a fresh inverse
+        monkeypatch.setattr(transient, "NEWTON_FTOL", -1.0)
+        monkeypatch.setattr(transient, "NEWTON_MAX_ITER", 4)
+        inv = np.linalg.inv
+        calls = []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+        with pytest.raises(NewtonError) as info:
+            run_transient(parse_netlist(self.QUIET))
+        assert (info.value.time_ps, info.value.iterations) == (0.05, 4)
+        assert len(calls) == 4  # the predictor's, then one per failed check
+
+    def test_a_second_update_refreshes_the_next_predictor(self):
+        # at most two updates a step: each step that took a second update
+        # inverts at its iterate, and its successor inverts at its predictor
+        # unless that is step 2 (which inverts for its operators anyway) or
+        # there is none; steps 1 and 2 invert for their operators
+        tr = run_transient(parse_netlist(RUNNING_JUNCTION), stop=200.0)
+        seconds = tr.newton_iterations - (len(tr.time_ps) - 1)
+        assert tr.newton_max_per_step == 2 and seconds > 100
+        assert 2 * seconds <= tr.newton_jacobians <= 2 * seconds + 2
 
 
 def reference_waveform_csv(traces, netlist) -> str:
@@ -468,9 +524,10 @@ class TestLockstep:
                 assert np.max(np.abs(new - old)) <= 1e-9 * scale, label
             for j in want.junction_phase:
                 assert len(detect_pulses_in(got, j)) == len(detect_pulses_in(want, j)), j
-            assert (got.newton_iterations, got.newton_max_per_step) == (
+            assert (got.newton_iterations, got.newton_max_per_step, got.newton_jacobians) == (
                 want.newton_iterations,
                 want.newton_max_per_step,
+                want.newton_jacobians,
             )
 
     @pytest.mark.parametrize("cell", sorted(LOCKSTEP_STOPS))
@@ -549,9 +606,78 @@ class TestBatchFailures:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "inv", singular)  # inverts the junction Jacobians
         junction = parse_netlist(self.JUNCTION)
         with pytest.raises(CircuitError, match=r"^singular junction Jacobian at t = 0\.0500 ps$"):
             run_transient(junction)
         with pytest.raises(CircuitError, match=r"at t = 0\.0500 ps in variant 1 of the batch$"):
             run_transients([parse_netlist(self.JUNCTION_FREE), junction])
+
+
+# --- solver properties on random small RCSJ circuits -------------------------
+
+
+@st.composite
+def rcsj_circuits(draw):
+    """1-4 junctions on a chain of nodes, each to ground or to the node
+    before it; the chain's links are inductors or resistors, some nodes
+    get a shunt resistor, and one current source, dc or a pulse, drives
+    one node. Junction rn and cap are drawn or left to their defaults."""
+    n_j = draw(st.integers(1, 4))
+    lines = []
+    for k in range(1, n_j + 1):
+        other = 0 if k == 1 or draw(st.booleans()) else k - 1
+        fields = [f"ic={draw(st.integers(50, 300))}u"]
+        if draw(st.booleans()):
+            fields.append(f"rn={draw(st.floats(0.5, 10.0)):.3f}")
+        if draw(st.booleans()):
+            fields.append(f"cap={draw(st.floats(0.05, 2.0)):.3f}p")
+        lines.append(f"b{k} {k} {other} " + " ".join(fields))
+        if k > 1:
+            link = draw(st.sampled_from(["l", "r"]))
+            value = f"{draw(st.floats(0.5, 10.0)):.3f}" + ("p" if link == "l" else "")
+            lines.append(f"{link}{k} {k - 1} {k} {value}")
+        if draw(st.booleans()):
+            lines.append(f"rs{k} {k} 0 {draw(st.floats(0.5, 20.0)):.3f}")
+    amp = draw(st.integers(0, 600))
+    shape = draw(st.sampled_from([f"dc {amp}u", f"pulse 5 2 10 2 {amp}u"]))
+    lines.append(f"i1 0 {draw(st.integers(1, n_j))} {shape}")
+    step = draw(st.sampled_from([0.05, 0.1]))
+    stop = draw(st.sampled_from([10, 20, 40]))
+    lines.append(f".tran {step} {stop}")
+    return "\n".join(lines)
+
+
+class TestSolverProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(rcsj_circuits())
+    def test_converged_runs_keep_the_solver_contract(self, text):
+        nl = parse_netlist(text)
+        try:
+            tr = run_transient(nl)
+        except CircuitError:
+            return  # a numeric failure is reported, never returned
+        steps = len(tr.time_ps) - 1
+        for _, row in trace_rows(tr):
+            assert np.all(np.isfinite(row))
+        assert 0.0 <= tr.newton_residual <= transient.NEWTON_FTOL
+        assert steps <= tr.newton_iterations <= steps * tr.newton_max_per_step
+        assert 2 <= tr.newton_jacobians <= tr.newton_iterations
+        t = tr.time_ps[1:] * 1e-12
+        for name, phase in tr.junction_phase.items():
+            # the trapezoidal phase update makes this exact from step 2 on
+            got = 2 * math.pi / PHI0 * np.trapezoid(tr.junction_voltage[name][1:], t)
+            want = phase[-1] - phase[1]
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9), name
+
+    @settings(max_examples=10, deadline=None)
+    @given(rcsj_circuits(), st.integers(1, 3))
+    def test_forced_newton_error_carries_time_and_iterations(self, text, max_iter):
+        nl = parse_netlist(text)
+        with mock.patch.object(transient, "NEWTON_FTOL", -1.0), \
+                mock.patch.object(transient, "NEWTON_MAX_ITER", max_iter):
+            with pytest.raises(NewtonError) as info:
+                run_transient(nl)
+        err = info.value
+        assert (err.time_ps, err.iterations, err.variant) == (nl.tran_step, max_iter, None)
+        assert math.isfinite(err.update) and math.isfinite(err.residual)
