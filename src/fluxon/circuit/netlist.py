@@ -39,11 +39,12 @@ DEFAULT_ICRN_PRODUCT = 0.25e-3  # V
 
 
 class NetlistError(ValueError):
-    def __init__(self, message: str, lineno: int | None = None):
+    def __init__(self, message: str, lineno: int | None = None, device: str | None = None):
         if lineno is not None:
             message = f"line {lineno}: {message}"
         super().__init__(message)
         self.lineno = lineno
+        self.device = device  # the device at fault, for the parser to find its line
 
 
 _NUMBER_RE = re.compile(
@@ -102,7 +103,7 @@ class Pulse:
         t_top = t - self.rise
         t_fall = t_top - self.width
         amp = self.amplitude
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero-length edges
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # zero or tiny edges
             return np.select(
                 [t <= 0.0, t < self.rise, t_top < self.width, t_fall < self.fall],
                 [0.0, amp * t / self.rise, amp, amp * (1.0 - t_fall / self.fall)],
@@ -134,7 +135,7 @@ class PulseTrain:
         u = t - k * self.period
         half = self.width / 2.0
         amp = self.amplitude
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero width
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # zero or tiny width
             return np.select(
                 [(t < 0.0) | (self.count == 0), u < half, u < self.width],
                 [0.0, amp * u / half, amp * (1.0 - (u - half) / half)],
@@ -253,10 +254,6 @@ class Netlist:
                     seen.append(n)
         return seen
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
     def device(self, name: str) -> Device:
         name = name.lower()
         for d in self.devices:
@@ -271,19 +268,19 @@ class Netlist:
         seen: set[str] = set()
         for d in self.devices:
             if d.name in seen:
-                raise NetlistError(f"duplicate device name {d.name!r}")
+                raise NetlistError(f"duplicate device name {d.name!r}", device=d.name)
             seen.add(d.name)
         inductors = {d.name: d for d in self.devices if isinstance(d, Inductor)}
         for d in self.devices:
             if isinstance(d, Mutual):
                 for ref in (d.l1, d.l2):
                     if ref not in inductors:
-                        raise NetlistError(f"mutual {d.name} references unknown inductor {ref!r}")
+                        msg = f"mutual {d.name} references unknown inductor {ref!r}"
+                        raise NetlistError(msg, device=d.name)
                 bound = math.sqrt(inductors[d.l1].l * inductors[d.l2].l)
                 if abs(d.m) > bound * (1.0 + 1e-12):
-                    raise NetlistError(
-                        f"mutual {d.name}: |M|={d.m} exceeds sqrt(L1*L2)={bound:.3e}"
-                    )
+                    msg = f"mutual {d.name}: |M|={d.m} exceeds sqrt(L1*L2)={bound:.3e}"
+                    raise NetlistError(msg, device=d.name)
 
     def resolve_selector(self, selector: str) -> tuple[Device, str, float]:
         """Split 'name.field' into (device, field, nominal value)."""
@@ -331,8 +328,8 @@ def _parse_source(kind: str, name: str, toks: list[str], lineno: int) -> Device:
             parse_value(args[4], lineno),
         )
     elif shape == "ptrain":
-        if len(args) != 5:
-            raise NetlistError(f"source {name}: ptrain takes 5 values", lineno)
+        if len(args) != 5 or not args[2].isdecimal():
+            raise NetlistError(f"source {name}: ptrain takes 5 values, the third a count", lineno)
         wf = PulseTrain(
             parse_time_ps(args[0], lineno),
             parse_time_ps(args[1], lineno),
@@ -377,6 +374,7 @@ def critical_damping_cap(ic: float, rn: float) -> float:
 def parse_netlist(text: str, *, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> Netlist:
     """Parse netlist text into a validated Netlist."""
     devices: list[Device] = []
+    lines: dict[str, int] = {}  # device name -> its line
     tran_step = tran_stop = tran_line = None
     prints: list[tuple[str, str]] = []
     title = ""
@@ -413,41 +411,49 @@ def parse_netlist(text: str, *, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> N
                 raise NetlistError(f"unknown directive {head!r}", lineno)
             continue
 
-        letter, name, body = head[0], head, toks[1:]
-        if letter == "b":
-            if len(body) < 3:
-                raise NetlistError(f"junction {name}: missing fields", lineno)
-            kw = _keyword_args(body[2:], lineno)
-            unknown = set(kw) - {"ic", "rn", "cap"}
-            if unknown or "ic" not in kw:
-                raise NetlistError(f"junction {name}: needs ic=, allows rn=/cap=", lineno)
-            ic = kw["ic"]
-            rn = kw.get("rn", default_rn(ic, icrn_product))
-            cap = kw.get("cap", critical_damping_cap(ic, rn))
-            devices.append(Junction(name, body[0], body[1], ic, rn, cap))
-        elif letter == "l":
-            if len(body) < 3:
-                raise NetlistError(f"inductor {name}: missing fields", lineno)
-            extra = _keyword_args(body[3:], lineno) if len(body) > 3 else {}
-            if set(extra) - {"ic"}:
-                raise NetlistError(f"inductor {name}: only ic= allowed", lineno)
-            devices.append(
-                Inductor(name, body[0], body[1], parse_value(body[2], lineno), extra.get("ic", 0.0))
-            )
-        elif letter == "r":
-            if len(body) != 3:
-                raise NetlistError(f"resistor {name}: takes n+ n- value", lineno)
-            devices.append(Resistor(name, body[0], body[1], parse_value(body[2], lineno)))
-        elif letter == "k":
-            if len(body) != 3:
-                raise NetlistError(f"mutual {name}: takes La Lb M", lineno)
-            devices.append(Mutual(name, body[0], body[1], parse_value(body[2], lineno)))
-        elif letter in ("i", "v"):
-            devices.append(_parse_source(letter, name, body, lineno))
-        else:
-            raise NetlistError(f"unknown device letter {letter!r} in {name!r}", lineno)
+        try:
+            device = _parse_device(head, toks[1:], lineno, icrn_product)
+        except NetlistError as exc:  # a device record's own check knows no line
+            raise (exc if exc.lineno else NetlistError(str(exc), lineno)) from None
+        lines[device.name] = lineno  # a duplicate name keeps its last line
+        devices.append(device)
 
     try:
         return Netlist(tuple(devices), tran_step, tran_stop, tuple(prints), title)
-    except NetlistError:
-        raise
+    except NetlistError as exc:  # checks of the whole netlist
+        raise NetlistError(str(exc), lines[exc.device]) from None
+
+
+def _parse_device(head: str, body: list[str], lineno: int, icrn_product: float) -> Device:
+    letter, name = head[0], head
+    if letter == "b":
+        if len(body) < 3:
+            raise NetlistError(f"junction {name}: missing fields", lineno)
+        kw = _keyword_args(body[2:], lineno)
+        unknown = set(kw) - {"ic", "rn", "cap"}
+        if unknown or "ic" not in kw:
+            raise NetlistError(f"junction {name}: needs ic=, allows rn=/cap=", lineno)
+        ic = kw["ic"]
+        if not (ic > 0.0 and kw.get("rn", 1.0) > 0.0):  # the defaults divide by both
+            raise NetlistError(f"junction {name}: need ic>0, rn>0, cap>=0", lineno)
+        rn = kw.get("rn", default_rn(ic, icrn_product))
+        cap = kw.get("cap", critical_damping_cap(ic, rn))
+        return Junction(name, body[0], body[1], ic, rn, cap)
+    if letter == "l":
+        if len(body) < 3:
+            raise NetlistError(f"inductor {name}: missing fields", lineno)
+        extra = _keyword_args(body[3:], lineno) if len(body) > 3 else {}
+        if set(extra) - {"ic"}:
+            raise NetlistError(f"inductor {name}: only ic= allowed", lineno)
+        return Inductor(name, body[0], body[1], parse_value(body[2], lineno), extra.get("ic", 0.0))
+    if letter == "r":
+        if len(body) != 3:
+            raise NetlistError(f"resistor {name}: takes n+ n- value", lineno)
+        return Resistor(name, body[0], body[1], parse_value(body[2], lineno))
+    if letter == "k":
+        if len(body) != 3:
+            raise NetlistError(f"mutual {name}: takes La Lb M", lineno)
+        return Mutual(name, body[0], body[1], parse_value(body[2], lineno))
+    if letter in ("i", "v"):
+        return _parse_source(letter, name, body, lineno)
+    raise NetlistError(f"unknown device letter {letter!r} in {name!r}", lineno)

@@ -24,34 +24,33 @@ follow from A^-1 P (P the junction incidence, junction voltages
 v = P^T x). Newton iteration then runs on the n_j new phases p alone,
 from the predictor: with r the phases the step would reach without
 supercurrent and Zp the phase rows of Z, it drives the residual
-f = p - r + Zp Ic sin(p) to zero. It is a chord iteration (Kelley,
-Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5):
-the inverse of the n_j x n_j Jacobian I + Zp diag(Ic cos p) is kept
-across steps, so an update is p -= Jinv f, and it is inverted afresh
-only when the operators change (steps 1 and 2), at the current iterate
-whenever a residual check fails, and at a step's predictor when the
-step before needed a second update. Each of at most NEWTON_MAX_ITER
-passes evaluates f and updates once, except that from the second pass
-on max|f| <= NEWTON_FTOL ends the step instead; its state is then
-M u_prev - Z c with the supercurrents c of that residual. A converged
-step thus costs one update, a matrix-vector product, and most steps no
-inversion. A netlist without junctions skips Newton.
+f = p - r + Zp Ic sin(p) to zero. Its Jacobian I + Zp diag(Ic cos p)
+lies within rho = ||Zp diag(Ic)||_inf of the identity (about 1e-3 on
+the bundled cells, 5e-3 on the Euler step), so none is formed: with
+c = Ic cos(p) taken once per step at the predictor, an update is the
+second-order Neumann series dp = f - g + Zp (c g), g = Zp (c f). A
+variant whose rho reaches 1/2 is a CircuitError naming it, the junction
+and the step. Each of at most NEWTON_MAX_ITER passes evaluates f and
+updates once, except that from the second pass on max|f| <= NEWTON_FTOL
+ends the step instead; its state is then M u_prev - Z c with the
+supercurrents c of that residual. A converged step thus costs one
+update. A netlist without junctions skips Newton.
 
 M and Z do not depend on junction critical currents or source
 waveforms, so `run_transients` advances every group of netlists that
 differ only in those (on one time grid) in lockstep: the state becomes
 a (dim, variants) array, one loop serves the group, and numpy's per-call
 overhead, which dominates a step of these small circuits, is paid once
-per step for the whole group. Newton runs under a per-variant mask: a
-variant whose residual has met NEWTON_FTOL updates by zero while the
-others iterate, and each variant keeps its own inverse and refreshes it
-on its own conditions, so each variant stops on its own test, follows
-the updates and inversions of its solo run and keeps its own counters.
-A single netlist keeps a 1-D state, and `run_transient` is a batch of
-one. Assembly order is fixed by netlist order and the arithmetic is
-pure float64, so identical inputs give bit-identical traces; a variant
-of a batch matches its solo run to round-off (the matrix products run
-over all variants at once).
+per step for the whole group. The update is the same expression for a
+1-D state and a (n_j, variants) one, since Zp is shared by the group.
+Newton runs under a per-variant mask: a variant whose residual has met
+NEWTON_FTOL updates by zero while the others iterate, so each variant
+stops on its own test, follows the updates of its solo run and keeps
+its own counters. A single netlist keeps a 1-D state, and
+`run_transient` is a batch of one. Assembly order is fixed by netlist
+order and the arithmetic is pure float64, so identical inputs give
+bit-identical traces; a variant of a batch matches its solo run to
+round-off (the matrix products run over all variants at once).
 
 Because the junction phase update is the trapezoidal rule applied to
 dphi/dt = (2 pi / PHI0) V, trapezoid-rule quadrature of a junction's
@@ -116,11 +115,11 @@ class TraceSet:
     node_voltage holds the requested nodes (all nodes when the netlist
     carries no print requests); junction phases/voltages and inductor
     currents are always recorded in full. newton_iterations counts the
-    Newton updates of the whole run, each one linear solve by a fresh or
-    a reused inverse Jacobian; newton_jacobians counts the inversions,
-    newton_max_per_step is the most updates any one step took, and
-    newton_residual is the largest junction phase residual of any
-    accepted step.
+    Newton updates of the whole run, newton_max_per_step is the most
+    updates any one step took, newton_residual is the largest junction
+    phase residual of any accepted step, and newton_rho is the largest
+    ||Zp diag(Ic)||_inf of the run's step operators, the distance of the
+    junction Jacobian from the identity that bounds each update's error.
     """
 
     time_ps: np.ndarray
@@ -130,9 +129,9 @@ class TraceSet:
     inductor_current: dict[str, np.ndarray]
     step_ps: float = 0.0
     newton_iterations: int = 0
-    newton_jacobians: int = 0
     newton_max_per_step: int = 0
     newton_residual: float = 0.0
+    newton_rho: float = 0.0
 
 
 def run_transient(
@@ -263,32 +262,33 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
     for L in inductors:
         u[branch[L.name]] = L.ic
     rec[..., 0] = u[rec_ix]
-    eye = np.eye(n_j)
 
-    # Chord Newton: variant v keeps the inverse of its junction Jacobian in
-    # jinv[v] and refreshes it only when flagged in `stale` (None when no
-    # variant is). Every step with junctions makes one update per variant;
-    # later updates, the inversions and the worst accepted residual are
-    # kept per variant.
-    jinv = np.empty(bshape + (n_j, n_j))
-    # a batch multiplies each variant's inverse into its own residual column
-    matvec = (lambda f: np.einsum("kij,jk->ik", jinv, f)) if bshape else jinv.dot
+    # Every step with junctions makes one update per variant; later
+    # updates and the worst accepted residual are kept per variant.
     first_updates = n_steps if n_j else 0
     extra_updates = np.zeros(bshape, dtype=int)
-    jacobians = np.zeros(bshape, dtype=int)
     most = np.full(bshape, min(first_updates, 1))
     worst = np.zeros(bshape)
+    rho = np.zeros(bshape)
     for n in range(1, n_steps + 1):
         if n <= 2:  # backward Euler on the first step, trapezoidal after
             M, Z = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
             Zp = Z[ph]
-            stale = np.ones(bshape, dtype=bool)  # the operators changed
+            rows = np.abs(Zp).dot(j_ic)  # row sums of |Zp| diag(Ic), per variant
+            rho = np.maximum(rho, rows.max(axis=0, initial=0.0))
+            if not np.all(rho < 0.5):  # the update may stop contracting; a NaN rho fails too
+                v = _first(~(rho < 0.5), bshape)
+                j = junctions[int(np.argmax(rows.reshape(n_j, -1)[:, v]))].name
+                raise CircuitError(
+                    f"junction coupling rho = {float(np.ravel(rho)[v]):.3g} >= 1/2 at junction {j} on the "
+                    f"step to t = {times[n]:.4f} ps: the Newton update may not contract{_in_variant(names[v])}"
+                )
         u[src] = waves[n]
         u = M.dot(u)
         if n_j:
             p, r = u[pred], u[ph]  # the predictor; the new phases if no supercurrent flowed
+            c = j_ic * np.cos(p)  # the Jacobian is I + Zp diag(c), taken at the predictor
             live = True  # the variants still iterating: all on the first pass
-            again = None  # the variants that needed a second update
             for it in range(1, NEWTON_MAX_ITER + 1):  # it - 1 updates so far
                 s = j_ic * np.sin(p)
                 f = p - r + Zp.dot(s)
@@ -297,30 +297,18 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                     done = res <= NEWTON_FTOL  # a NaN residual is not done
                     if np.count_nonzero(done) == len(batch):
                         break
-                    live = stale = ~done  # refresh at the current iterate
-                    if it == 2:
-                        again = live
+                    live = ~done
                     extra_updates += live
                     most = np.maximum(most, it * live)
                     f = np.where(live, f, 0.0)  # converged variants update by 0
-                if stale is not None:
-                    jac = eye + Zp * (j_ic * np.cos(p)).T[..., None, :]
-                    try:  # one call inverts every variant's Jacobian; only the stale ones are kept
-                        np.copyto(jinv, np.linalg.inv(jac), where=stale[..., None, None])
-                    except np.linalg.LinAlgError:
-                        singular = stale & (np.linalg.det(jac) == 0.0)
-                        v = _first(singular if singular.any() else stale, bshape)
-                        msg = f"singular junction Jacobian at t = {times[n]:.4f} ps{_in_variant(names[v])}"
-                        raise CircuitError(msg) from None
-                    jacobians += stale
-                    stale = None
-                dp = matvec(f)
+                # (I + Zp diag c)^-1 f to second order in Zp diag c
+                g = Zp.dot(c * f)
+                dp = f - g + Zp.dot(c * g)
                 p -= dp
             else:
                 v = _first(live, bshape)
                 update, residual = (float(np.ravel(np.abs(a).max(axis=0))[v]) for a in (dp, f))
                 raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
-            stale = again  # refresh at the next predictor
             worst = np.maximum(worst, res)
             u -= Z.dot(s)
         rec[..., n] = u[rec_ix]
@@ -338,9 +326,9 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 junction_voltage={d.name: next(rows) for d in junctions},
                 step_ps=step,
                 newton_iterations=first_updates + int(np.ravel(extra_updates)[v]),
-                newton_jacobians=int(np.ravel(jacobians)[v]),
                 newton_max_per_step=int(np.ravel(most)[v]),
                 newton_residual=float(np.ravel(worst)[v]),
+                newton_rho=float(np.ravel(rho)[v]),
             )
         )
     return out

@@ -277,8 +277,9 @@ def cmd_simulate(cfg: dict, args) -> int:
         netlist = parse_netlist(load_netlist_text(name))
         t0 = time.perf_counter()
         traces = run_transient(netlist)
-        log.info("transient: %s: %d steps, %d Newton updates, %d Jacobians in %.3f s", name,
-                 len(traces.time_ps) - 1, traces.newton_iterations, traces.newton_jacobians,
+        steps = len(traces.time_ps) - 1
+        log.info("transient: %s: %d steps, %.3f Newton updates per step, rho %.2e in %.3f s", name,
+                 steps, traces.newton_iterations / max(steps, 1), traces.newton_rho,
                  time.perf_counter() - t0)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "waveform.csv", "w") as fh:

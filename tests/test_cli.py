@@ -174,7 +174,8 @@ class TestStageLogs:
         "argv,artifacts,logged",
         [
             (["simulate", "--mode", "circuit", "--netlist", "jtl"], ["waveform.csv", "pulses.csv"],
-             r"^transient: jtl: 6000 steps, \d+ Newton updates, \d+ Jacobians in \d+\.\d{3} s$"),
+             r"^transient: jtl: 6000 steps, 1\.\d{3} Newton updates per step, rho \d\.\d\de-0\d "
+             r"in \d+\.\d{3} s$"),
             (["power"], ["power_iris.json", "power_nw_a.json", "power_nw_b.json"],
              r"^power: 3 networks in \d+\.\d{3} s$"),
         ],

@@ -128,7 +128,7 @@ class TestParse:
         assert any(isinstance(d, Mutual) for d in nl.devices)
 
     def test_duplicate_device_name(self):
-        with pytest.raises(NetlistError, match="duplicate device name 'b1'"):
+        with pytest.raises(NetlistError, match="^line 2: duplicate device name 'b1'$"):
             parse_netlist("b1 1 0 ic=100u\nb1 2 0 ic=100u\nl1 1 2 2p")
 
     def test_repeated_tran(self):
@@ -149,10 +149,6 @@ class TestParse:
         assert nl.prints == (("v", "1"), ("phi", "b1"))
         with pytest.raises(NetlistError):
             parse_netlist(".print vee(1)")
-
-    def test_node_count(self):
-        nl = parse_netlist("r1 1 2 1\nr2 2 0 1\nr3 2 3 1")
-        assert nl.node_count == 3
 
 
 class TestSelectors:
@@ -271,6 +267,7 @@ waveforms = st.one_of(
 )
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=150, deadline=None)
 @given(wf=waveforms, extra=st.lists(st.floats(-10.0, 300.0), max_size=20), step=st.sampled_from([0.05, 0.1]))
 def test_array_waveform_matches_scalar_formula(wf, extra, step):
@@ -285,3 +282,116 @@ def test_array_waveform_matches_scalar_formula(wf, extra, step):
         assert np.array_equal(got, want)
     # one time at a time gives the same values
     assert [wf(t) for t in times[::97].tolist()] == got[::97].tolist()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", ["rise", "fall"])
+def test_subnormal_pulse_edge_raises_no_warning(edge):
+    # the unselected ramp branch divides by the edge and overflows
+    fields = dict(delay=1.0, rise=1.0, width=1.0, fall=1.0, amplitude=1e-3) | {edge: 5e-324}
+    wf = Pulse(**fields)
+    times = np.array([0.0, 1.0, 1.5, 2.5, 3.5, 9.0])
+    assert wf(times).tolist() == [reference_waveform(wf, t) for t in times.tolist()]
+
+
+# --- parser fuzz and selector round trips ---------------------------------
+
+_LINES = [
+    "b1 1 0 ic=100u rn=2 cap=1p", "b2 2 1 ic=50u", "l1 1 2 2p ic=1u", "l2 2 0 3p", "r1 2 0 1",
+    "k1 l1 l2 1p", "i1 0 1 dc 1m", "i2 0 1 pulse 1 2 3 4 1m", "i3 0 2 ptrain 0 10 2 1 1m",
+    "v1 1 0 sin 0 1m 10 0", ".tran 0.05 10", ".print v(1) phi(b1)", ".end", "* comment",
+]
+_TOKENS = [
+    "0", "1", "l1", "l9", "b1", "x1", "dc", "pulse", "-1", "1e999", "5e-324", "100u", "abc",
+    "ic=0", "ic=-1", "ic=1e999", "rn=0", "cap=-1p", "ic=", "q=1", "v()", "*", ".op",
+]
+
+
+@st.composite
+def _mutated_netlists(draw):
+    """Lines of a valid netlist, each with a few tokens replaced, inserted or dropped."""
+    lines = []
+    for toks in draw(st.lists(st.sampled_from(_LINES).map(str.split), max_size=6)):
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(0, len(toks)))
+            new = draw(st.sampled_from(_TOKENS) | st.text(max_size=3))
+            toks[k:k + draw(st.integers(0, 1))] = draw(st.sampled_from([[new], []]))
+        lines.append(" ".join(toks))
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_netlists())
+def test_random_tokens_raise_only_netlist_errors_with_a_line(text):
+    try:
+        parse_netlist(text)
+    except NetlistError as exc:
+        assert exc.lineno is not None and 1 <= exc.lineno <= len(text.splitlines()), exc
+        assert str(exc).startswith(f"line {exc.lineno}: ")
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("r1 1 0 1\nb1 1 0 ic=0", 2),  # would divide by ic for the default rn
+        ("b1 1 0 ic=100u rn=0", 1),  # would divide by rn for the default cap
+        ("b1 1 0 ic=100u rn=2 cap=-1p", 1),
+        ("i1 0 1 pulse 1 -2 3 4 1m", 1),
+        ("i1 0 1 ptrain 0 10 2.5 1 1m", 1),
+        ("v1 1 0 sin 0 1m 0", 1),
+        ("l1 1 0 2p\nk1 l1 l9 1p\nr1 1 0 1", 2),  # checked once every line is read
+        ("l1 1 0 2p\nl2 2 0 2p\nr1 2 0 1\nk1 l1 l2 5p", 4),
+    ],
+)
+def test_device_checks_name_their_line(text, line):
+    with pytest.raises(NetlistError, match=f"^line {line}: ") as exc:
+        parse_netlist(text)
+    assert exc.value.lineno == line
+
+
+_value = st.floats(1e-3, 1e3).map(lambda x: f"{x:.4g}")
+
+
+@st.composite
+def valid_netlists(draw):
+    """Text of a random valid netlist: a chain of junctions, inductors and
+    resistors, a coupled inductor pair, and one source of each waveform."""
+    lines = []
+    n = draw(st.integers(1, 4))
+    for k in range(1, n + 1):
+        lines.append(f"b{k} {k} 0 ic={draw(_value)}u rn={draw(_value)} cap={draw(_value)}f")
+        lines.append(f"l{k} {k} {k + 1} {draw(_value)}p ic={draw(_value)}u")
+        lines.append(f"r{k} {k + 1} 0 {draw(_value)}")
+    lines.append(f"k1 l1 l{n} {draw(st.floats(0.0, 0.9)):.3f}f" if n > 1 else "r0 1 0 5")
+    lines += [
+        f"i1 0 1 dc {draw(_value)}u",
+        f"i2 0 {n} pulse 5 {draw(_value)} 3 2 {draw(_value)}u",
+        f"i3 0 {n + 1} ptrain 10 20 {draw(st.integers(0, 4))} 5 {draw(_value)}u",
+        f"v1 {n + 1} 0 sin 0 {draw(_value)}u 50",
+        ".tran 0.05 100",
+    ]
+    return "\n".join(draw(st.permutations(lines)))
+
+
+_FIELDS = {"b": ("ic", "rn", "cap"), "l": ("l", "ic"), "r": ("r",), "k": ("m",),
+           "i": ("amp", "dc"), "v": ("amp",)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_netlists(), st.floats(0.5, 0.99))
+def test_valid_netlists_round_trip_through_selectors(text, factor):
+    nl = parse_netlist(text)
+    assert nl == parse_netlist(text)
+    for d in nl.devices:
+        for sel in (f"{d.name}.{fld}" for fld in _FIELDS[d.name[0]]):
+            try:
+                dev, _, nominal = nl.resolve_selector(sel)
+            except KeyError:  # dc is a field of dc sources only, amp of the others
+                continue
+            changed = nl.with_param(sel, nominal * factor)
+            assert changed.resolve_selector(sel)[2] == nominal * factor
+            assert [x for x in changed.devices if x is not changed.device(dev.name)] == [
+                x for x in nl.devices if x is not dev
+            ]
+            assert nl.resolve_selector(sel)[2] == nominal  # the original is untouched
+            assert changed.with_param(sel, nominal) == nl
