@@ -1,7 +1,7 @@
 """fluxon: an SFQ spiking-neuron design-flow toolkit."""
 
-from .core import PHI0, PulseEvent, SpikeTrain, merge_trains
+from .core import PHI0, PulseEvent, SpikeTrain
 
 __version__ = "0.1.0"
 
-__all__ = ["PHI0", "PulseEvent", "SpikeTrain", "merge_trains", "__version__"]
+__all__ = ["PHI0", "PulseEvent", "SpikeTrain", "__version__"]

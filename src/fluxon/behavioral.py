@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import SpikeTrain
 
@@ -85,10 +84,6 @@ class SomaState:
     level: float = 0.0
     last_time: float = 0.0
 
-    @staticmethod
-    def fresh() -> "SomaState":
-        return SomaState(0.0, 0.0)
-
 
 def soma_step(params: SomaParams, state: SomaState, pulse_time: float) -> tuple[SomaState, bool]:
     """Apply one incoming pulse; returns (new state, fired).
@@ -108,7 +103,7 @@ def soma_step(params: SomaParams, state: SomaState, pulse_time: float) -> tuple[
 
 def soma_fire_times(params: SomaParams, train: SpikeTrain) -> SpikeTrain:
     """Fold soma_step over a sorted input train; output events carry out_delay."""
-    state = SomaState.fresh()
+    state = SomaState()
     fires: list[float] = []
     for t in train.times:
         state, fired = soma_step(params, state, t)
@@ -124,9 +119,7 @@ SYNAPSE_KINDS = ("SM1", "SM2", "SM4")
 _WEIGHT_RANGE = {"SM1": (0, 1), "SM2": (-2, 2), "SM4": (-2, 2)}
 _MAX_INPUT = {"SM1": 1, "SM2": 1, "SM4": 2}
 # SM2/SM4 are stacks of SM1 unit cells; a weight of magnitude m closes
-# m switches on the excitatory or inhibitory branch. The cell count per
-# synapse drives the worst-case switching-energy model.
-UNIT_CELLS = {"SM1": 1, "SM2": 2, "SM4": 4}
+# m switches on the excitatory or inhibitory branch.
 
 
 @dataclass(frozen=True)
@@ -184,31 +177,6 @@ def bq_quantize(u: int, cfg: BqConfig, clock_start: float, node: str = "bq") -> 
         raise ValueError(f"synaptic total {u} outside sane bound +-{BQ_SANE_BOUND}")
     count = max(0, min(int(u), cfg.max_pulses_per_clock))
     return SpikeTrain(node, tuple(clock_start + k * cfg.pulse_spacing for k in range(count)))
-
-
-def msoma_select(thresholds: Sequence[SomaParams], active_index: int) -> SomaParams:
-    """Pick the single biased soma of a multi-threshold bank.
-
-    Exactly one entry is active; unbiased entries contribute no static
-    power, which the power model relies on.
-    """
-    if not 0 <= active_index < len(thresholds):
-        raise IndexError(
-            f"soma index {active_index} out of range for bank of {len(thresholds)}"
-        )
-    return thresholds[active_index]
-
-
-def splitter_fanout(train: SpikeTrain, n_out: int, per_stage_delay: float) -> list[SpikeTrain]:
-    """Fan a train out through a binary splitter tree.
-
-    Every copy is delayed by ceil(log2(n_out)) splitter stages.
-    """
-    if n_out < 1:
-        raise ValueError(f"n_out must be >= 1, got {n_out}")
-    depth = math.ceil(math.log2(n_out)) if n_out > 1 else 0
-    delayed = train.shifted(depth * per_stage_delay)
-    return [delayed.renamed(f"{train.node}/split{i}") for i in range(n_out)]
 
 
 def soma_for_threshold(

@@ -4,7 +4,8 @@ functional test breaks.
 The scan searches the largest fractional deviations low/high such that
 pass_test still holds at nominal*(1-low) and nominal*(1+high),
 bisecting each side separately down to `resolution` and capping the
-search at +-`bound` (90% by default).
+search at +-`bound` (90% by default). Both must be positive and
+finite.
 
 When the scanned field leaves the solver's linear operators alone
 (junction ic, source waveforms), the variants share one lockstep group,
@@ -25,6 +26,7 @@ surfaces only where probing one point at a time would meet it.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Callable
 
 from .netlist import Netlist
@@ -44,9 +46,10 @@ def margin_scan(
     *,
     resolution: float = 0.01,
     bound: float = 0.9,
-    step: float | None = None,
 ) -> tuple[float, float]:
     """Fractional (low, high) margins of `param` ('name.field') under pass_test."""
+    if not (0.0 < resolution < math.inf and 0.0 < bound < math.inf):
+        raise ValueError(f"resolution {resolution} and bound {bound} must be positive and finite")
     _, _, nominal = netlist.resolve_selector(param)
     ahead = same_lockstep_group(netlist, netlist.with_param(param, nominal * (1.0 + bound)))
     passed: dict[float, bool] = {}  # signed fraction -> pass_test result
@@ -58,7 +61,7 @@ def margin_scan(
         variants = [netlist.with_param(param, nominal * (1.0 + f)) for f in fractions]
         batches += 1
         try:
-            runs = run_transients(variants, step=step)
+            runs = run_transients(variants)
         except CircuitError:
             if len(fractions) == 1:
                 raise
@@ -78,6 +81,8 @@ def margin_scan(
         lo, hi = 0.0, bound  # lo passes, hi fails
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # a resolution finer than float spacing stops here
+                break
             if sign * mid not in passed:
                 # this level, and the next level's point on each side of mid
                 # that the search would still go on to

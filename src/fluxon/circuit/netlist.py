@@ -20,7 +20,7 @@ picoseconds when bare; a suffixed time such as `100p` is taken as
 seconds and converted, so `100p` and `100` both mean 100 ps.
 
 When `rn=` is omitted the junction's normal resistance derives from a
-configurable IcRn product (0.25 mV by default); when `cap=` is omitted
+fixed IcRn product of 0.25 mV; when `cap=` is omitted
 the shunt capacitance is set for critical damping (beta_c = 1).
 """
 
@@ -176,7 +176,7 @@ class Junction:
     cap: float
 
     def __post_init__(self):
-        if self.ic <= 0.0 or self.rn <= 0.0 or self.cap < 0.0:
+        if not (self.ic > 0.0 and self.rn > 0.0 and self.cap >= 0.0):
             raise NetlistError(f"junction {self.name}: need ic>0, rn>0, cap>=0")
 
 
@@ -189,7 +189,7 @@ class Inductor:
     ic: float = 0.0
 
     def __post_init__(self):
-        if self.l <= 0.0:
+        if not self.l > 0.0:
             raise NetlistError(f"inductor {self.name}: value must be > 0")
 
 
@@ -201,7 +201,7 @@ class Resistor:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0.0:
+        if not self.r > 0.0:
             raise NetlistError(f"resistor {self.name}: value must be > 0")
 
 
@@ -261,9 +261,6 @@ class Netlist:
                 return d
         raise KeyError(f"no device named {name!r}")
 
-    def junctions(self) -> list[Junction]:
-        return [d for d in self.devices if isinstance(d, Junction)]
-
     def validate(self) -> None:
         seen: set[str] = set()
         for d in self.devices:
@@ -278,7 +275,7 @@ class Netlist:
                         msg = f"mutual {d.name} references unknown inductor {ref!r}"
                         raise NetlistError(msg, device=d.name)
                 bound = math.sqrt(inductors[d.l1].l * inductors[d.l2].l)
-                if abs(d.m) > bound * (1.0 + 1e-12):
+                if not abs(d.m) <= bound * (1.0 + 1e-12):
                     msg = f"mutual {d.name}: |M|={d.m} exceeds sqrt(L1*L2)={bound:.3e}"
                     raise NetlistError(msg, device=d.name)
 
@@ -362,8 +359,8 @@ def _keyword_args(toks: list[str], lineno: int) -> dict[str, float]:
     return out
 
 
-def default_rn(ic: float, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> float:
-    return icrn_product / ic
+def default_rn(ic: float) -> float:
+    return DEFAULT_ICRN_PRODUCT / ic
 
 
 def critical_damping_cap(ic: float, rn: float) -> float:
@@ -371,7 +368,7 @@ def critical_damping_cap(ic: float, rn: float) -> float:
     return PHI0 / (2.0 * math.pi * ic * rn * rn)
 
 
-def parse_netlist(text: str, *, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> Netlist:
+def parse_netlist(text: str) -> Netlist:
     """Parse netlist text into a validated Netlist."""
     devices: list[Device] = []
     lines: dict[str, int] = {}  # device name -> its line
@@ -412,7 +409,7 @@ def parse_netlist(text: str, *, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> N
             continue
 
         try:
-            device = _parse_device(head, toks[1:], lineno, icrn_product)
+            device = _parse_device(head, toks[1:], lineno)
         except NetlistError as exc:  # a device record's own check knows no line
             raise (exc if exc.lineno else NetlistError(str(exc), lineno)) from None
         lines[device.name] = lineno  # a duplicate name keeps its last line
@@ -424,7 +421,7 @@ def parse_netlist(text: str, *, icrn_product: float = DEFAULT_ICRN_PRODUCT) -> N
         raise NetlistError(str(exc), lines[exc.device]) from None
 
 
-def _parse_device(head: str, body: list[str], lineno: int, icrn_product: float) -> Device:
+def _parse_device(head: str, body: list[str], lineno: int) -> Device:
     letter, name = head[0], head
     if letter == "b":
         if len(body) < 3:
@@ -436,7 +433,7 @@ def _parse_device(head: str, body: list[str], lineno: int, icrn_product: float) 
         ic = kw["ic"]
         if not (ic > 0.0 and kw.get("rn", 1.0) > 0.0):  # the defaults divide by both
             raise NetlistError(f"junction {name}: need ic>0, rn>0, cap>=0", lineno)
-        rn = kw.get("rn", default_rn(ic, icrn_product))
+        rn = kw.get("rn", default_rn(ic))
         cap = kw.get("cap", critical_damping_cap(ic, rn))
         return Junction(name, body[0], body[1], ic, rn, cap)
     if letter == "l":

@@ -17,12 +17,7 @@ from ..core import SpikeTrain
 from .transient import TraceSet
 
 
-def detect_pulses(
-    time_ps: np.ndarray,
-    phase: np.ndarray,
-    voltage: np.ndarray | None = None,
-    node: str = "",
-) -> SpikeTrain:
+def detect_pulses(time_ps: np.ndarray, phase: np.ndarray, node: str = "") -> SpikeTrain:
     """Events at each crossing of phi = (2k+1) pi, k = 0, 1, ..."""
     time_ps = np.asarray(time_ps, dtype=float)
     phase = np.asarray(phase, dtype=float)
@@ -44,12 +39,7 @@ def detect_pulses(
 
 def detect_pulses_in(traces: TraceSet, junction: str) -> SpikeTrain:
     junction = junction.lower()
-    return detect_pulses(
-        traces.time_ps,
-        traces.junction_phase[junction],
-        traces.junction_voltage[junction],
-        node=junction,
-    )
+    return detect_pulses(traces.time_ps, traces.junction_phase[junction], node=junction)
 
 
 def flux_through(

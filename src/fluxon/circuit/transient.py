@@ -127,7 +127,6 @@ class TraceSet:
     junction_phase: dict[str, np.ndarray]
     junction_voltage: dict[str, np.ndarray]
     inductor_current: dict[str, np.ndarray]
-    step_ps: float = 0.0
     newton_iterations: int = 0
     newton_max_per_step: int = 0
     newton_residual: float = 0.0
@@ -324,7 +323,6 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 inductor_current={L.name: next(rows) for L in inductors},
                 junction_phase={d.name: next(rows) for d in junctions},
                 junction_voltage={d.name: next(rows) for d in junctions},
-                step_ps=step,
                 newton_iterations=first_updates + int(np.ravel(extra_updates)[v]),
                 newton_max_per_step=int(np.ravel(most)[v]),
                 newton_residual=float(np.ravel(worst)[v]),

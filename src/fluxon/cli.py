@@ -125,10 +125,13 @@ def _load_samples(cfg: dict) -> list:
 
 def _split_and_quantize(cfg: dict, samples):
     sp = cfg["split"]
-    train_s, test_s = trainmod.split_dataset(
-        samples, sp["train_fraction"], sp["seed"], sp.get("stratified", True)
-    )
-    quantizer, Xq_train = trainmod.quantize_features(train_s)
+    try:
+        train_s, test_s = trainmod.split_dataset(
+            samples, sp["train_fraction"], sp["seed"], sp.get("stratified", True)
+        )
+        quantizer, Xq_train = trainmod.quantize_features(train_s)
+    except (TypeError, ValueError) as exc:
+        raise UserError(f"bad split config: {exc}") from None
     return train_s, test_s, quantizer, Xq_train
 
 
@@ -366,7 +369,12 @@ def cmd_margins(cfg: dict, args) -> int:
     results = []
     for sel in mc["params"]:
         t0 = time.perf_counter()
-        results.append(margin_scan(netlist, sel, pass_test, resolution=resolution))
+        try:
+            results.append(margin_scan(netlist, sel, pass_test, resolution=resolution))
+        except (MarginError, NetlistError):
+            raise
+        except ValueError as exc:  # margin_scan checks the resolution before any transient
+            raise UserError(f"bad margins config: {exc}") from None
         log.info("margins: %s in %.3f s", sel, time.perf_counter() - t0)
     rows = ["param,low_pct,high_pct"]
     for sel, (low, high) in zip(mc["params"], results):
@@ -412,12 +420,15 @@ def cmd_pso(cfg: dict, args) -> int:
             _margins_pass_test(mc.get("junction", "bout"), mc.get("count", 1)),
             resolution=0.05,
         )
-        pso_cfg = PsoConfig(
-            bounds=((nominal * 0.8, nominal * 1.2),),
-            n_particles=pc.get("n_particles", 4),
-            n_iterations=pc.get("n_iterations", 10),
-            seed=cfg["seed"],
-        )
+        try:
+            pso_cfg = PsoConfig(
+                bounds=((nominal * 0.8, nominal * 1.2),),
+                n_particles=pc.get("n_particles", 4),
+                n_iterations=pc.get("n_iterations", 10),
+                seed=cfg["seed"],
+            )
+        except (TypeError, ValueError) as exc:
+            raise UserError(f"bad pso config: {exc}") from None
     t0 = time.perf_counter()
     best_x, best_f, trace = pso_minimize(obj, pso_cfg)
     n_evals = pso_cfg.n_particles * pso_cfg.n_iterations

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 PHI0 = 2.068e-15   # magnetic flux quantum, Wb (fixed physical constant)
 DUP_TOL_PS = 1e-3  # events on one node closer than 1 fs collapse into one
@@ -59,30 +59,11 @@ class SpikeTrain:
     def __iter__(self):
         return iter(self.times)
 
-    def shifted(self, delay_ps: float) -> "SpikeTrain":
-        """Copy with every event delayed by `delay_ps` (must stay >= 0)."""
-        return SpikeTrain(self.node, tuple(t + delay_ps for t in self.times))
-
     def renamed(self, node: str) -> "SpikeTrain":
         return SpikeTrain(node, self.times)
 
     def events(self) -> list[PulseEvent]:
         return [PulseEvent(t, self.node) for t in self.times]
-
-
-def merge_trains(trains: Sequence[SpikeTrain], node: str | None = None) -> SpikeTrain:
-    """Time-sorted union of all events.
-
-    All inputs are assumed to feed the same logical destination; the
-    result's node is `node` if given, else the first input's node
-    (empty string for an empty input list).
-    """
-    if node is None:
-        node = trains[0].node if trains else ""
-    merged: list[float] = []
-    for tr in trains:
-        merged.extend(tr.times)
-    return SpikeTrain(node, tuple(merged))
 
 
 def sorted_events(events: Iterable[PulseEvent]) -> list[PulseEvent]:
@@ -95,11 +76,3 @@ def write_event_log(fh: IO[str], events: Iterable[PulseEvent]) -> None:
     w.writerow(["time_ps", "node"])
     for ev in sorted_events(events):
         w.writerow([repr(ev.time), ev.node])
-
-
-def read_event_log(fh: IO[str]) -> list[PulseEvent]:
-    rd = csv.reader(fh)
-    header = next(rd, None)
-    if header != ["time_ps", "node"]:
-        raise ValueError(f"bad event-log header: {header!r}")
-    return [PulseEvent(float(row[0]), row[1]) for row in rd if row]

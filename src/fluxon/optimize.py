@@ -4,7 +4,7 @@ The swarm follows the standard velocity/position recurrence
 
     v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),  x <- x + v
 
-with constriction-style defaults (w=0.72, c1=c2=1.49), a velocity clamp
+with constriction-style constants (w=0.72, c1=c2=1.49), a velocity clamp
 of 20% of each dimension's range, and reflection at the bounds.
 Iteration 0 is the evaluation of the seeded initial swarm, so a run
 with n_iterations=1 reports the best initial particle unchanged.
@@ -22,6 +22,9 @@ import numpy as np
 log = logging.getLogger("fluxon.optimize")
 
 NOMINAL_FAIL_PENALTY = 1.0e6
+INERTIA = 0.72  # w
+ACCELERATION = 1.49  # c1 = c2
+VMAX_FRACTION = 0.2  # velocity clamp, as a fraction of each dimension's range
 
 
 @dataclass(frozen=True)
@@ -29,10 +32,6 @@ class PsoConfig:
     bounds: tuple[tuple[float, float], ...]
     n_particles: int = 30
     n_iterations: int = 100
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    velocity_clamp: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -93,7 +92,7 @@ def _swarm(
     lo = np.asarray([b[0] for b in cfg.bounds])
     hi = np.asarray([b[1] for b in cfg.bounds])
     span = hi - lo
-    vmax = cfg.velocity_clamp * span
+    vmax = VMAX_FRACTION * span
 
     x = lo + rng.random((cfg.n_particles, len(cfg.bounds))) * span
     v = (rng.random(x.shape) - 0.5) * 2.0 * vmax
@@ -107,11 +106,7 @@ def _swarm(
     for it in range(1, cfg.n_iterations):
         r1 = rng.random(x.shape)
         r2 = rng.random(x.shape)
-        v = (
-            cfg.inertia * v
-            + cfg.cognitive * r1 * (pbest - x)
-            + cfg.social * r2 * (gbest - x)
-        )
+        v = INERTIA * v + ACCELERATION * r1 * (pbest - x) + ACCELERATION * r2 * (gbest - x)
         v = np.clip(v, -vmax, vmax)
         for i in range(cfg.n_particles):
             x[i], v[i] = _reflect(x[i] + v[i], v[i], lo, hi)
@@ -133,7 +128,6 @@ def margin_objective(
     pass_test: Callable,
     *,
     resolution: float = 0.05,
-    bound: float = 0.9,
 ) -> Objective:
     """Objective scoring a candidate netlist by its parameter margins.
 
@@ -156,7 +150,7 @@ def margin_objective(
         total = 0.0
         try:  # each scan first runs the candidate itself at nominal
             for sel in selectors:
-                low, high = margin_scan(nl, sel, pass_test, resolution=resolution, bound=bound)
+                low, high = margin_scan(nl, sel, pass_test, resolution=resolution)
                 total += min(low, high)
         except MarginError:
             return NOMINAL_FAIL_PENALTY

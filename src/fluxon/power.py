@@ -10,13 +10,13 @@ wall-plug total applies a 4.2 K cooling overhead multiplier.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 from enum import Enum
 
 from .core import PHI0
 
 DEFAULT_COOLING_W_PER_W = 400.0
+AQFP_POWER_DIVISOR = 10.0  # adiabatic switching's saving over RSFQ
 
 
 class Technology(str, Enum):
@@ -112,15 +112,13 @@ def scale_projection(
     *,
     per_core_static_w: float = 0.0,
     cooling_overhead: float = DEFAULT_COOLING_W_PER_W,
-    ersfq_static_factor: float = math.inf,
-    aqfp_efficiency_factor: float = 10.0,
 ) -> PowerReport:
     """Linear multi-core projection with technology efficiency factors.
 
     SOPS and on-chip power scale linearly with the core count. The
-    energy-efficient bias variant divides static power by
-    ersfq_static_factor (default: drops it entirely), and the adiabatic
-    variant additionally divides total power by aqfp_efficiency_factor.
+    energy-efficient bias variant (eRSFQ) has no static power, and the
+    adiabatic variant (AQFP) also divides total power by
+    AQFP_POWER_DIVISOR.
     """
     if cores < 1 or neurons_per_core < 1:
         raise ValueError("counts must be positive")
@@ -128,11 +126,11 @@ def scale_projection(
     static = cores * per_core_static_w
     dyn = cores * (per_core_power_w - per_core_static_w)
     if tech in (Technology.ERSFQ, Technology.AQFP):
-        static = 0.0 if math.isinf(ersfq_static_factor) else static / ersfq_static_factor
+        static = 0.0
     on_chip = dyn + static
     total = on_chip * cooling_overhead
     if tech is Technology.AQFP:
-        total /= aqfp_efficiency_factor
+        total /= AQFP_POWER_DIVISOR
     sops = cores * per_core_sops
     return PowerReport(
         name=f"{cores}x{neurons_per_core}-{tech.value}",

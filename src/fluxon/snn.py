@@ -243,24 +243,11 @@ def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
     )
 
 
-def classify(spec: NetworkSpec, x: Sequence[int], *, spiking: bool = False) -> int | str | None:
-    """Class decision for one input; None / AMBIGUOUS both read as misses."""
-    if spiking:
-        return simulate_spiking(spec, x).fired_class
-    return classify_outputs(evaluate_discrete(spec, x)[-1])
-
-
-def accuracy_metrics(
-    spec: NetworkSpec,
-    inputs: np.ndarray,
-    labels: Sequence[int],
-    *,
-    spiking: bool = False,
-) -> dict:
+def accuracy_metrics(spec: NetworkSpec, inputs: np.ndarray, labels: Sequence[int]) -> dict:
     """Accuracy with ambiguous / silent outputs counted as errors."""
     n_none = n_amb = n_correct = 0
     for xv, label in zip(np.asarray(inputs, dtype=int), labels):
-        got = classify(spec, xv, spiking=spiking)
+        got = classify_outputs(evaluate_discrete(spec, xv)[-1])
         if got is None:
             n_none += 1
         elif got == AMBIGUOUS:
@@ -273,12 +260,3 @@ def accuracy_metrics(
         "n_none": n_none,
         "n_ambiguous": n_amb,
     }
-
-
-def count_switching_cells(spec: NetworkSpec) -> int:
-    """Worst-case count of synapse unit cells that may emit a pulse per clock."""
-    from .behavioral import UNIT_CELLS
-
-    return sum(
-        layer.n_neurons * layer.fan_in * UNIT_CELLS[layer.synapse] for layer in spec.layers
-    )

@@ -175,9 +175,6 @@ class RealMlp:
         O = _sigmoid(H @ self.w2.T + self.b2)
         return H, O
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(np.atleast_2d(X))[1]
-
     def to_json(self) -> str:
         doc = {
             "w1": self.w1.tolist(),
@@ -462,20 +459,3 @@ def ga_discretize(
         cfg.generations, P, time.perf_counter() - t0,
     )
     return spec, trace
-
-
-def find_echo_split(
-    samples: Sequence[Sample],
-    *,
-    n_unique: int = 12,
-    train_fraction: float = 0.8,
-    max_seed: int = 10_000,
-) -> int | None:
-    """Scan split seeds until the quantized test partition has n_unique vectors."""
-    for seed in range(max_seed):
-        train, test = split_dataset(samples, train_fraction, seed)
-        q, _ = quantize_features(train)
-        codes = q.apply(features_of(test))
-        if len({tuple(row) for row in codes}) == n_unique:
-            return seed
-    return None

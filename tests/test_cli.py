@@ -22,6 +22,17 @@ def run(*argv):
     return main(list(argv))
 
 
+def run_with_config(tmp_path, cfg, *argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return run("--config", str(path), "--out", str(tmp_path / "out"), *argv)
+
+
+def assert_clean_error(capsys, message):
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err and "Traceback" not in err
+
+
 class TestTrain:
     def test_artifacts_and_progress(self, tmp_path, fast_config, capsys):
         out = tmp_path / "out"
@@ -38,6 +49,10 @@ class TestTrain:
         cfg.write_text(json.dumps({"dataset": "/no/such/file.csv"}))
         assert run("--config", str(cfg), "--out", str(tmp_path / "o"), "train") == 2
         assert "dataset not found" in capsys.readouterr().err
+
+    def test_bad_split_config_exits_2(self, tmp_path, capsys):
+        assert run_with_config(tmp_path, {"split": {"train_fraction": 1.5}}, "train") == 2
+        assert_clean_error(capsys, "bad split config: train_fraction must lie in (0,1)")
 
     def test_seeded_rerun_byte_identical(self, tmp_path, fast_config):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -258,6 +273,11 @@ class TestMargins:
             "margins: b2.ic: 3 transients in 1 batches",
         ]
 
+    @pytest.mark.parametrize("resolution", [-0.01, 0.0])
+    def test_non_positive_resolution_exits_2(self, tmp_path, capsys, resolution):
+        assert run_with_config(tmp_path, {"margins": {"resolution": resolution}}, "margins") == 2
+        assert_clean_error(capsys, "bad margins config: resolution")
+
 
 class TestPso:
     def test_sphere_benchmark(self, tmp_path, capsys):
@@ -281,3 +301,7 @@ class TestPso:
         assert run("--out", str(tmp_path / "o"), "pso", "--netlist", "soma2",
                    "--params", "nosuch.ic") == 2
         assert "nosuch" in capsys.readouterr().err
+
+    def test_bad_swarm_config_exits_2(self, tmp_path, capsys):
+        assert run_with_config(tmp_path, {"pso": {"n_particles": 1}}, "pso", "--params", "b2.ic") == 2
+        assert_clean_error(capsys, "bad pso config: n_particles must be >= 2")

@@ -69,6 +69,21 @@ def test_bisection_matches_exhaustive_sweep(divider):
     assert abs(high - sweep(+1.0)) <= 0.011
 
 
+@pytest.mark.parametrize(
+    "resolution, bound", [(0.0, 0.9), (-0.01, 0.9), (math.nan, 0.9), (0.01, 0.0), (0.01, math.inf), (0.01, math.nan)]
+)
+def test_resolution_and_bound_must_be_positive_and_finite(divider, resolution, bound, monkeypatch):
+    monkeypatch.setattr(margins, "run_transients", None)  # rejected before any transient
+    with pytest.raises(ValueError, match="must be positive and finite") as info:
+        margin_scan(divider, "r1.r", lambda tr: True, resolution=resolution, bound=bound)
+    assert type(info.value) is ValueError  # not a MarginError, which margin_objective scores
+
+
+def test_resolution_below_float_spacing_stops_the_bisection(divider):
+    low, high = margin_scan(divider, "r1.r", v_at_least(0.75e-3), resolution=1e-20)
+    assert low == pytest.approx(0.25, abs=1e-12) and high == 0.9
+
+
 def test_unknown_selector(divider):
     with pytest.raises(KeyError):
         margin_scan(divider, "r9.r", lambda tr: True)

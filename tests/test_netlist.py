@@ -8,6 +8,7 @@ from fluxon.circuit import (
     CurrentSource,
     Dc,
     Inductor,
+    Junction,
     Mutual,
     Netlist,
     NetlistError,
@@ -49,14 +50,14 @@ class TestValues:
 class TestParse:
     def test_junction_with_fields(self):
         nl = parse_netlist("B1 1 0 ic=109u rn=6.1 cap=0.4p\n.tran 0.1 10")
-        (j,) = nl.junctions()
+        (j,) = [d for d in nl.devices if isinstance(d, Junction)]
         assert j.ic == pytest.approx(1.09e-4)
         assert j.rn == 6.1
         assert j.cap == pytest.approx(0.4e-12)
 
     def test_junction_defaults(self):
         nl = parse_netlist("B1 1 0 ic=100u")
-        (j,) = nl.junctions()
+        (j,) = [d for d in nl.devices if isinstance(d, Junction)]
         assert j.rn == pytest.approx(default_rn(100e-6)) == pytest.approx(2.5)
         # beta_c = 1: C = PHI0 / (2 pi Ic Rn^2)
         assert j.cap == pytest.approx(PHI0 / (2 * math.pi * 100e-6 * 2.5**2))
@@ -67,7 +68,7 @@ class TestParse:
 
         text = resources.files("fluxon.data").joinpath("netlists/sm1.cir").read_text()
         nl = parse_netlist(text)
-        assert len(nl.junctions()) == 2
+        assert sum(isinstance(d, Junction) for d in nl.devices) == 2
         assert sum(isinstance(d, Inductor) for d in nl.devices) >= 4
         assert any(isinstance(d, Resistor) and d.r == 1.02 for d in nl.devices)
 
@@ -171,6 +172,14 @@ class TestSelectors:
         nl = parse_netlist("ib 0 1 pulse 0 50 1e6 0 369u")
         nl2 = nl.with_param("ib.amp", 400e-6)
         assert nl2.device("ib").waveform.amplitude == pytest.approx(400e-6)
+
+    @pytest.mark.parametrize("sel", ["b2.ic", "b2.rn", "b2.cap", "lloop.l", "rloop.r", "k1.m"])
+    def test_nan_field_fails_when_the_device_is_built(self, sel):
+        from importlib import resources
+
+        soma2 = parse_netlist(resources.files("fluxon.data").joinpath("netlists/soma2.cir").read_text())
+        with pytest.raises(NetlistError, match=rf"^\w+ {sel.split('.')[0]}: "):
+            soma2.with_param(sel, math.nan)
 
     def test_bad_selector(self, nl):
         with pytest.raises(KeyError):

@@ -19,9 +19,7 @@ from fluxon.snn import (
     NetworkSpec,
     SimReport,
     accuracy_metrics,
-    classify,
     classify_outputs,
-    count_switching_cells,
     evaluate_discrete,
     simulate_spiking,
 )
@@ -292,15 +290,3 @@ def test_accuracy_metrics_counts_misses():
     spec = small_spec(np.zeros((4, 4), dtype=int), (1,) * 4, np.zeros((3, 4), dtype=int), (1,) * 3)
     m = accuracy_metrics(spec, np.zeros((5, 4), dtype=int), [0] * 5)
     assert m == {"accuracy": 0.0, "n_none": 5, "n_ambiguous": 0}
-
-
-def test_switching_cell_count_matches_reference_network():
-    # 4-4-3 with SM4 hidden and SM2 output: 4*4*4 + 3*4*2 = 88
-    spec = NetworkSpec(
-        4,
-        (
-            LayerSpec(np.zeros((4, 4), dtype=int), (1,) * 4, "SM4"),
-            LayerSpec(np.zeros((3, 4), dtype=int), (1,) * 3, "SM2"),
-        ),
-    )
-    assert count_switching_cells(spec) == 88

@@ -12,7 +12,6 @@ from fluxon.train import (
     Sample,
     TrainingError,
     features_of,
-    find_echo_split,
     ga_discretize,
     labels_of,
     load_iris,
@@ -101,9 +100,6 @@ class TestQuantizer:
         codes = q.apply(features_of(test))
         assert len({tuple(r) for r in codes}) == 12
 
-    def test_echo_split_finder(self, iris_samples):
-        assert find_echo_split(iris_samples, max_seed=50) == ECHO_SPLIT_SEED
-
     def test_json_roundtrip(self, iris_samples):
         train, _ = split_dataset(iris_samples, 0.8, 0)
         q, _ = quantize_features(train)
@@ -116,7 +112,7 @@ class TestMlp:
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         T = np.array([[0], [1], [1], [0]], dtype=float)
         mlp, losses = train_mlp(X, T, epochs=5000, learning_rate=0.5, seed=1, n_hidden=2)
-        pred = (mlp.predict(X) > 0.5).astype(int)
+        pred = (mlp.forward(X)[1] > 0.5).astype(int)
         assert np.array_equal(pred, T.astype(int))
 
     def test_zero_epochs_returns_init(self):
