@@ -25,6 +25,7 @@ import numpy as np
 from . import behavioral, power as powermod, snn, train as trainmod
 from .circuit import (
     CircuitError,
+    Junction,
     MarginError,
     NetlistError,
     detect_pulses_in,
@@ -50,6 +51,7 @@ DEFAULT_CONFIG = {
         "mutation_rate": 0.15,
         "crossover_rate": 0.7,
         "elitism": 2,
+        "threshold_set": list(snn.DEFAULT_THRESHOLD_SET),
     },
     "pso": {"n_particles": 12, "n_iterations": 60},
     "power": ["iris", "nw_a", "nw_b"],
@@ -57,7 +59,8 @@ DEFAULT_CONFIG = {
                 "junction": "bout", "count": 1},
 }
 
-BUNDLED_NETLISTS = ("soma2", "soma3", "jtl", "sm1")
+NETLISTS = {n: f"netlists/{n}.cir" for n in ("soma2", "soma3", "jtl", "sm1")}
+POWER_CONFIGS = {n: f"power/{n}.json" for n in ("iris", "nw_a", "nw_b")}
 
 
 class UserError(ValueError):
@@ -68,35 +71,61 @@ def bundled_text(relpath: str) -> str:
     return resources.files("fluxon.data").joinpath(relpath).read_text()
 
 
-def load_netlist_text(name_or_path: str) -> str:
-    if name_or_path in BUNDLED_NETLISTS:
-        return bundled_text(f"netlists/{name_or_path}.cir")
+def read_input(what: str, name_or_path: str | None, bundled: dict) -> str:
+    """Text of the bundled file `bundled` maps the name to, else of the file at that path."""
+    if name_or_path in bundled:
+        return bundled_text(bundled[name_or_path])
     p = Path(name_or_path)
-    if not p.exists():
-        raise UserError(f"netlist not found: {name_or_path}")
+    if not p.is_file():
+        raise UserError(f"{what} not found: {name_or_path}")
     return p.read_text()
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _kind(default) -> str:
+    if isinstance(default, list):
+        return f"a list of {_kind(default[0]).split()[-1]}s"
+    return {type(None): "null or a string", bool: "a boolean", int: "an integer", float: "a number",
+            str: "a string", dict: "an object"}[type(default)]
+
+
+def _fits(default, val) -> bool:
+    """Whether a config value has the JSON kind of its default; a bool is no integer."""
+    if default is None:  # dataset: the bundled IRIS when null
+        return val is None or type(val) is str
+    if type(default) is float:
+        return type(val) in (int, float)
+    if type(default) is list:
+        return type(val) is list and all(_fits(default[0], v) for v in val)
+    return type(val) is type(default)
+
+
+def _merge(base: dict, override: dict, section: str | None = None) -> dict:
+    """`base` updated from `override`, whose every key `base` must have with a value of its kind."""
+    where = f"bad {section} config" if section else "bad config"
     out = dict(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
+        if key not in base:
+            raise UserError(f"{where}: unknown key {key!r}")
+        if not _fits(base[key], val):
+            raise UserError(f"{where}: {key} must be {_kind(base[key])}, got {json.dumps(val)}")
+        out[key] = _merge(base[key], val, key) if isinstance(val, dict) else val
     return out
 
 
 def load_config(path: str | None, seed: int | None, out_dir: str | None) -> dict:
+    """DEFAULT_CONFIG updated from the JSON file at `path` and the --seed and --out options."""
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise UserError(f"config not found: {path}")
         try:
-            cfg = _merge(cfg, json.loads(p.read_text()))
+            doc = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise UserError(f"malformed config {path}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise UserError(f"bad config: {path} must hold an object, got {json.dumps(doc)}")
+        cfg = _merge(cfg, doc)
     if seed is not None:
         cfg["seed"] = seed
     if out_dir is not None:
@@ -109,36 +138,37 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _load_samples(cfg: dict) -> list:
-    if cfg["dataset"] is None:
-        text = bundled_text("iris.csv")
-    else:
-        p = Path(cfg["dataset"])
-        if not p.exists():
-            raise UserError("dataset not found")
-        text = p.read_text()
-    samples = trainmod.load_iris(text)
+def _read_artifact(path: Path, stage: str, parse):
+    """`parse` of an artifact an earlier stage wrote; a missing or malformed one is a UserError."""
+    if not path.exists():
+        raise UserError(f"{path} missing; run `fluxon {stage}` first")
+    try:
+        return parse(path.read_text())
+    except KeyError as exc:
+        raise UserError(f"bad {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UserError(f"bad {path}: {exc}") from None
+
+
+def _dataset(cfg: dict):
+    """The samples, their train and test parts, and the quantizer fitted on the train part."""
+    samples = trainmod.load_iris(read_input("dataset", cfg["dataset"], {None: "iris.csv"}))
     if not samples:
         raise UserError("dataset is empty")
-    return samples
-
-
-def _split_and_quantize(cfg: dict, samples):
     sp = cfg["split"]
     try:
         train_s, test_s = trainmod.split_dataset(
-            samples, sp["train_fraction"], sp["seed"], sp.get("stratified", True)
+            samples, sp["train_fraction"], sp["seed"], sp["stratified"]
         )
         quantizer, Xq_train = trainmod.quantize_features(train_s)
     except (TypeError, ValueError) as exc:
         raise UserError(f"bad split config: {exc}") from None
-    return train_s, test_s, quantizer, Xq_train
+    return samples, train_s, test_s, quantizer, Xq_train
 
 
 def cmd_train(cfg: dict) -> int:
     out = Path(cfg["out_dir"])
-    samples = _load_samples(cfg)
-    train_s, _, quantizer, Xq_train = _split_and_quantize(cfg, samples)
+    _, train_s, _, quantizer, Xq_train = _dataset(cfg)
     y = trainmod.labels_of(train_s)
     tc = cfg["train"]
     mlp, losses = trainmod.train_mlp(
@@ -147,7 +177,7 @@ def cmd_train(cfg: dict) -> int:
         epochs=tc["epochs"],
         learning_rate=tc["learning_rate"],
         seed=cfg["seed"],
-        train_biases=tc.get("train_biases", False),
+        train_biases=tc["train_biases"],
     )
     _write(out / "mlp.json", mlp.to_json())
     _write(out / "quantizer.json", quantizer.to_json())
@@ -162,12 +192,8 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_discretize(cfg: dict) -> int:
     out = Path(cfg["out_dir"])
-    mlp_path = out / "mlp.json"
-    if not mlp_path.exists():
-        raise UserError(f"{mlp_path} missing; run `fluxon train` first")
-    mlp = trainmod.RealMlp.from_json(mlp_path.read_text())
-    samples = _load_samples(cfg)
-    train_s, test_s, quantizer, Xq_train = _split_and_quantize(cfg, samples)
+    mlp = _read_artifact(out / "mlp.json", "train", trainmod.RealMlp.from_json)
+    samples, train_s, test_s, quantizer, Xq_train = _dataset(cfg)
     y_train = trainmod.labels_of(train_s)
     try:
         ga_cfg = trainmod.GaConfig(seed=cfg["seed"], **cfg["ga"])
@@ -223,15 +249,10 @@ def _parse_input_vector(text: str, dim: int) -> np.ndarray:
 def cmd_simulate(cfg: dict, args) -> int:
     out = Path(cfg["out_dir"])
     if args.mode == "behavioral":
-        net_path = out / "network.json"
-        if not net_path.exists():
-            raise UserError(f"{net_path} missing; run `fluxon discretize` first")
         # network.json does not record the threshold set the GA drew from
-        thr_set = cfg["ga"].get("threshold_set", snn.DEFAULT_THRESHOLD_SET)
-        try:
-            spec = snn.NetworkSpec.from_json(net_path.read_text(), tuple(thr_set))
-        except (TypeError, ValueError) as exc:
-            raise UserError(f"bad {net_path}: {exc}") from None
+        thr_set = tuple(cfg["ga"]["threshold_set"])
+        spec = _read_artifact(out / "network.json", "discretize",
+                              lambda text: snn.NetworkSpec.from_json(text, thr_set))
         if args.input:
             vec = _parse_input_vector(args.input, spec.input_dim)
             t0 = time.perf_counter()
@@ -254,8 +275,7 @@ def cmd_simulate(cfg: dict, args) -> int:
             print(f"input {vec.tolist()} -> fired_class {report.fired_class}")
             return 0
         # default: the quantized test partition, one row per unique vector
-        samples = _load_samples(cfg)
-        _, test_s, quantizer, _ = _split_and_quantize(cfg, samples)
+        _, _, test_s, quantizer, _ = _dataset(cfg)
         Xq = quantizer.apply(trainmod.features_of(test_s))
         seen: dict[tuple, tuple] = {}
         t0 = time.perf_counter()
@@ -277,7 +297,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         return 0
     if args.mode == "circuit":
         name = args.netlist or "soma2"
-        netlist = parse_netlist(load_netlist_text(name))
+        netlist = parse_netlist(read_input("netlist", name, NETLISTS))
         t0 = time.perf_counter()
         traces = run_transient(netlist)
         steps = len(traces.time_ps) - 1
@@ -306,16 +326,10 @@ def cmd_power(cfg: dict, args) -> int:
     t0 = time.perf_counter()
     rows = []
     for name in names:
-        if name in ("iris", "nw_a", "nw_b"):
-            text = bundled_text(f"power/{name}.json")
-        else:
-            p = Path(name)
-            if not p.exists():
-                raise UserError(f"power config not found: {name}")
-            text = p.read_text()
+        text = read_input("power config", name, POWER_CONFIGS)
         try:
             inputs = powermod.PowerInputs.from_json(text)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UserError(f"malformed power config {name}: {exc}") from None
         rep = powermod.total_power(inputs)
         _write(out / f"power_{rep.name}.json", rep.to_json())
@@ -326,58 +340,54 @@ def cmd_power(cfg: dict, args) -> int:
             f"{r.name:8} {r.dynamic_w:12.4g} {r.on_chip_w:12.4g} {r.total_w:10.4g} "
             f"{r.sops:10.4g} {r.sops_per_watt:11.4g} {r.sops_worst_case:11.4g}"
         )
-    # scaling projection from the bundled multi-core sizing
-    proj_cfg = json.loads(bundled_text("power/nw_d.json"))
-    for tech in ("RSFQ", "eRSFQ", "AQFP"):
-        rep = powermod.scale_projection(
-            proj_cfg["cores"],
-            proj_cfg["neurons_per_core"],
-            proj_cfg["per_core_power_w"],
-            proj_cfg["per_core_sops"],
-            tech,
-            per_core_static_w=proj_cfg["per_core_static_w"],
-            cooling_overhead=proj_cfg.get("cooling", 400.0),
-        )
+    for _, rep in _projections():
         _write(out / f"power_{rep.name}.json", rep.to_json())
         print(f"{rep.name}: sops={rep.sops:.3g} total_w={rep.total_w:.4g} sops/W={rep.sops_per_watt:.3g}")
     log.info("power: %d networks in %.3f s", len(rows), time.perf_counter() - t0)
     return 0
 
 
-def _margins_pass_test(junction: str, count: int):
-    def pass_test(traces) -> bool:
-        return len(detect_pulses_in(traces, junction)) == count
+def _projections():
+    """(technology, report) of the multi-core scaling projection of the bundled nw_d sizing."""
+    proj = json.loads(bundled_text("power/nw_d.json"))
+    return [(tech, powermod.scale_projection(
+        proj["cores"], proj["neurons_per_core"], proj["per_core_power_w"], proj["per_core_sops"],
+        tech, per_core_static_w=proj["per_core_static_w"], cooling_overhead=proj["cooling"],
+    )) for tech in ("RSFQ", "eRSFQ", "AQFP")]
 
-    return pass_test
+
+def _margins_setup(cfg: dict, args):
+    """The netlist, selectors and pass test of a margins or pso run, checked before any transient."""
+    mc = cfg["margins"]
+    name = args.netlist or mc["netlist"]
+    netlist = parse_netlist(read_input("netlist", name, NETLISTS))
+    params = args.params.split(",") if args.params else mc["params"]
+    for sel in params:
+        try:
+            netlist.resolve_selector(sel)
+        except KeyError as exc:
+            raise UserError(exc.args[0]) from None
+    junction, count = mc["junction"].lower(), mc["count"]
+    if junction not in {d.name for d in netlist.devices if isinstance(d, Junction)}:
+        raise UserError(f"bad margins config: junction {junction!r} is not a junction of {name}")
+    return netlist, params, lambda traces: len(detect_pulses_in(traces, junction)) == count
 
 
 def cmd_margins(cfg: dict, args) -> int:
     out = Path(cfg["out_dir"])
-    mc = dict(cfg["margins"])
-    if args.netlist:
-        mc["netlist"] = args.netlist
-    if args.params:
-        mc["params"] = args.params.split(",")
-    netlist = parse_netlist(load_netlist_text(mc["netlist"]))
-    pass_test = _margins_pass_test(mc.get("junction", "bout"), mc.get("count", 1))
-    for sel in mc["params"]:
-        try:
-            netlist.resolve_selector(sel)
-        except KeyError as exc:
-            raise UserError(str(exc)) from None
-    resolution = mc.get("resolution", 0.02)
+    netlist, params, pass_test = _margins_setup(cfg, args)
     results = []
-    for sel in mc["params"]:
+    for sel in params:
         t0 = time.perf_counter()
         try:
-            results.append(margin_scan(netlist, sel, pass_test, resolution=resolution))
+            results.append(margin_scan(netlist, sel, pass_test, resolution=cfg["margins"]["resolution"]))
         except (MarginError, NetlistError):
             raise
         except ValueError as exc:  # margin_scan checks the resolution before any transient
             raise UserError(f"bad margins config: {exc}") from None
         log.info("margins: %s in %.3f s", sel, time.perf_counter() - t0)
     rows = ["param,low_pct,high_pct"]
-    for sel, (low, high) in zip(mc["params"], results):
+    for sel, (low, high) in zip(params, results):
         rows.append(f"{sel},{low * 100:.1f},{high * 100:.1f}")
         print(f"{sel}: -{low * 100:.1f}% / +{high * 100:.1f}%")
     _write(out / "margins.csv", "\n".join(rows) + "\n")
@@ -406,25 +416,17 @@ def cmd_pso(cfg: dict, args) -> int:
         else:
             raise UserError(f"unknown benchmark {args.benchmark!r}")
     else:
-        name = args.netlist or cfg["margins"]["netlist"]
-        params = (args.params.split(",") if args.params else cfg["margins"]["params"])[:1]
-        netlist = parse_netlist(load_netlist_text(name))
-        try:
-            _, _, nominal = netlist.resolve_selector(params[0])
-        except KeyError as exc:
-            raise UserError(str(exc)) from None
-        mc = cfg["margins"]
-        obj = margin_objective(
-            netlist,
-            params,
-            _margins_pass_test(mc.get("junction", "bout"), mc.get("count", 1)),
-            resolution=0.05,
-        )
+        netlist, params, pass_test = _margins_setup(cfg, args)
+        params = params if args.params else params[:1]  # the first of margins.params
+        if len(params) != 1:
+            raise UserError(f"pso tunes exactly one parameter, got {len(params)}: {params}")
+        _, _, nominal = netlist.resolve_selector(params[0])
+        obj = margin_objective(netlist, params, pass_test, resolution=0.05)
         try:
             pso_cfg = PsoConfig(
                 bounds=((nominal * 0.8, nominal * 1.2),),
-                n_particles=pc.get("n_particles", 4),
-                n_iterations=pc.get("n_iterations", 10),
+                n_particles=pc["n_particles"],
+                n_iterations=pc["n_iterations"],
                 seed=cfg["seed"],
             )
         except (TypeError, ValueError) as exc:
@@ -463,12 +465,7 @@ def cmd_reproduce(cfg: dict, args) -> int:
         rep = powermod.total_power(powermod.PowerInputs.from_json(bundled_text(f"power/{name}.json")))
         ok = abs(rep.sops - sops_t) / sops_t < 0.01 and abs(rep.sops_per_watt - spw_t) / spw_t < 0.01
         check(f"{name} SOPS / SOPS-per-watt", ok, f"{rep.sops:.3g} / {rep.sops_per_watt:.3g}")
-    proj_cfg = json.loads(bundled_text("power/nw_d.json"))
-    for tech, spw_t in (("RSFQ", 1e15), ("eRSFQ", 1e16), ("AQFP", 1e17)):
-        rep = powermod.scale_projection(
-            proj_cfg["cores"], proj_cfg["neurons_per_core"], proj_cfg["per_core_power_w"],
-            proj_cfg["per_core_sops"], tech, per_core_static_w=proj_cfg["per_core_static_w"],
-        )
+    for (tech, rep), spw_t in zip(_projections(), (1e15, 1e16, 1e17)):
         ok = 1e17 <= rep.sops <= 1e19 and 0.1 <= rep.sops_per_watt / spw_t <= 10.0
         check(f"multi-core {tech} projection", ok, f"{rep.sops:.2g} SOPS, {rep.sops_per_watt:.2g} SOPS/W (~{spw_t:.0g})")
 
@@ -548,10 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reproduce-paper":
             return cmd_reproduce(cfg, args)
         raise UserError(f"unknown command {args.command!r}")
-    except (UserError, MarginError, NetlistError, CircuitError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except trainmod.DataError as exc:
+    except (UserError, MarginError, NetlistError, CircuitError, trainmod.DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -2,8 +2,9 @@ import json
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fluxon.cli import main
+from fluxon.cli import DEFAULT_CONFIG, UserError, load_config, main
 
 FAST_CONFIG = {
     "train": {"epochs": 300, "learning_rate": 0.5, "train_biases": False},
@@ -305,3 +306,90 @@ class TestPso:
     def test_bad_swarm_config_exits_2(self, tmp_path, capsys):
         assert run_with_config(tmp_path, {"pso": {"n_particles": 1}}, "pso", "--params", "b2.ic") == 2
         assert_clean_error(capsys, "bad pso config: n_particles must be >= 2")
+
+
+JSON_KINDS = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=4),
+    "list": st.lists(st.integers() | st.text(max_size=4), max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+}
+
+
+def accepted_kinds(default):
+    """The JSON kinds a config value may take in place of `default`."""
+    if default is None:  # dataset: a path, or null for the bundled IRIS
+        return {"null", "string"}
+    return {bool: {"boolean"}, int: {"integer"}, float: {"integer", "float"}, str: {"string"},
+            list: {"list"}, dict: {"object"}}[type(default)]
+
+
+CONFIG_LEAVES = [(None, k) for k, v in DEFAULT_CONFIG.items() if not isinstance(v, dict)] + [
+    (section, k) for section, sub in DEFAULT_CONFIG.items() if isinstance(sub, dict) for k in sub
+]
+
+
+@given(st.data())
+def test_config_values_must_have_their_defaults_kind(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "kinds.json"
+
+    def load(doc):
+        path.write_text(json.dumps(doc))
+        return load_config(str(path), None, None)
+
+    assert load(DEFAULT_CONFIG) == DEFAULT_CONFIG
+    assert load({"train": {"learning_rate": 1}})["train"]["learning_rate"] == 1
+
+    section, key = data.draw(st.sampled_from(CONFIG_LEAVES))
+    default = DEFAULT_CONFIG[key] if section is None else DEFAULT_CONFIG[section][key]
+    wrong = sorted(set(JSON_KINDS) - accepted_kinds(default))
+    if isinstance(default, list) and data.draw(st.booleans()):  # one element of another kind
+        element = data.draw(st.sampled_from(sorted(set(JSON_KINDS) - accepted_kinds(default[0]))))
+        value = list(default) + [data.draw(JSON_KINDS[element])]
+    else:
+        value = data.draw(JSON_KINDS[data.draw(st.sampled_from(wrong))])
+    with pytest.raises(UserError) as err:
+        load({key: value} if section is None else {section: {key: value}})
+    where = "bad config: " if section is None else f"bad {section} config: "
+    assert str(err.value).startswith(where) and key in str(err.value)
+
+
+SMALL_SWARM = {"pso": {"n_particles": 2, "n_iterations": 1}}
+JUNCTION = "bad margins config: junction 'nosuch' is not a junction of soma2"
+SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_on_chip_w": 0.0,
+             "sops_rated": None}
+
+
+@pytest.mark.parametrize("cfg,files,argv,message", [
+    ({"margins": {"resolution": "0.02"}}, {}, ["margins"], "bad margins config: resolution"),
+    ({"margins": {"count": "1"}}, {}, ["margins"], "bad margins config: count"),
+    ({"margins": {"params": "b2.ic"}}, {}, ["margins"], "bad margins config: params"),
+    ({"margins": 5}, {}, ["margins"], "bad config: margins"),
+    ({"train": {"epochs": "10"}}, {}, ["train"], "bad train config: epochs"),
+    ({"train": {"epochs": 10.5}}, {}, ["train"], "bad train config: epochs"),
+    ({"train": {"learning_rate": "0.5"}}, {}, ["train"], "bad train config: learning_rate"),
+    ({"seed": "7"}, {}, ["train"], "bad config: seed"),
+    ({"power": "iris"}, {}, ["power"], "bad config: power"),
+    ({"dataset": 5}, {}, ["train"], "bad config: dataset"),
+    ([1, 2], {}, ["train"], "bad config: {tmp}/config.json must hold an object"),
+    ({"sed": 3}, {}, ["power"], "bad config: unknown key 'sed'"),
+    ({"margins": {"junction": "nosuch"}}, {}, ["margins"], JUNCTION),
+    ({"margins": {"junction": "nosuch"}}, {}, ["pso", "--params", "b2.ic"], JUNCTION),
+    (SMALL_SWARM, {}, ["pso", "--params", "b2.ic,ib.amp"], "pso tunes exactly one parameter"),
+    (SMALL_SWARM, {}, ["pso", "--params", "b2.ic,nosuch.x"], "no device named 'nosuch'"),
+    ({}, {"out/network.json": {"input_dim": 4}}, ["simulate"],
+     "bad {tmp}/out/network.json: missing key 'layers'"),
+    ({}, {"out/mlp.json": "not json"}, ["discretize"], "bad {tmp}/out/mlp.json: Expecting value"),
+    ({}, {"p.json": [1]}, ["power", "--network", "{tmp}/p.json"], "malformed power config {tmp}/p.json"),
+    ({}, {"p.json": SOPS_NULL}, ["power", "--network", "{tmp}/p.json"], "malformed power config {tmp}/p.json"),
+])
+def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
+    for name, doc in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_with_config(tmp_path, cfg, *argv) == 2
+    assert_clean_error(capsys, message.format(tmp=tmp_path))
