@@ -15,7 +15,7 @@ zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import SpikeTrain
 
@@ -53,14 +53,14 @@ def calibrate_threshold(n: int, t_max: float, tau: float) -> float:
 class SomaParams:
     """Behavioral leaky integrate-and-fire parameters.
 
-    `v_th` is computed from (n_threshold, t_max, tau) when omitted.
+    A t_max of 0 takes the default window for n_threshold; `v_th` is
+    always calibrated from (n_threshold, t_max, tau).
     """
 
     n_threshold: int
     tau: float = DEFAULT_TAU_PS
     t_max: float = 0.0
-    v_th: float = 0.0
-    out_delay: float = 0.0
+    v_th: float = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.n_threshold <= MAX_THRESHOLD:
@@ -71,10 +71,7 @@ class SomaParams:
             object.__setattr__(self, "t_max", DEFAULT_T_MAX[self.n_threshold])
         if self.tau <= 0.0 or self.t_max <= 0.0:
             raise ValueError("tau and t_max must be positive")
-        if self.v_th == 0.0:
-            object.__setattr__(
-                self, "v_th", calibrate_threshold(self.n_threshold, self.t_max, self.tau)
-            )
+        object.__setattr__(self, "v_th", calibrate_threshold(self.n_threshold, self.t_max, self.tau))
 
 
 @dataclass(frozen=True)
@@ -102,13 +99,13 @@ def soma_step(params: SomaParams, state: SomaState, pulse_time: float) -> tuple[
 
 
 def soma_fire_times(params: SomaParams, train: SpikeTrain) -> SpikeTrain:
-    """Fold soma_step over a sorted input train; output events carry out_delay."""
+    """Fold soma_step over a sorted input train; the output events are the fire times."""
     state = SomaState()
     fires: list[float] = []
     for t in train.times:
         state, fired = soma_step(params, state, t)
         if fired:
-            fires.append(t + params.out_delay)
+            fires.append(t)
     return SpikeTrain(train.node, tuple(fires))
 
 
@@ -149,20 +146,23 @@ def synapse_contribution(cfg: SynapseConfig, x: int) -> int:
     return xi * cfg.weight
 
 
+BQ_PULSE_SPACING_PS = 20.0
+
+
 @dataclass(frozen=True)
 class BqConfig:
-    """Buffer/quantizer pulse emission parameters."""
+    """Buffer/quantizer clock: a burst holds at most the pulses,
+    BQ_PULSE_SPACING_PS apart, that fit in one clock period."""
 
-    pulse_spacing: float = 20.0
     clock_period: float = 1000.0
 
     def __post_init__(self):
-        if self.pulse_spacing <= 0.0 or self.clock_period <= 0.0:
-            raise ValueError("pulse_spacing and clock_period must be positive")
+        if self.clock_period <= 0.0:
+            raise ValueError("clock_period must be positive")
 
     @property
     def max_pulses_per_clock(self) -> int:
-        return int(self.clock_period // self.pulse_spacing)
+        return int(self.clock_period // BQ_PULSE_SPACING_PS)
 
 
 BQ_SANE_BOUND = 64
@@ -176,7 +176,7 @@ def bq_quantize(u: int, cfg: BqConfig, clock_start: float, node: str = "bq") -> 
     if abs(u) > BQ_SANE_BOUND:
         raise ValueError(f"synaptic total {u} outside sane bound +-{BQ_SANE_BOUND}")
     count = max(0, min(int(u), cfg.max_pulses_per_clock))
-    return SpikeTrain(node, tuple(clock_start + k * cfg.pulse_spacing for k in range(count)))
+    return SpikeTrain(node, tuple(clock_start + k * BQ_PULSE_SPACING_PS for k in range(count)))
 
 
 def soma_for_threshold(
@@ -184,12 +184,10 @@ def soma_for_threshold(
     *,
     tau: float = DEFAULT_TAU_PS,
     t_max: float | None = None,
-    out_delay: float = 0.0,
 ) -> SomaParams:
     """SomaParams with the default timing window for pulse-count n."""
     return SomaParams(
         n_threshold=n,
         tau=tau,
         t_max=t_max if t_max is not None else DEFAULT_T_MAX[n],
-        out_delay=out_delay,
     )

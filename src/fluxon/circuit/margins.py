@@ -3,9 +3,8 @@ functional test breaks.
 
 The scan searches the largest fractional deviations low/high such that
 pass_test still holds at nominal*(1-low) and nominal*(1+high),
-bisecting each side separately down to `resolution` and capping the
-search at +-`bound` (90% by default). Both must be positive and
-finite.
+bisecting each side separately down to `resolution`, which must be
+positive and finite, and capping the search at +-BOUND (90%).
 
 When the scanned field leaves the solver's linear operators alone
 (junction ic, source waveforms), the variants share one lockstep group,
@@ -34,6 +33,8 @@ from .transient import CircuitError, TraceSet, run_transients, same_lockstep_gro
 
 log = logging.getLogger("fluxon.margins")
 
+BOUND = 0.9  # the search cap on each side, as a fraction of nominal
+
 
 class MarginError(ValueError):
     pass
@@ -45,13 +46,12 @@ def margin_scan(
     pass_test: Callable[[TraceSet], bool],
     *,
     resolution: float = 0.01,
-    bound: float = 0.9,
 ) -> tuple[float, float]:
     """Fractional (low, high) margins of `param` ('name.field') under pass_test."""
-    if not (0.0 < resolution < math.inf and 0.0 < bound < math.inf):
-        raise ValueError(f"resolution {resolution} and bound {bound} must be positive and finite")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution {resolution} must be positive and finite")
     _, _, nominal = netlist.resolve_selector(param)
-    ahead = same_lockstep_group(netlist, netlist.with_param(param, nominal * (1.0 + bound)))
+    ahead = same_lockstep_group(netlist, netlist.with_param(param, nominal * (1.0 + BOUND)))
     passed: dict[float, bool] = {}  # signed fraction -> pass_test result
     batches = 0
 
@@ -69,16 +69,16 @@ def margin_scan(
         for f, traces in zip(fractions, runs):
             passed[f] = bool(pass_test(traces))
 
-    probe(0.0, *((-bound, bound) if ahead else ()))
+    probe(0.0, *((-BOUND, BOUND) if ahead else ()))
     if not passed[0.0]:
         raise MarginError(f"nominal fails: pass_test is false at {param} = {nominal}")
 
     def search(sign: float) -> float:
-        if sign * bound not in passed:
-            probe(sign * bound)
-        if passed[sign * bound]:
-            return bound
-        lo, hi = 0.0, bound  # lo passes, hi fails
+        if sign * BOUND not in passed:
+            probe(sign * BOUND)
+        if passed[sign * BOUND]:
+            return BOUND
+        lo, hi = 0.0, BOUND  # lo passes, hi fails
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # a resolution finer than float spacing stops here

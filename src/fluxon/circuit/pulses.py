@@ -82,8 +82,5 @@ def flux_integrals(
     for k, tc in enumerate(times):
         left = 0.0 if k == 0 else 0.5 * (times[k - 1] + tc)
         right = t[-1] if k == len(times) - 1 else 0.5 * (tc + times[k + 1])
-        left = max(left, tc - window_ps)
-        right = min(right, tc + window_ps)
-        mask = (t >= left) & (t <= right)
-        out.append(np.trapezoid(v[mask], t[mask] * 1e-12))
+        out.append(flux_through(t, v, max(left, tc - window_ps), min(right, tc + window_ps)))
     return np.asarray(out)

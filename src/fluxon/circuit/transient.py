@@ -41,13 +41,11 @@ waveforms, so `run_transients` advances every group of netlists that
 differ only in those (on one time grid) in lockstep: the state becomes
 a (dim, variants) array, one loop serves the group, and numpy's per-call
 overhead, which dominates a step of these small circuits, is paid once
-per step for the whole group. The update is the same expression for a
-1-D state and a (n_j, variants) one, since Zp is shared by the group.
-Newton runs under a per-variant mask: a variant whose residual has met
-NEWTON_FTOL updates by zero while the others iterate, so each variant
-stops on its own test, follows the updates of its solo run and keeps
-its own counters. A single netlist keeps a 1-D state, and
-`run_transient` is a batch of one. Assembly order is fixed by netlist
+per step for the whole group; `run_transient` is a batch of one, a
+(dim, 1) state. Newton runs under a per-variant mask: a variant whose
+residual has met NEWTON_FTOL updates by zero while the others iterate,
+so each variant stops on its own test, follows the updates of its solo
+run and keeps its own counters. Assembly order is fixed by netlist
 order and the arithmetic is pure float64, so identical inputs give
 bit-identical traces; a variant of a batch matches its solo run to
 round-off (the matrix products run over all variants at once).
@@ -205,8 +203,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
     h = step * 1e-12  # SI seconds
     n_steps = int(round(stop / step))
     times = np.arange(n_steps + 1) * step
-    # One netlist keeps a 1-D state; a batch adds a trailing variant axis.
-    bshape = (len(batch),) if len(batch) > 1 else ()
+    K = len(batch)  # every array below carries a trailing variant axis
 
     netlist = batch[0]
     nodes = netlist.nodes
@@ -231,17 +228,16 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
     # Sources sampled over the whole grid, each distinct waveform once:
     # waves[n] holds the source values (per variant) at step n.
     src_at = [netlist.devices.index(d) for d in sources]
-    waves = np.empty((n_steps + 1, len(sources)) + bshape)
-    by_variant = waves.reshape(n_steps + 1, len(sources), len(batch))  # a view
+    waves = np.empty((n_steps + 1, len(sources), K))
     sampled: dict = {}
     for v, var in enumerate(batch):
         for k, i in enumerate(src_at):
             wf = var.devices[i].waveform
             if wf not in sampled:
                 sampled[wf] = wf(times)
-            by_variant[:, k, v] = sampled[wf]
+            waves[:, k, v] = sampled[wf]
     j_at = [netlist.devices.index(d) for d in junctions]
-    j_ic = np.array([[var.devices[i].ic for var in batch] for i in j_at]).reshape((n_j,) + bshape)
+    j_ic = np.array([[var.devices[i].ic for var in batch] for i in j_at]).reshape(n_j, K)
 
     # Recorded rows of the state: print nodes, inductor currents,
     # junction phases, junction voltages.
@@ -251,13 +247,13 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
         + list(range(m, m + 2 * n_j)),
         dtype=int,
     )
-    rec = np.empty((len(rec_ix),) + bshape + (n_steps + 1,))
+    rec = np.empty((len(rec_ix), K, n_steps + 1))
     # The state of _step_operators, whose last rows hold the junction
     # predictor and the step's source values.
     dim = m + 3 * n_j
     ph = slice(m, m + n_j)  # junction phases; voltages and capacitor currents follow
     pred, src = slice(dim, dim + n_j), slice(dim + n_j, None)
-    u = np.zeros((dim + n_j + len(sources),) + bshape)
+    u = np.zeros((dim + n_j + len(sources), K))
     for L in inductors:
         u[branch[L.name]] = L.ic
     rec[..., 0] = u[rec_ix]
@@ -265,10 +261,10 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
     # Every step with junctions makes one update per variant; later
     # updates and the worst accepted residual are kept per variant.
     first_updates = n_steps if n_j else 0
-    extra_updates = np.zeros(bshape, dtype=int)
-    most = np.full(bshape, min(first_updates, 1))
-    worst = np.zeros(bshape)
-    rho = np.zeros(bshape)
+    extra_updates = np.zeros(K, dtype=int)
+    most = np.full(K, min(first_updates, 1))
+    worst = np.zeros(K)
+    rho = np.zeros(K)
     for n in range(1, n_steps + 1):
         if n <= 2:  # backward Euler on the first step, trapezoidal after
             M, Z = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
@@ -276,10 +272,10 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
             rows = np.abs(Zp).dot(j_ic)  # row sums of |Zp| diag(Ic), per variant
             rho = np.maximum(rho, rows.max(axis=0, initial=0.0))
             if not np.all(rho < 0.5):  # the update may stop contracting; a NaN rho fails too
-                v = _first(~(rho < 0.5), bshape)
-                j = junctions[int(np.argmax(rows.reshape(n_j, -1)[:, v]))].name
+                v = int(np.argmax(~(rho < 0.5)))
+                j = junctions[int(np.argmax(rows[:, v]))].name
                 raise CircuitError(
-                    f"junction coupling rho = {float(np.ravel(rho)[v]):.3g} >= 1/2 at junction {j} on the "
+                    f"junction coupling rho = {rho[v]:.3g} >= 1/2 at junction {j} on the "
                     f"step to t = {times[n]:.4f} ps: the Newton update may not contract{_in_variant(names[v])}"
                 )
         u[src] = waves[n]
@@ -294,7 +290,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 if it > 1:
                     res = np.abs(f).max(axis=0)
                     done = res <= NEWTON_FTOL  # a NaN residual is not done
-                    if np.count_nonzero(done) == len(batch):
+                    if np.count_nonzero(done) == K:
                         break
                     live = ~done
                     extra_updates += live
@@ -305,16 +301,15 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 dp = f - g + Zp.dot(c * g)
                 p -= dp
             else:
-                v = _first(live, bshape)
-                update, residual = (float(np.ravel(np.abs(a).max(axis=0))[v]) for a in (dp, f))
+                v = int(np.argmax(live))  # the first variant still iterating
+                update, residual = (float(np.abs(a).max(axis=0)[v]) for a in (dp, f))
                 raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
             worst = np.maximum(worst, res)
             u -= Z.dot(s)
-        rec[..., n] = u[rec_ix]
+        rec[..., n] = u.take(rec_ix, axis=0)  # about half the cost of u[rec_ix] on a 2-D state
 
-    rec = rec.reshape(len(rec_ix), len(batch), n_steps + 1)  # views
     out = []
-    for v in range(len(batch)):
+    for v in range(K):
         rows = iter(rec[:, v])  # in the order of rec_ix
         out.append(
             TraceSet(
@@ -323,18 +318,13 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 inductor_current={L.name: next(rows) for L in inductors},
                 junction_phase={d.name: next(rows) for d in junctions},
                 junction_voltage={d.name: next(rows) for d in junctions},
-                newton_iterations=first_updates + int(np.ravel(extra_updates)[v]),
-                newton_max_per_step=int(np.ravel(most)[v]),
-                newton_residual=float(np.ravel(worst)[v]),
-                newton_rho=float(np.ravel(rho)[v]),
+                newton_iterations=first_updates + int(extra_updates[v]),
+                newton_max_per_step=int(most[v]),
+                newton_residual=float(worst[v]),
+                newton_rho=float(rho[v]),
             )
         )
     return out
-
-
-def _first(mask, bshape: tuple) -> int:
-    """Index of the first variant flagged in mask (0 for a single netlist)."""
-    return int(np.flatnonzero(np.broadcast_to(mask, bshape))[0])
 
 
 def _step_operators(

@@ -108,8 +108,7 @@ def _swarm(
         r2 = rng.random(x.shape)
         v = INERTIA * v + ACCELERATION * r1 * (pbest - x) + ACCELERATION * r2 * (gbest - x)
         v = np.clip(v, -vmax, vmax)
-        for i in range(cfg.n_particles):
-            x[i], v[i] = _reflect(x[i] + v[i], v[i], lo, hi)
+        x, v = _reflect(x + v, v, lo, hi)
         scores = evaluate_swarm(x)
         improved = scores < pbest_scores
         pbest[improved] = x[improved]

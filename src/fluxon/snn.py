@@ -35,6 +35,7 @@ AMBIGUOUS = "ambiguous"
 
 DEFAULT_THRESHOLD_SET = (1, 2, 5)
 DEFAULT_CLOCK_PS = 1000.0
+WEIGHT_RANGE = (-2, 2)  # the integer weights an SM2/SM4 synapse realizes
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,9 @@ class LayerSpec:
         w.flags.writeable = False  # `synapses` is derived from it once
         if w.ndim != 2:
             raise ValueError("layer weights must be a 2-D matrix")
-        if np.any(w < -2) or np.any(w > 2):
-            raise ValueError("layer weights must lie in [-2, 2]")
+        lo, hi = WEIGHT_RANGE
+        if np.any(w < lo) or np.any(w > hi):
+            raise ValueError(f"layer weights must lie in [{lo}, {hi}]")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
         if len(self.thresholds) != w.shape[0]:
@@ -194,7 +196,7 @@ def _neuron_response(
     The behavioral models are the only definition of both; an error they
     raise propagates on every call, since lru_cache stores only returns.
     """
-    bq = BqConfig(pulse_spacing=20.0, clock_period=clock_ps)
+    bq = BqConfig(clock_period=clock_ps)
     burst = bq_quantize(total, bq, clock_start)
     if threshold is None:
         return burst.times, ()

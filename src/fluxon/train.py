@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .snn import DEFAULT_THRESHOLD_SET, LayerSpec, NetworkSpec
+from .snn import DEFAULT_THRESHOLD_SET, WEIGHT_RANGE, LayerSpec, NetworkSpec
 
 log = logging.getLogger("fluxon.train")
 
@@ -266,6 +266,8 @@ def train_mlp(
 
 # --- genetic discretization ----------------------------------------------
 
+SCALE_BOUNDS = (0.05, 20.0)  # the per-neuron weight scales the GA searches
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -276,8 +278,6 @@ class GaConfig:
     elitism: int = 2
     seed: int = 0
     threshold_set: tuple[int, ...] = DEFAULT_THRESHOLD_SET
-    weight_range: tuple[int, int] = (-2, 2)
-    scale_bounds: tuple[float, float] = (0.05, 20.0)
 
     def __post_init__(self):
         if self.population < 2:
@@ -291,19 +291,11 @@ class GaConfig:
                 raise ValueError("rates must lie in [0,1]")
         if len(self.threshold_set) == 0:
             raise ValueError("threshold_set must not be empty")
-        lo, hi = self.scale_bounds
-        if not 0.0 < lo <= hi:
-            raise ValueError("scale_bounds must satisfy 0 < lo <= hi")
-        lo, hi = self.weight_range
-        if not -2 <= lo <= hi <= 2:
-            raise ValueError("weight_range must satisfy -2 <= lo <= hi <= 2")
 
 
-def _decode(
-    mlp: RealMlp, scales: np.ndarray, cfg: GaConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _decode(mlp: RealMlp, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer weights of a (P, n_neurons) block of scales: (P,H,I) and (P,O,H)."""
-    lo, hi = cfg.weight_range
+    lo, hi = WEIGHT_RANGE
     n_hidden = mlp.w1.shape[0]
     w1 = np.clip(np.round(scales[:, :n_hidden, None] * mlp.w1), lo, hi)
     w2 = np.clip(np.round(scales[:, n_hidden:, None] * mlp.w2), lo, hi)
@@ -317,7 +309,6 @@ def _population_fitness(
     X: np.ndarray,
     want: np.ndarray,
     counts: np.ndarray,
-    cfg: GaConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accuracy, nonzero weight count and sum |w| of every candidate.
 
@@ -326,7 +317,7 @@ def _population_fitness(
     Weights, inputs and thresholds are small integers, so the float
     matmuls and comparisons are exact.
     """
-    w1, w2 = _decode(mlp, scales, cfg)
+    w1, w2 = _decode(mlp, scales)
     P, n_hidden, n_in = w1.shape
     H = (w1.reshape(-1, n_in) @ X).reshape(P, n_hidden, -1) >= thresholds[:, :n_hidden, None]
     O = w2 @ H.astype(float) >= thresholds[:, n_hidden:, None]
@@ -359,7 +350,7 @@ def ga_discretize(
 ) -> tuple[NetworkSpec, list[tuple[int, float, float]]]:
     """Search per-neuron scales and thresholds for the best discrete net.
 
-    Chromosome: one scale in scale_bounds (log-uniform init) and one
+    Chromosome: one scale in SCALE_BOUNDS (log-uniform init) and one
     threshold from threshold_set per neuron. Tournament selection
     (k=3), uniform crossover, Gaussian log-space mutation on scales,
     random-reset mutation on thresholds, plus elitism. Fitness is
@@ -376,7 +367,7 @@ def ga_discretize(
     n_hidden = mlp.w1.shape[0]
     n_neurons = n_hidden + mlp.w2.shape[0]
     thr_set = np.asarray(cfg.threshold_set, dtype=int)
-    s_lo, s_hi = cfg.scale_bounds
+    s_lo, s_hi = SCALE_BOUNDS
     P = cfg.population
     # Accuracy depends on the training set only through how often each
     # distinct (input, label) pair occurs.
@@ -395,7 +386,7 @@ def ga_discretize(
         thresholds[i] = t
 
     def score(scales, thresholds):
-        acc, nz, mass = _population_fitness(mlp, scales, thresholds, X, want, counts, cfg)
+        acc, nz, mass = _population_fitness(mlp, scales, thresholds, X, want, counts)
         order, rank = _rank(acc, nz, mass)
         i = order[0]
         key = (float(acc[i]), -int(nz[i]), -int(mass[i]))
@@ -445,7 +436,7 @@ def ga_discretize(
             best = gen_best
         trace.append((gen, best[2][0], mean_acc))
 
-    w1, w2 = (w[0].astype(int) for w in _decode(mlp, best[0][None], cfg))
+    w1, w2 = (w[0].astype(int) for w in _decode(mlp, best[0][None]))
     spec = NetworkSpec(
         input_dim=mlp.w1.shape[1],
         layers=(

@@ -68,11 +68,6 @@ class TestSomaTiming:
         with pytest.raises(ValueError):
             soma_step(soma, state, 5.0)
 
-    def test_out_delay_shifts_events(self):
-        soma = soma_for_threshold(2, out_delay=7.5)
-        out = soma_fire_times(soma, SpikeTrain("t", (0.0, 20.0)))
-        assert out.times == (27.5,)
-
     def test_fold_matches_step_iteration(self):
         soma = soma_for_threshold(3, tau=30.0)
         times = tuple(float(t) for t in (0, 15, 31, 44, 70, 81, 95, 120))
@@ -163,7 +158,7 @@ class TestBufferQuantizer:
         assert len(out) == 4 and out.times[0] == 1000.0
 
     def test_cap_at_clock_budget(self):
-        cfg = BqConfig(pulse_spacing=20.0, clock_period=100.0)
+        cfg = BqConfig(clock_period=100.0)
         assert cfg.max_pulses_per_clock == 5
         assert len(bq_quantize(9, cfg, 0.0)) == 5
 

@@ -143,7 +143,7 @@ def reference_simulate_spiking(spec: NetworkSpec, x) -> SimReport:
         raise ValueError(f"input shape {xv.shape} != ({spec.input_dim},)")
     if np.any(xv < 0) or np.any(xv > 2):
         raise ValueError("first-layer inputs must lie in {0, 1, 2}")
-    bq = BqConfig(pulse_spacing=20.0, clock_period=spec.clock_ps)
+    bq = BqConfig(clock_period=spec.clock_ps)
     events = []
     for k, level in enumerate(xv):
         events.extend(bq_quantize(int(level), bq, 0.0, node=f"input/{k}").events())

@@ -217,11 +217,6 @@ class TestGa:
             {"mutation_rate": 1.5},
             {"crossover_rate": -0.1},
             {"threshold_set": ()},
-            {"scale_bounds": (0.0, 20.0)},
-            {"scale_bounds": (-1.0, 2.0)},
-            {"scale_bounds": (3.0, 2.0)},
-            {"weight_range": (-3, 3)},
-            {"weight_range": (1, -1)},
         ],
     )
     def test_config_rejected(self, kwargs):
@@ -230,7 +225,7 @@ class TestGa:
 
     def test_config_edges_accepted(self):
         GaConfig(population=4, elitism=0, generations=0)
-        GaConfig(population=4, elitism=4, scale_bounds=(1.0, 1.0), threshold_set=(2,))
+        GaConfig(population=4, elitism=4, threshold_set=(2,))
 
     def test_stage_timing_logged(self, caplog):
         mlp = self._integer_mlp()
@@ -266,8 +261,8 @@ def _reference_ga_discretize(mlp, Xq, labels, cfg):
     nh = mlp.w1.shape[0]
     n_neurons = nh + mlp.w2.shape[0]
     thr_set = np.asarray(cfg.threshold_set, dtype=int)
-    s_lo, s_hi = cfg.scale_bounds
-    lo, hi = cfg.weight_range
+    s_lo, s_hi = 0.05, 20.0
+    lo, hi = -2, 2
 
     def decode(sc):
         w1 = np.clip(np.round(sc[:nh, None] * mlp.w1), lo, hi).astype(int)
@@ -406,7 +401,6 @@ class TestLoopReferences:
     def test_ga_matches_reference_with_other_alphabet_and_bounds(self, iris_mlp):
         mlp, Xq, y = iris_mlp
         cfg = GaConfig(population=15, generations=12, seed=8, threshold_set=(2, 3),
-                       weight_range=(-1, 1), scale_bounds=(0.5, 1.5),
                        mutation_rate=0.5, crossover_rate=0.0)
         spec, trace = ga_discretize(mlp, Xq, y, cfg)
         ref_spec, ref_trace = _reference_ga_discretize(mlp, Xq, y, cfg)

@@ -629,6 +629,18 @@ class TestBatchFailures:
         assert (err.variant, err.time_ps, err.iterations) == (1, 0.05, transient.NEWTON_MAX_ITER)
         assert str(err).endswith(" in variant 1 of the batch")
 
+    def test_newton_error_names_the_failing_later_variant(self, monkeypatch):
+        # two passes: the quiet variant converges on every step, the driven
+        # one runs out of passes once its junction switches
+        monkeypatch.setattr(transient, "NEWTON_MAX_ITER", 2)
+        quiet = parse_netlist("b1 1 0 ic=100u\ni1 0 1 dc 1u\n.tran 0.05 40")
+        driven = parse_netlist("b1 1 0 ic=100u\ni1 0 1 dc 150u\n.tran 0.05 40")
+        assert transient.same_lockstep_group(quiet, driven)
+        for stack, variant in (([quiet, driven], 1), ([driven, quiet], 0)):
+            with pytest.raises(NewtonError) as info:
+                run_transients(stack)
+            assert (info.value.variant, info.value.time_ps) == (variant, 6.5)
+
 
 # --- solver properties on random small RCSJ circuits -------------------------
 
