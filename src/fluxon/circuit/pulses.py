@@ -10,11 +10,14 @@ exposes for verification.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core import SpikeTrain
-from .transient import TraceSet
+
+if TYPE_CHECKING:
+    from .transient import TraceSet
 
 
 def detect_pulses(time_ps: np.ndarray, phase: np.ndarray, node: str = "") -> SpikeTrain:
@@ -24,21 +27,29 @@ def detect_pulses(time_ps: np.ndarray, phase: np.ndarray, node: str = "") -> Spi
     events: list[float] = []
     target = math.pi
     for i in range(1, len(phase)):
-        while phase[i] >= target:
-            p0, p1 = phase[i - 1], phase[i]
-            if p1 == p0:
-                t_cross = time_ps[i]
-            else:
-                frac = (target - p0) / (p1 - p0)
-                frac = min(max(frac, 0.0), 1.0)
-                t_cross = time_ps[i - 1] + frac * (time_ps[i] - time_ps[i - 1])
-            events.append(t_cross)
-            target += 2.0 * math.pi
+        if phase[i] >= target:
+            target = crossings(time_ps[i - 1], time_ps[i], phase[i - 1], phase[i], target, events)
     return SpikeTrain(node, tuple(events))
 
 
+def crossings(t0: float, t1: float, p0: float, p1: float, target: float, events: list) -> float:
+    """Append to events where a phase going from p0 at t0 to p1 at t1
+    crosses target, target + 2 pi, ...; return the next target."""
+    while p1 >= target:
+        if p1 == p0:
+            events.append(t1)
+        else:
+            frac = min(max((target - p0) / (p1 - p0), 0.0), 1.0)
+            events.append(t0 + frac * (t1 - t0))
+        target += 2.0 * math.pi
+    return target
+
+
 def detect_pulses_in(traces: TraceSet, junction: str) -> SpikeTrain:
+    """The pulses of one junction: stamped by a lean run, else detected in its phase."""
     junction = junction.lower()
+    if traces.pulses is not None:
+        return SpikeTrain(junction, traces.pulses[junction])
     return detect_pulses(traces.time_ps, traces.junction_phase[junction], node=junction)
 
 

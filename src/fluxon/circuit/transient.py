@@ -50,6 +50,11 @@ order and the arithmetic is pure float64, so identical inputs give
 bit-identical traces; a variant of a batch matches its solo run to
 round-off (the matrix products run over all variants at once).
 
+A lean run (record=False) keeps only the print-request node rows and
+stamps each junction's (2k+1) pi crossings as it steps, on the phases
+of each accepted step with detect_pulses' interpolation, so a wide
+batch of margin probes holds pulses instead of waveforms.
+
 Because the junction phase update is the trapezoidal rule applied to
 dphi/dt = (2 pi / PHI0) V, trapezoid-rule quadrature of a junction's
 voltage trace equals (PHI0 / 2 pi) * (phase advance) exactly from the
@@ -76,6 +81,7 @@ from .netlist import (
     Resistor,
     VoltageSource,
 )
+from .pulses import crossings
 
 DEFAULT_STEP_PS = 0.05
 MAX_STEP_PS = 0.1
@@ -106,13 +112,29 @@ def _in_variant(variant: int | None) -> str:
     return "" if variant is None else f" in variant {variant} of the batch"
 
 
+class Unrecorded(dict):
+    """An empty trace field of a record=False run; reading a key is a CircuitError."""
+
+    def __init__(self, field: str):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, key):
+        raise CircuitError(f"{self.field}[{key!r}] is not recorded: the run had record=False")
+
+
 @dataclass
 class TraceSet:
     """Uniform-grid transient results.
 
     node_voltage holds the requested nodes (all nodes when the netlist
-    carries no print requests); junction phases/voltages and inductor
-    currents are always recorded in full. newton_iterations counts the
+    carries no print requests). A recorded run also holds every
+    junction's phase and voltage and every inductor's current, and its
+    pulses are None: detect_pulses_in finds them in the phases. A lean
+    run (record=False) leaves those three fields empty, reading one of
+    their keys is a CircuitError, and pulses maps each junction to the
+    times of its (2k+1) pi crossings, stamped as the run stepped with
+    detect_pulses' interpolation. newton_iterations counts the
     Newton updates of the whole run, newton_max_per_step is the most
     updates any one step took, newton_residual is the largest junction
     phase residual of any accepted step, and newton_rho is the largest
@@ -125,6 +147,7 @@ class TraceSet:
     junction_phase: dict[str, np.ndarray]
     junction_voltage: dict[str, np.ndarray]
     inductor_current: dict[str, np.ndarray]
+    pulses: dict[str, tuple[float, ...]] | None = None
     newton_iterations: int = 0
     newton_max_per_step: int = 0
     newton_residual: float = 0.0
@@ -149,15 +172,24 @@ def run_transients(
     netlists: Sequence[Netlist],
     stop: float | None = None,
     step: float | None = None,
+    record: bool = True,
 ) -> list[TraceSet]:
     """run_transient of every netlist, advancing same-topology variants in lockstep.
 
     Netlists that differ only in junction critical currents and source
     waveforms, on the same time grid, form one group and share its
-    linear operators; the results come back in input order. Every
-    variant of a group holds its full traces until the group is done,
-    so memory grows with the group size. A numeric failure in a batch
-    of several netlists names the variant's index in `netlists`.
+    linear operators; the results come back in input order. A numeric
+    failure in a batch of several netlists names the variant's index in
+    `netlists`.
+
+    A recorded run keeps every junction's phase and voltage and every
+    inductor's current at every step, so each variant of a group holds
+    (nodes + inductors + 2 junctions) x steps floats until the group is
+    done. With record=False the run keeps only the print-request nodes
+    (node_voltage is the same as recorded) and instead stamps each
+    junction's pulses as it steps, equal to detect_pulses on the phase
+    it would have recorded, with the same Newton counters: the way to
+    run many variants whose test reads pulses or node voltages.
     """
     groups: dict[tuple, list[int]] = {}
     for i, nl in enumerate(netlists):
@@ -175,7 +207,7 @@ def run_transients(
     traces: list = [None] * len(netlists)
     for (nl_step, nl_stop, *_), ix in groups.items():
         names = ix if len(netlists) > 1 else [None]
-        for i, tr in zip(ix, _run_group([netlists[i] for i in ix], nl_stop, nl_step, names)):
+        for i, tr in zip(ix, _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record)):
             traces[i] = tr
     return traces
 
@@ -198,7 +230,8 @@ def _topology(d: Device) -> object:
     return d
 
 
-def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> list[TraceSet]:
+def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
+               record: bool) -> list[TraceSet]:
     """Transients of same-topology variants; names[v] is variant v's batch index."""
     h = step * 1e-12  # SI seconds
     n_steps = int(round(stop / step))
@@ -239,12 +272,11 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
     j_at = [netlist.devices.index(d) for d in junctions]
     j_ic = np.array([[var.devices[i].ic for var in batch] for i in j_at]).reshape(n_j, K)
 
-    # Recorded rows of the state: print nodes, inductor currents,
-    # junction phases, junction voltages.
+    # Recorded rows of the state: print nodes, then in a recorded run
+    # inductor currents, junction phases, junction voltages.
     rec_ix = np.array(
         [node_ix[n] for n in want_nodes]
-        + [branch[L.name] for L in inductors]
-        + list(range(m, m + 2 * n_j)),
+        + ([branch[L.name] for L in inductors] + list(range(m, m + 2 * n_j)) if record else []),
         dtype=int,
     )
     rec = np.empty((len(rec_ix), K, n_steps + 1))
@@ -257,6 +289,10 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
     for L in inductors:
         u[branch[L.name]] = L.ic
     rec[..., 0] = u[rec_ix]
+    if not record:  # stamp pulses: the next crossing each junction waits for
+        target = np.full((n_j, K), math.pi)
+        stamps: list[list[list[float]]] = [[[] for _ in junctions] for _ in range(K)]
+        before = u[ph]
 
     # Every step with junctions makes one update per variant; later
     # updates and the worst accepted residual are kept per variant.
@@ -306,18 +342,35 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list) -> l
                 raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
             worst = np.maximum(worst, res)
             u -= Z.dot(s)
+            if not record:
+                now = u[ph]  # a view of this step's u, which later steps replace, not write
+                hit = now >= target
+                if hit.any():
+                    t0, t1 = times[n - 1], times[n]
+                    for j, v in zip(*np.nonzero(hit)):
+                        target[j, v] = crossings(t0, t1, before[j, v], now[j, v], target[j, v],
+                                                 stamps[v][j])
+                before = now
         rec[..., n] = u.take(rec_ix, axis=0)  # about half the cost of u[rec_ix] on a 2-D state
 
     out = []
     for v in range(K):
         rows = iter(rec[:, v])  # in the order of rec_ix
+        node_voltage = {name: next(rows) for name in want_nodes}
+        if record:
+            kept = [{d.name: next(rows) for d in devs} for devs in (inductors, junctions, junctions)]
+            pulses = None
+        else:
+            kept = [Unrecorded(f) for f in ("inductor_current", "junction_phase", "junction_voltage")]
+            pulses = {d.name: tuple(map(float, ts)) for d, ts in zip(junctions, stamps[v])}
         out.append(
             TraceSet(
                 time_ps=times,
-                node_voltage={name: next(rows) for name in want_nodes},
-                inductor_current={L.name: next(rows) for L in inductors},
-                junction_phase={d.name: next(rows) for d in junctions},
-                junction_voltage={d.name: next(rows) for d in junctions},
+                node_voltage=node_voltage,
+                inductor_current=kept[0],
+                junction_phase=kept[1],
+                junction_voltage=kept[2],
+                pulses=pulses,
                 newton_iterations=first_updates + int(extra_updates[v]),
                 newton_max_per_step=int(most[v]),
                 newton_residual=float(worst[v]),

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .behavioral import DEFAULT_T_MAX
 from .snn import DEFAULT_THRESHOLD_SET, WEIGHT_RANGE, LayerSpec, NetworkSpec
 
 log = logging.getLogger("fluxon.train")
@@ -291,6 +292,9 @@ class GaConfig:
                 raise ValueError("rates must lie in [0,1]")
         if len(self.threshold_set) == 0:
             raise ValueError("threshold_set must not be empty")
+        if not set(self.threshold_set) <= DEFAULT_T_MAX.keys():
+            raise ValueError(f"threshold_set values must be soma cell thresholds "
+                             f"{min(DEFAULT_T_MAX)}..{max(DEFAULT_T_MAX)}")
 
 
 def _decode(mlp: RealMlp, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

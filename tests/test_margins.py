@@ -130,7 +130,7 @@ def test_batched_scan_equals_sequential_bisection(param, batch_sizes):
     pass_test = lambda tr: len(detect_pulses_in(tr, "bout")) == 1
     got = margin_scan(nl, param, pass_test, resolution=0.05)
     assert got == sequential_margins(nl, param, pass_test, 0.05)
-    assert max(batch_sizes) <= 3
+    assert batch_sizes == [17, 3]
 
 
 @pytest.mark.parametrize("param", ["r1.r", "i1.dc"])
@@ -139,8 +139,8 @@ def test_divider_scan_equals_sequential_bisection(divider, param, band, batch_si
     pass_test = lambda tr: band[0] <= float(tr.node_voltage["1"][-1]) <= band[1]
     got = margin_scan(divider, param, pass_test, resolution=0.01)
     assert got == sequential_margins(divider, param, pass_test, 0.01)
-    if param == "i1.dc":  # nominal and both bounds, then up to two levels per batch
-        assert batch_sizes[0] == 3 and max(batch_sizes) <= 3
+    if param == "i1.dc":  # nominal, both bounds and three levels a side, then three levels of one side
+        assert batch_sizes[0] == 17 and all(n <= 7 for n in batch_sizes[1:])
     else:  # a resistance changes the solver's operators: no lockstep to gain
         assert max(batch_sizes) == 1
 
@@ -148,8 +148,8 @@ def test_divider_scan_equals_sequential_bisection(divider, param, band, batch_si
 @pytest.mark.parametrize(
     "param, logged",
     [
-        # high side at the bound; low side bisects 6 levels, two per batch
-        ("i1.dc", "12 transients in 4 batches"),
+        # high side at the bound; low side bisects 6 levels, three per batch
+        ("i1.dc", "24 transients in 2 batches"),
         # the same bisection, one probe at a time
         ("r1.r", "9 transients in 9 batches"),
     ],

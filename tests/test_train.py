@@ -217,6 +217,7 @@ class TestGa:
             {"mutation_rate": 1.5},
             {"crossover_rate": -0.1},
             {"threshold_set": ()},
+            {"threshold_set": (7,)},
         ],
     )
     def test_config_rejected(self, kwargs):

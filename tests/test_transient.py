@@ -13,6 +13,7 @@ from fluxon.circuit import (
     Junction,
     NetlistError,
     NewtonError,
+    detect_pulses,
     detect_pulses_in,
     parse_netlist,
     run_transient,
@@ -216,6 +217,15 @@ class TestSolverContract:
         tr = run_transient(nl)
         assert tr.junction_phase == {} and tr.junction_voltage == {}
         assert (tr.newton_iterations, tr.newton_max_per_step, tr.newton_residual) == (0, 0, 0.0)
+
+    def test_lean_run_fields_are_typed_errors(self):
+        nl = parse_netlist("b1 1 0 ic=100u\nl1 1 2 2p\nr1 2 0 1\ni1 0 1 dc 150u\n.tran 0.05 20")
+        (tr,) = run_transients([nl], record=False)
+        assert set(tr.node_voltage) == {"1", "2"} and len(tr.pulses["b1"]) > 0
+        for field, key in (("junction_phase", "b1"), ("junction_voltage", "b1"), ("inductor_current", "l1")):
+            with pytest.raises(CircuitError, match=rf"{field}\['{key}'\] is not recorded.*record=False") as info:
+                getattr(tr, field)[key]
+            assert not isinstance(info.value, KeyError)
 
     def test_requested_node_traces(self):
         nl = parse_netlist("r1 1 2 1\nr2 2 0 1\ni1 0 1 dc 1m\n.tran 0.1 1\n.print v(2)")
@@ -676,6 +686,20 @@ def rcsj_circuits(draw):
     return "\n".join(lines)
 
 
+def assert_lean_matches(got, want):
+    """A record=False run against the recorded run of the same netlist."""
+    assert np.array_equal(got.time_ps, want.time_ps)
+    assert got.node_voltage.keys() == want.node_voltage.keys()
+    for name, row in want.node_voltage.items():
+        assert np.array_equal(got.node_voltage[name], row), name
+    assert got.pulses.keys() == want.junction_phase.keys()
+    for j, phase in want.junction_phase.items():
+        assert got.pulses[j] == detect_pulses(want.time_ps, phase).times, j
+        assert detect_pulses_in(got, j) == detect_pulses_in(want, j), j
+    counters = ("newton_iterations", "newton_max_per_step", "newton_residual", "newton_rho")
+    assert [getattr(got, c) for c in counters] == [getattr(want, c) for c in counters]
+
+
 class TestSolverProperties:
     @settings(max_examples=40, deadline=None)
     @given(rcsj_circuits())
@@ -697,6 +721,31 @@ class TestSolverProperties:
             got = 2 * math.pi / PHI0 * np.trapezoid(tr.junction_voltage[name][1:], t)
             want = phase[-1] - phase[1]
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(rcsj_circuits())
+    def test_lean_run_gives_what_the_recorded_run_gives(self, text):
+        nl = parse_netlist(text)
+
+        def outcome(record):
+            try:
+                return run_transients([nl], record=record)[0]
+            except CircuitError as exc:
+                return str(exc)
+
+        got, want = outcome(False), outcome(True)
+        if isinstance(want, str):
+            assert got == want  # the same failure, reported the same way
+        else:
+            assert_lean_matches(got, want)
+
+    def test_lean_soma2_batch_gives_what_the_recorded_batch_gives(self):
+        nl = parse_netlist(bundled_text("soma2"))
+        stack = [scaled(nl, "b2.ic", 1.0 + f) for f in np.linspace(-0.9, 0.9, 17)]
+        lean = run_transients(stack, record=False)
+        for got, want in zip(lean, run_transients(stack), strict=True):
+            assert_lean_matches(got, want)
+        assert sum(len(tr.pulses["bout"]) for tr in lean) > 0
 
     @settings(max_examples=10, deadline=None)
     @given(rcsj_circuits(), st.integers(1, 3))
