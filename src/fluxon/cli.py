@@ -190,15 +190,19 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _ga_config(cfg: dict) -> trainmod.GaConfig:
+    try:
+        return trainmod.GaConfig(seed=cfg["seed"], **cfg["ga"])
+    except (TypeError, ValueError) as exc:
+        raise UserError(f"bad ga config: {exc}") from None
+
+
 def cmd_discretize(cfg: dict) -> int:
+    ga_cfg = _ga_config(cfg)
     out = Path(cfg["out_dir"])
     mlp = _read_artifact(out / "mlp.json", "train", trainmod.RealMlp.from_json)
     samples, train_s, test_s, quantizer, Xq_train = _dataset(cfg)
     y_train = trainmod.labels_of(train_s)
-    try:
-        ga_cfg = trainmod.GaConfig(seed=cfg["seed"], **cfg["ga"])
-    except (TypeError, ValueError) as exc:
-        raise UserError(f"bad ga config: {exc}") from None
     spec, trace = trainmod.ga_discretize(mlp, Xq_train, y_train, ga_cfg)
     _write(out / "network.json", spec.to_json())
     _write(
@@ -449,6 +453,7 @@ def cmd_pso(cfg: dict, args) -> int:
 
 
 def cmd_reproduce(cfg: dict, args) -> int:
+    _ga_config(cfg)  # a bad ga section fails before any artifact is written
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str):

@@ -361,6 +361,14 @@ def ga_discretize(
     accuracy, ties broken by fewer nonzero weights, then by a smaller
     sum |w|. Returns the best NetworkSpec and the (generation, best,
     mean) accuracy trace.
+
+    Each generation draws one block per kind for its n_children =
+    population - elitism children, in this order: (n_children, 2, 3)
+    tournament candidates; n_children crossover decisions;
+    (n_children, n_neurons) crossover masks, kept where the decision
+    holds; scale-mutation masks; threshold-mutation masks; one normal
+    per scale mutation; one threshold index per threshold mutation.
+    The last two are consumed in row-major order of their masks.
     """
     Xq = np.asarray(Xq, dtype=int)
     labels = np.asarray(labels, dtype=int)
@@ -401,36 +409,20 @@ def ga_discretize(
 
     n_children = P - cfg.elitism
     for gen in range(1, cfg.generations + 1):
-        # Draw in the order of a child-by-child loop, then breed the
-        # whole block at once.
-        cands = np.empty((n_children, 6), dtype=int)
-        cross = np.zeros((n_children, n_neurons), dtype=bool)
-        mut_s = np.empty((n_children, n_neurons), dtype=bool)
-        mut_t = np.empty((n_children, n_neurons), dtype=bool)
-        deltas, resets = [], []
-        for c in range(n_children):
-            cands[c] = rng.integers(0, P, size=6)
-            if rng.random() < cfg.crossover_rate:
-                cross[c] = rng.random(n_neurons) < 0.5
-            m = mut_s[c] = rng.random(n_neurons) < cfg.mutation_rate
-            k = np.count_nonzero(m)
-            if k:
-                deltas.append(rng.normal(0.0, 0.35, k))
-            m = mut_t[c] = rng.random(n_neurons) < cfg.mutation_rate
-            k = np.count_nonzero(m)
-            if k:
-                resets.append(rng.integers(0, len(thr_set), k))
+        cands = rng.integers(0, P, size=(n_children, 2, 3))
+        cross = rng.random(n_children) < cfg.crossover_rate
+        cross = (rng.random((n_children, n_neurons)) < 0.5) & cross[:, None]
+        mut_s = rng.random((n_children, n_neurons)) < cfg.mutation_rate
+        mut_t = rng.random((n_children, n_neurons)) < cfg.mutation_rate
+        deltas = rng.normal(0.0, 0.35, np.count_nonzero(mut_s))
+        resets = rng.integers(0, len(thr_set), np.count_nonzero(mut_t))
 
-        cands = cands.reshape(n_children, 2, 3)
         winner = np.argmin(rank[cands], axis=2)
         pa, pb = np.take_along_axis(cands, winner[:, :, None], axis=2)[:, :, 0].T
         child_s = np.where(cross, scales[pb], scales[pa])
         child_t = np.where(cross, thresholds[pb], thresholds[pa])
-        if deltas:
-            mutated = child_s[mut_s] * np.exp(np.concatenate(deltas))
-            child_s[mut_s] = np.clip(mutated, s_lo, s_hi)
-        if resets:
-            child_t[mut_t] = thr_set[np.concatenate(resets)]
+        child_s[mut_s] = np.clip(child_s[mut_s] * np.exp(deltas), s_lo, s_hi)
+        child_t[mut_t] = thr_set[resets]
         elite = order[: cfg.elitism]
         scales = np.concatenate([scales[elite], child_s])
         thresholds = np.concatenate([thresholds[elite], child_t])

@@ -89,6 +89,14 @@ class TestDiscretize:
         err = capsys.readouterr().err
         assert "bad ga config" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("ga", [{"population": 1}, {"threshold_set": [7]}])
+    def test_reproduce_rejects_bad_ga_config_before_training(self, tmp_path, capsys, ga):
+        assert run_with_config(tmp_path, {"ga": ga}, "reproduce-paper") == 2
+        captured = capsys.readouterr()
+        assert "bad ga config" in captured.err and "internal error" not in captured.err
+        assert "trained mlp" not in captured.out
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_seeded_rerun_identical_network(self, tmp_path, fast_config):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

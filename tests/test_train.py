@@ -237,6 +237,38 @@ class TestGa:
         assert "mlp: 3 epochs in" in caplog.text
         assert "ga: 2 generations of 6 in" in caplog.text
 
+    def test_draws_do_not_grow_with_population(self, monkeypatch):
+        # One Generator call per kind and generation, never one per child.
+        make_rng = np.random.default_rng
+        calls = []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self._rng = make_rng(seed)
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        mlp = self._integer_mlp()
+        X = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]], dtype=int)
+
+        def n_calls(population, generations):
+            calls.clear()
+            cfg = GaConfig(population=population, generations=generations, seed=4)
+            ga_discretize(mlp, X, [0, 1, 2], cfg)
+            return len(calls)
+
+        initial = n_calls(10, 0)
+        assert n_calls(100, 0) == initial
+        assert n_calls(10, 5) == n_calls(100, 5) <= initial + 7 * 5
+
     def test_seed_determinism(self, iris_samples):
         train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
         _, Xq = quantize_features(train)
@@ -251,8 +283,9 @@ class TestGa:
 # --- loop references -----------------------------------------------------
 #
 # The child-by-child GA and the two-forward training loop that the
-# batched code replaced. The batched code must draw the same random
-# stream and reproduce them exactly.
+# batched code replaced. The GA reference draws the same blocks per
+# generation as ga_discretize and then breeds one child at a time; the
+# batched code must reproduce both references exactly.
 
 
 def _reference_ga_discretize(mlp, Xq, labels, cfg):
@@ -300,25 +333,35 @@ def _reference_ga_discretize(mlp, Xq, labels, cfg):
         new_s = [scales[i].copy() for i in order[: cfg.elitism]]
         new_t = [thresholds[i].copy() for i in order[: cfg.elitism]]
 
-        def tournament():
-            cand = rng.integers(0, cfg.population, size=3)
+        n_children = cfg.population - cfg.elitism
+        cands = rng.integers(0, cfg.population, size=(n_children, 6))
+        crosses = rng.random(n_children) < cfg.crossover_rate
+        masks = rng.random((n_children, n_neurons)) < 0.5
+        muts = rng.random((n_children, n_neurons)) < cfg.mutation_rate
+        muts_t = rng.random((n_children, n_neurons)) < cfg.mutation_rate
+        normals = iter(rng.normal(0.0, 0.35, muts.sum()))
+        resets = iter(rng.integers(0, len(thr_set), muts_t.sum()))
+
+        def tournament(cand):
             return max(cand, key=lambda i: key(fits[i]))
 
-        while len(new_s) < cfg.population:
-            pa, pb = tournament(), tournament()
+        for c in range(n_children):
+            pa, pb = tournament(cands[c, :3]), tournament(cands[c, 3:])
             sa, ta = scales[pa].copy(), thresholds[pa].copy()
-            if rng.random() < cfg.crossover_rate:
-                mask = rng.random(n_neurons) < 0.5
+            if crosses[c]:
+                mask = masks[c]
                 sa[mask] = scales[pb][mask]
                 ta[mask] = thresholds[pb][mask]
-            mut = rng.random(n_neurons) < cfg.mutation_rate
+            mut = muts[c]
             if mut.any():
-                sa[mut] = np.clip(sa[mut] * np.exp(rng.normal(0.0, 0.35, mut.sum())), s_lo, s_hi)
-            mut_t = rng.random(n_neurons) < cfg.mutation_rate
+                d = np.array([next(normals) for _ in range(mut.sum())])
+                sa[mut] = np.clip(sa[mut] * np.exp(d), s_lo, s_hi)
+            mut_t = muts_t[c]
             if mut_t.any():
-                ta[mut_t] = rng.choice(thr_set, size=mut_t.sum())
+                ta[mut_t] = thr_set[[next(resets) for _ in range(mut_t.sum())]]
             new_s.append(sa)
             new_t.append(ta)
+        assert next(normals, None) is None and next(resets, None) is None
 
         scales = np.asarray(new_s)
         thresholds = np.asarray(new_t)
@@ -380,6 +423,7 @@ class TestLoopReferences:
             (3, 30, 0, 2),      # generation 0 only
             (4, 2, 8, 1),       # smallest population
             (5, 41, 25, 3),
+            (6, 5, 4, 5),       # elitism == population: zero-size blocks
         ],
     )
     def test_ga_matches_reference(self, iris_mlp, seed, population, generations, elitism):
@@ -407,6 +451,17 @@ class TestLoopReferences:
         ref_spec, ref_trace = _reference_ga_discretize(mlp, Xq, y, cfg)
         assert spec.to_json() == ref_spec.to_json()
         assert repr(trace) == repr(ref_trace)
+
+    def test_ga_matches_reference_without_mutation(self, iris_mlp):
+        # every child crosses over, and no normal or reset is drawn
+        mlp, Xq, y = iris_mlp
+        cfg = GaConfig(population=11, generations=9, seed=9,
+                       mutation_rate=0.0, crossover_rate=1.0)
+        spec, trace = ga_discretize(mlp, Xq, y, cfg)
+        ref_spec, ref_trace = _reference_ga_discretize(mlp, Xq, y, cfg)
+        assert spec.to_json() == ref_spec.to_json()
+        assert repr(trace) == repr(ref_trace)
+        assert NetworkSpec.from_json(spec.to_json()).to_json() == spec.to_json()
 
     @pytest.mark.parametrize("train_biases", [False, True])
     def test_train_mlp_matches_reference(self, iris_samples, train_biases):
