@@ -1,10 +1,24 @@
 """Parameter margin scans: how far a device value can move before a
 functional test breaks.
 
-The scan searches the largest fractional deviations low/high such that
-pass_test still holds at nominal*(1-low) and nominal*(1+high),
-bisecting each side separately down to `resolution`, which must be
-positive and finite, and capping the search at +-BOUND (90%).
+The margins are the connected interval around nominal where pass_test
+holds, as fractional deviations low/high: pass_test holds at nominal,
+at nominal*(1-low), at nominal*(1+high) and at every point probed
+between them. The scan is capped at +-BOUND (90%) and ends once each
+side's edge is known to `resolution`, which must be positive and finite.
+
+Every parameter runs the same schedule. The first batch probes nominal
+and the grid BOUND*k/9 (k = 1..9, the last point BOUND itself) on both
+sides, 19 variants. Walking outward from nominal, a side's bracket runs
+from its last passing point to its first failing one; a pass beyond the
+first failure is an island and does not count. While a bracket is wider
+than resolution, the next batch splits both sides' brackets into
+min(9, ceil(width/resolution)) equal parts, a width within rounding of
+n resolutions counting as n, and probes the points strictly inside, so
+a resolution below float spacing ends the scan. The margin is the
+bracket's passing end, and BOUND itself on a side that passes at every
+grid point. A default soma2 scan (resolution 0.02) runs 23 or 27
+transients in 2 batches.
 
 pass_test sees a lean run (`run_transients(record=False)`): its node
 voltages and its junction pulses, which detect_pulses_in returns as
@@ -12,27 +26,11 @@ detect_pulses would find them, but no junction phase, junction voltage
 or inductor current trace. A probe thus holds a few print rows instead
 of every junction's waveforms, so batches can be wide.
 
-When the scanned field leaves the solver's linear operators alone
-(junction ic, source waveforms), the variants share one lockstep group
-and the probes run in batches that look LEVELS_PER_BATCH (3) bisection
-levels ahead. The first batch probes nominal, both bounds and the first
-three levels of both sides, 3 + 7 + 7 = 17 variants; each later batch
-probes the next three levels of one side, its 7-point subtree. Replaying
-the bisection over those results gives exactly the margins of probing
-one point at a time. A default soma2 scan (resolution 0.02, six levels
-on the side that does not reach the bound) runs 24 transients in 2
-batches. Three levels is the depth that makes that scan two batches,
-three levels in each, and a wide batch is cheap: a step's cost is
-mostly numpy's per-call overhead, so 17 variants step in about 1.3
-times the time of 3. A fourth level would grow the first batch to 33
-variants and a later one to 15 without saving a batch.
-
-Any other field (a resistance, an inductance, a junction capacitance)
-would put every variant in a group of its own, so the scan probes one
-point at a time. When a batch fails numerically, the scan probes the
-point it needs now alone and the look-ahead points only once it
-reaches them, so an error surfaces only where probing one point at a
-time would meet it.
+run_transients advances the variants of a junction ic or source
+waveform scan in one lockstep group; a resistance, inductance or
+junction capacitance puts each variant in a group of its own, so the
+same batches run one transient at a time. A CircuitError in a batch
+propagates and names its variant.
 """
 
 from __future__ import annotations
@@ -42,12 +40,12 @@ import math
 from typing import Callable
 
 from .netlist import Netlist
-from .transient import CircuitError, TraceSet, run_transients, same_lockstep_group
+from .transient import TraceSet, run_transients
 
 log = logging.getLogger("fluxon.margins")
 
 BOUND = 0.9  # the search cap on each side, as a fraction of nominal
-LEVELS_PER_BATCH = 3  # bisection levels one lockstep batch looks ahead
+PARTS = 9  # the most parts a batch splits a bracket into
 
 
 class MarginError(ValueError):
@@ -68,58 +66,37 @@ def margin_scan(
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution {resolution} must be positive and finite")
     _, _, nominal = netlist.resolve_selector(param)
-    ahead = same_lockstep_group(netlist, netlist.with_param(param, nominal * (1.0 + BOUND)))
     passed: dict[float, bool] = {}  # signed fraction -> pass_test result
     batches = 0
 
-    def probe(*fractions: float) -> None:
-        """pass_test at fractions[0], and at the look-ahead points after it."""
-        nonlocal batches
-        variants = [netlist.with_param(param, nominal * (1.0 + f)) for f in fractions]
+    def bracket(sign: float) -> tuple[float, float | None]:
+        """(last pass, first failure) walking outward; None when every point passes."""
+        lo = 0.0
+        for f in sorted(sign * f for f in passed if sign * f > 0.0):
+            if not passed[sign * f]:
+                return lo, f
+            lo = f
+        return lo, None
+
+    grid = [BOUND * k / PARTS for k in range(1, PARTS)] + [BOUND]
+    fractions = [0.0, *(-f for f in grid), *grid]
+    while fractions:
         batches += 1
-        try:
-            runs = run_transients(variants, record=False)
-        except CircuitError:
-            if len(fractions) == 1:
-                raise
-            return probe(fractions[0])
-        for f, traces in zip(fractions, runs):
+        variants = [netlist.with_param(param, nominal * (1.0 + f)) for f in fractions]
+        for f, traces in zip(fractions, run_transients(variants, record=False)):
             passed[f] = bool(pass_test(traces))
+        if not passed[0.0]:
+            raise MarginError(f"nominal fails: pass_test is false at {param} = {nominal}")
+        fractions = []
+        for sign in (-1.0, 1.0):
+            lo, hi = bracket(sign)
+            if hi is None:
+                continue
+            # a width within rounding of n resolutions splits into n parts, not n + 1
+            n = min(PARTS, math.ceil((hi - lo) / resolution - 1e-9))
+            inner = (lo + (hi - lo) * k / n for k in range(1, n))
+            fractions += [sign * f for f in inner if lo < f < hi]
 
-    look = _subtree(0.0, BOUND, LEVELS_PER_BATCH, resolution) if ahead else []
-    probe(0.0, *((-BOUND, BOUND) if ahead else ()), *(-f for f in look), *look)
-    if not passed[0.0]:
-        raise MarginError(f"nominal fails: pass_test is false at {param} = {nominal}")
-
-    def search(sign: float) -> float:
-        if sign * BOUND not in passed:
-            probe(sign * BOUND)
-        if passed[sign * BOUND]:
-            return BOUND
-        lo, hi = 0.0, BOUND  # lo passes, hi fails
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # a resolution finer than float spacing stops here
-                break
-            if sign * mid not in passed:
-                levels = LEVELS_PER_BATCH if ahead else 1
-                probe(*(sign * f for f in _subtree(lo, hi, levels, resolution)))
-            if passed[sign * mid]:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    margins = search(-1.0), search(+1.0)
+    margins = bracket(-1.0)[0], bracket(+1.0)[0]
     log.info("margins: %s: %d transients in %d batches", param, len(passed), batches)
     return margins
-
-
-def _subtree(lo: float, hi: float, levels: int, resolution: float) -> list[float]:
-    """The points the bisection of (lo, hi) may probe in its next `levels`
-    levels, [mid, *below, *above]: a level is left out once its interval
-    is no wider than resolution or its midpoint is not strictly inside."""
-    mid = 0.5 * (lo + hi)
-    if levels == 0 or not hi - lo > resolution or not lo < mid < hi:
-        return []
-    return [mid, *_subtree(lo, mid, levels - 1, resolution), *_subtree(mid, hi, levels - 1, resolution)]

@@ -212,11 +212,6 @@ def run_transients(
     return traces
 
 
-def same_lockstep_group(a: Netlist, b: Netlist) -> bool:
-    """Whether run_transients advances a and b together on a shared time grid."""
-    return _lockstep_key(a) == _lockstep_key(b)
-
-
 def _lockstep_key(nl: Netlist) -> tuple:
     return nl.prints, tuple(map(_topology, nl.devices))
 

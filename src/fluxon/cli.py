@@ -171,14 +171,17 @@ def cmd_train(cfg: dict) -> int:
     _, train_s, _, quantizer, Xq_train = _dataset(cfg)
     y = trainmod.labels_of(train_s)
     tc = cfg["train"]
-    mlp, losses = trainmod.train_mlp(
-        Xq_train.astype(float),
-        trainmod.one_hot(y, 3),
-        epochs=tc["epochs"],
-        learning_rate=tc["learning_rate"],
-        seed=cfg["seed"],
-        train_biases=tc["train_biases"],
-    )
+    try:
+        mlp, losses = trainmod.train_mlp(
+            Xq_train.astype(float),
+            trainmod.one_hot(y, 3),
+            epochs=tc["epochs"],
+            learning_rate=tc["learning_rate"],
+            seed=cfg["seed"],
+            train_biases=tc["train_biases"],
+        )
+    except ValueError as exc:
+        raise UserError(f"bad train config: {exc}") from None
     _write(out / "mlp.json", mlp.to_json())
     _write(out / "quantizer.json", quantizer.to_json())
     _write(

@@ -37,6 +37,8 @@ class PsoConfig:
     def __post_init__(self):
         if self.n_particles < 2:
             raise ValueError("n_particles must be >= 2")
+        if self.n_iterations < 1:
+            raise ValueError("n_iterations must be >= 1")
         for lo, hi in self.bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"bad bound ({lo}, {hi})")

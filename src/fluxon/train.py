@@ -56,6 +56,8 @@ def load_iris(csv_text: str) -> list[Sample]:
             feats = tuple(float(p) for p in parts[:4])
         except ValueError as exc:
             raise DataError(f"line {lineno}: bad feature value ({exc})") from None
+        if not all(map(math.isfinite, feats)):
+            raise DataError(f"line {lineno}: non-finite feature value in {line!r}")
         name = parts[4].strip().lower()
         if name not in _CLASS_INDEX:
             raise DataError(f"line {lineno}: unknown class name {parts[4]!r}")
@@ -240,8 +242,13 @@ def train_mlp(
     Aborts on a non-finite loss. With train_biases=False the biases are
     pinned at zero, which keeps the learned function expressible by the
     integer-weight hardware decode (positive pulse-count thresholds
-    cannot absorb arbitrary bias terms).
+    cannot absorb arbitrary bias terms). Negative epochs or a learning
+    rate that is not positive and finite raise ValueError.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not 0.0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
     X = np.asarray(X, dtype=float)
     T = np.asarray(T, dtype=float)
     mlp = RealMlp.init(X.shape[1], n_hidden, T.shape[1], seed)

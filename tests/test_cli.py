@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import string
 
@@ -277,12 +278,19 @@ class TestMargins:
             outputs.append((capsys.readouterr().out, (tmp_path / level / "margins.csv").read_bytes()))
         assert outputs[0] == outputs[1]
         lines = [r.getMessage() for r in caplog.records if r.name == "fluxon.margins"]
-        # vin.amp bisects 4 levels a side, three in the first batch and the fourth alone;
-        # b2.ic passes at both bounds
+        # at resolution 0.1 the first batch's grid already places every edge
         assert lines == [
-            "margins: vin.amp: 19 transients in 3 batches",
-            "margins: b2.ic: 17 transients in 1 batches",
+            "margins: vin.amp: 19 transients in 1 batches",
+            "margins: b2.ic: 19 transients in 1 batches",
         ]
+
+    def test_default_scan_reports_the_connected_interval(self, tmp_path, capsys):
+        # soma2 passes again at b2.ic -90% beyond a failing stretch from -80%
+        # to -20%; that island is not margin
+        out = tmp_path / "out"
+        assert run("--out", str(out), "margins") == 0
+        assert capsys.readouterr().out == "ib.amp: -84.0% / +90.0%\nb2.ic: -18.0% / +24.0%\n"
+        assert (out / "margins.csv").read_bytes() == b"param,low_pct,high_pct\nib.amp,84.0,90.0\nb2.ic,18.0,24.0\n"
 
     @pytest.mark.parametrize("resolution", [-0.01, 0.0])
     def test_non_positive_resolution_exits_2(self, tmp_path, capsys, resolution):
@@ -399,11 +407,17 @@ SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_o
     ({}, {"out/mlp.json": "not json"}, ["discretize"], "bad {tmp}/out/mlp.json: Expecting value"),
     ({}, {"p.json": [1]}, ["power", "--network", "{tmp}/p.json"], "malformed power config {tmp}/p.json"),
     ({}, {"p.json": SOPS_NULL}, ["power", "--network", "{tmp}/p.json"], "malformed power config {tmp}/p.json"),
+    ({"train": {"learning_rate": math.nan}}, {}, ["train"], "bad train config: learning_rate must be positive"),
+    ({"train": {"epochs": -3}}, {}, ["train"], "bad train config: epochs must be >= 0"),
+    ({"dataset": "{tmp}/iris.csv"}, {"iris.csv": "nan,3.5,1.4,0.2,Iris-setosa\n"}, ["train"],
+     "line 1: non-finite feature value"),
+    ({"pso": {"n_iterations": 0}}, {}, ["pso", "--params", "b2.ic"], "bad pso config: n_iterations must be >= 1"),
 ])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
     for name, doc in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = [a.format(tmp=tmp_path) for a in argv]
+    cfg = json.loads(json.dumps(cfg).replace("{tmp}", str(tmp_path)))
     assert run_with_config(tmp_path, cfg, *argv) == 2
     assert_clean_error(capsys, message.format(tmp=tmp_path))

@@ -88,7 +88,8 @@ def test_unknown_selector(divider):
 
 
 def sequential_margins(netlist, param, pass_test, resolution, bound=0.9):
-    """The one-probe-at-a-time bisection that margin_scan's batches replay."""
+    """margin_scan's grid-and-refine rule one probe at a time: each side
+    walks its points outward and stops at the first failure."""
     _, _, nominal = netlist.resolve_selector(param)
 
     def passes(fraction):
@@ -97,15 +98,18 @@ def sequential_margins(netlist, param, pass_test, resolution, bound=0.9):
     assert passes(0.0)
 
     def search(sign):
-        if passes(sign * bound):
-            return bound
-        lo, hi = 0.0, bound
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if passes(sign * mid):
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = 0.0, None
+        points = [bound * k / 9 for k in range(1, 9)] + [bound]
+        while points:
+            for f in points:
+                if not passes(sign * f):
+                    hi = f
+                    break
+                lo = f
+            if hi is None:
+                return lo
+            n = min(9, math.ceil((hi - lo) / resolution - 1e-9))
+            points = [f for f in (lo + (hi - lo) * k / n for k in range(1, n)) if lo < f < hi]
         return lo
 
     return search(-1.0), search(+1.0)
@@ -124,13 +128,19 @@ def short_soma2():
     return parse_netlist(text.replace(".tran 0.1 430", ".tran 0.1 300"))
 
 
+BATCHES = {  # the grid, then each side's 0.1-wide bracket in two parts
+    "b2.ic": [19, 2],  # both sides fail inside the bound
+    "ib.amp": [19, 1],  # the high side passes at every grid point
+}
+
+
 @pytest.mark.parametrize("param", ["b2.ic", "ib.amp"])
 def test_batched_scan_equals_sequential_bisection(param, batch_sizes):
     nl = short_soma2()
     pass_test = lambda tr: len(detect_pulses_in(tr, "bout")) == 1
     got = margin_scan(nl, param, pass_test, resolution=0.05)
     assert got == sequential_margins(nl, param, pass_test, 0.05)
-    assert batch_sizes == [17, 3]
+    assert batch_sizes == BATCHES[param]
 
 
 @pytest.mark.parametrize("param", ["r1.r", "i1.dc"])
@@ -139,19 +149,18 @@ def test_divider_scan_equals_sequential_bisection(divider, param, band, batch_si
     pass_test = lambda tr: band[0] <= float(tr.node_voltage["1"][-1]) <= band[1]
     got = margin_scan(divider, param, pass_test, resolution=0.01)
     assert got == sequential_margins(divider, param, pass_test, 0.01)
-    if param == "i1.dc":  # nominal, both bounds and three levels a side, then three levels of one side
-        assert batch_sizes[0] == 17 and all(n <= 7 for n in batch_sizes[1:])
-    else:  # a resistance changes the solver's operators: no lockstep to gain
-        assert max(batch_sizes) == 1
+    # nominal and the grid, then at most eight points a side; a resistance runs
+    # the same batches, each variant in a lockstep group of its own
+    assert batch_sizes[0] == 19 and all(n <= 16 for n in batch_sizes[1:])
 
 
 @pytest.mark.parametrize(
     "param, logged",
     [
-        # high side at the bound; low side bisects 6 levels, three per batch
-        ("i1.dc", "24 transients in 2 batches"),
-        # the same bisection, one probe at a time
-        ("r1.r", "9 transients in 9 batches"),
+        # high side at the bound; the low side's bracket (0.2, 0.3) splits in five
+        ("i1.dc", "23 transients in 2 batches"),
+        # the same batches, one transient at a time within each
+        ("r1.r", "23 transients in 2 batches"),
     ],
 )
 def test_scan_logs_its_counts(divider, param, logged, batch_sizes, caplog):
@@ -173,22 +182,26 @@ def failing_at(fraction):
     return runs
 
 
-def test_failing_bound_probe_leaves_nominal_failure_a_margin_error(divider, monkeypatch):
-    monkeypatch.setattr(margins, "run_transients", failing_at(-0.9))
-    with pytest.raises(MarginError, match="nominal fails"):
-        margin_scan(divider, "i1.dc", v_at_least(2e-3))
-
-
 def test_failing_probe_raises_where_bisection_reaches_it(divider, monkeypatch):
     monkeypatch.setattr(margins, "run_transients", failing_at(-0.9))
     with pytest.raises(NewtonError):
         margin_scan(divider, "i1.dc", v_at_least(0.75e-3), resolution=0.02)
 
 
-def test_failing_look_ahead_probe_is_never_needed(divider, monkeypatch):
-    # low side: the midpoint -0.45 fails, so the bisection goes on to -0.225
-    # and never to -0.675, which was probed ahead in the same batch
-    pass_test = v_at_least(0.75e-3)
-    expected = margin_scan(divider, "i1.dc", pass_test, resolution=0.02)
-    monkeypatch.setattr(margins, "run_transients", failing_at(-0.675))
-    assert margin_scan(divider, "i1.dc", pass_test, resolution=0.02) == expected
+@pytest.mark.parametrize("fraction", [0.0, -0.5, -0.24])
+def test_newton_error_in_any_probe_propagates(divider, monkeypatch, fraction):
+    # nominal, a grid point past the first failure (-0.3), and a refinement
+    # point: no probe's error is dropped, whether or not its result counts
+    monkeypatch.setattr(margins, "run_transients", failing_at(fraction))
+    with pytest.raises(NewtonError):
+        margin_scan(divider, "i1.dc", v_at_least(0.75e-3), resolution=0.02)
+
+
+@pytest.mark.parametrize("param", ["r1.r", "i1.dc"])
+def test_island_beyond_the_first_failure_is_not_margin(divider, param):
+    # v(1) = 1 mV * (1 + f): the pass test fails for -0.65 <= f <= -0.45 and
+    # holds again below; the bound passes, but the margin stops at -0.45
+    pass_test = lambda tr: not 0.35e-3 <= float(tr.node_voltage["1"][-1]) <= 0.55e-3
+    low, high = margin_scan(divider, param, pass_test, resolution=0.01)
+    assert low == pytest.approx(0.45, abs=0.01) and low < 0.45
+    assert high == 0.9

@@ -75,6 +75,8 @@ class TestPso:
             PsoConfig(bounds=((0.0, 1.0),), n_particles=1)
         with pytest.raises(ValueError):
             PsoConfig(bounds=((2.0, 1.0),))
+        with pytest.raises(ValueError, match="n_iterations must be >= 1"):
+            PsoConfig(bounds=((0.0, 1.0),), n_iterations=0)
 
 
 @pytest.fixture(scope="module")

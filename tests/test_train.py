@@ -43,6 +43,11 @@ class TestLoadIris:
         with pytest.raises(DataError, match="line 2"):
             load_iris("5.1,3.5,1.4,0.2,Iris-setosa\n1,2,3")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature(self, value):
+        with pytest.raises(DataError, match="line 2: non-finite feature value"):
+            load_iris(f"5.1,3.5,1.4,0.2,Iris-setosa\n5.1,{value},1.4,0.2,Iris-setosa")
+
     def test_full_dataset_counts(self, iris_samples):
         assert len(iris_samples) == 150
         for lab in range(3):
@@ -159,6 +164,17 @@ class TestMlp:
             analytic = grads[field][idx]
             denom = max(abs(analytic), abs(numeric), 1e-6)
             assert abs(analytic - numeric) / denom <= 1e-5
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"epochs": -3}, "epochs must be >= 0"),
+        ({"learning_rate": 0.0}, "learning_rate must be positive and finite"),
+        ({"learning_rate": math.nan}, "learning_rate must be positive and finite"),
+        ({"learning_rate": math.inf}, "learning_rate must be positive and finite"),
+    ])
+    def test_bad_schedule_rejected(self, kw, message):
+        X, T = np.zeros((2, 2)), np.zeros((2, 1))
+        with pytest.raises(ValueError, match=message):
+            train_mlp(X, T, **{"epochs": 5, "learning_rate": 0.5, "seed": 0, **kw})
 
     def test_nan_loss_aborts(self):
         X = np.array([[1.0, float("nan")]])
