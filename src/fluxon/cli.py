@@ -205,6 +205,10 @@ def cmd_discretize(cfg: dict) -> int:
     out = Path(cfg["out_dir"])
     mlp = _read_artifact(out / "mlp.json", "train", trainmod.RealMlp.from_json)
     samples, train_s, test_s, quantizer, Xq_train = _dataset(cfg)
+    n_in, n_out = Xq_train.shape[1], len(trainmod.CLASS_NAMES)
+    if mlp.w1.shape[1] != n_in or mlp.w2.shape[0] != n_out:
+        raise UserError(f"bad {out / 'mlp.json'}: {mlp.w1.shape[1]} inputs and "
+                        f"{mlp.w2.shape[0]} outputs, the dataset has {n_in} and {n_out}")
     y_train = trainmod.labels_of(train_s)
     spec, trace = trainmod.ga_discretize(mlp, Xq_train, y_train, ga_cfg)
     _write(out / "network.json", spec.to_json())

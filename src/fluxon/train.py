@@ -189,8 +189,16 @@ class RealMlp:
 
     @staticmethod
     def from_json(text: str) -> "RealMlp":
+        """Raises ValueError unless w1 is (H, I), b1 (H,), w2 (O, H), b2 (O,), all finite."""
         doc = json.loads(text)
-        return RealMlp(*(np.asarray(doc[k], dtype=float) for k in ("w1", "b1", "w2", "b2")))
+        w1, b1, w2, b2 = (np.asarray(doc[k], dtype=float) for k in ("w1", "b1", "w2", "b2"))
+        if (b1.ndim != 1 or b2.ndim != 1 or w1.ndim != 2 or w1.shape[0] != b1.size
+                or w2.shape != (b2.size, b1.size)):
+            raise ValueError(f"shapes w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
+                             f"b2 {b2.shape} are not (H, I), (H,), (O, H), (O,)")
+        if not all(np.isfinite(a).all() for a in (w1, b1, w2, b2)):
+            raise ValueError("non-finite weight or bias")
+        return RealMlp(w1, b1, w2, b2)
 
 
 def mlp_loss(mlp: RealMlp, X: np.ndarray, T: np.ndarray) -> float:
@@ -198,26 +206,48 @@ def mlp_loss(mlp: RealMlp, X: np.ndarray, T: np.ndarray) -> float:
     return 0.5 * float(np.mean((O - T) ** 2))
 
 
-def _loss_and_gradients(
-    mlp: RealMlp, X: np.ndarray, T: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """mlp_loss and its analytic full-batch gradients from one forward pass."""
-    H, O = mlp.forward(X)
-    n = O.size
-    d_o = (O - T) / n * O * (1.0 - O)
-    d_h = (d_o @ mlp.w2) * H * (1.0 - H)
-    grads = {
-        "w2": d_o.T @ H,
-        "b2": d_o.sum(axis=0),
-        "w1": d_h.T @ X,
-        "b1": d_h.sum(axis=0),
-    }
-    return 0.5 * float(np.mean((O - T) ** 2)), grads
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """_sigmoid's float operations, in _sigmoid's order, in z's own buffer."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
+def _loss_and_grads(
+    mlp: RealMlp, X: np.ndarray, T: np.ndarray, biases: bool
+) -> tuple[float, list[np.ndarray]]:
+    """mlp_loss and the gradients of w1, w2 (then b1, b2 if biases) from one forward pass.
+
+    biases=False skips the biases, which must then be zero: adding a
+    zero bias only turns -0.0 into +0.0, and the sigmoid maps both to 1/2.
+    The values are those of forward and mlp_loss, bit for bit.
+    """
+    z = X @ mlp.w1.T
+    if biases:
+        z += mlp.b1
+    H = _sigmoid_in_place(z)
+    z = H @ mlp.w2.T
+    if biases:
+        z += mlp.b2
+    O = _sigmoid_in_place(z)
+    E = O - T
+    loss = 0.5 * float((E * E).sum() / E.size)
+    d_o = E / E.size
+    d_o *= O
+    d_o *= 1.0 - O
+    d_h = d_o @ mlp.w2
+    d_h *= H
+    d_h *= 1.0 - H
+    grads = [d_h.T @ X, d_o.T @ H]
+    if biases:
+        grads += [d_h.sum(axis=0), d_o.sum(axis=0)]
+    return loss, grads
 
 
 def mlp_gradients(mlp: RealMlp, X: np.ndarray, T: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic full-batch gradients of mlp_loss."""
-    return _loss_and_gradients(mlp, X, T)[1]
+    return dict(zip(("w1", "w2", "b1", "b2"), _loss_and_grads(mlp, X, T, True)[1]))
 
 
 def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
@@ -256,19 +286,19 @@ def train_mlp(
         mlp.b1[:] = 0.0
         mlp.b2[:] = 0.0
     t0 = time.perf_counter()
-    loss, grads = _loss_and_gradients(mlp, X, T)
+    params = (mlp.w1, mlp.w2, mlp.b1, mlp.b2)
+    loss, grads = _loss_and_grads(mlp, X, T, train_biases)
     losses = [loss]
     for epoch in range(epochs):
-        mlp.w1 -= learning_rate * grads["w1"]
-        mlp.w2 -= learning_rate * grads["w2"]
-        if train_biases:
-            mlp.b1 -= learning_rate * grads["b1"]
-            mlp.b2 -= learning_rate * grads["b2"]
-        loss, grads = _loss_and_gradients(mlp, X, T)
+        for p, g in zip(params, grads):
+            g *= learning_rate
+            p -= g
+        loss, grads = _loss_and_grads(mlp, X, T, train_biases)
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss {loss} at epoch {epoch + 1}")
         losses.append(loss)
-    log.info("mlp: %d epochs in %.3f s", epochs, time.perf_counter() - t0)
+    dt = time.perf_counter() - t0
+    log.info("mlp: %d epochs in %.3f s (%s epochs/s)", epochs, dt, f"{epochs / dt:,.0f}")
     return mlp, losses
 
 

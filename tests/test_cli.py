@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fluxon.cli import DEFAULT_CONFIG, UserError, load_config, main
+from fluxon.train import RealMlp
 
 FAST_CONFIG = {
     "train": {"epochs": 300, "learning_rate": 0.5, "train_biases": False},
@@ -381,6 +382,7 @@ def test_config_values_must_have_their_defaults_kind(tmp_path_factory, data):
 
 SMALL_SWARM = {"pso": {"n_particles": 2, "n_iterations": 1}}
 JUNCTION = "bad margins config: junction 'nosuch' is not a junction of soma2"
+MLP = json.loads(RealMlp.init(4, 4, 3, 7).to_json())
 SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_on_chip_w": 0.0,
              "sops_rated": None}
 
@@ -412,6 +414,12 @@ SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_o
     ({"dataset": "{tmp}/iris.csv"}, {"iris.csv": "nan,3.5,1.4,0.2,Iris-setosa\n"}, ["train"],
      "line 1: non-finite feature value"),
     ({"pso": {"n_iterations": 0}}, {}, ["pso", "--params", "b2.ic"], "bad pso config: n_iterations must be >= 1"),
+    ({}, {"out/mlp.json": {**MLP, "w1": [row[:3] for row in MLP["w1"]]}}, ["discretize"],
+     "bad {tmp}/out/mlp.json: 3 inputs and 3 outputs, the dataset has 4 and 3"),
+    ({}, {"out/mlp.json": {**MLP, "w2": MLP["w2"][:2]}}, ["discretize"],
+     "bad {tmp}/out/mlp.json: shapes w1 (4, 4), b1 (4,), w2 (2, 4), b2 (3,)"),
+    ({}, {"out/mlp.json": {**MLP, "w1": [[math.nan] * 4] + MLP["w1"][1:]}}, ["discretize"],
+     "bad {tmp}/out/mlp.json: non-finite weight or bias"),
 ])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
     for name, doc in files.items():

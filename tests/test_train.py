@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -181,6 +182,39 @@ class TestMlp:
         T = np.array([[1.0]])
         with pytest.raises(TrainingError, match="epoch 1"):
             train_mlp(X, T, epochs=5, learning_rate=0.5, seed=0, n_hidden=2)
+
+    @pytest.mark.parametrize("train_biases", [False, True])
+    def test_last_loss_is_mlp_loss_of_returned_net(self, iris_samples, train_biases):
+        train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
+        _, Xq = quantize_features(train)
+        X, T = Xq.astype(float), one_hot(labels_of(train), 3)
+        mlp, losses = train_mlp(X, T, epochs=200, learning_rate=0.5, seed=5,
+                                train_biases=train_biases)
+        assert repr(losses[-1]) == repr(mlp_loss(mlp, X, T))
+
+    @pytest.mark.parametrize("train_biases", [False, True])
+    def test_inputs_left_unchanged(self, train_biases):
+        rng = np.random.default_rng(4)
+        X = rng.integers(-2, 3, size=(10, 4)).astype(float)
+        X[0, 0] = -0.0
+        T = one_hot(rng.integers(0, 3, size=10), 3)
+        X0, T0 = X.tobytes(), T.tobytes()
+        train_mlp(X, T, epochs=20, learning_rate=0.5, seed=1, train_biases=train_biases)
+        assert X.tobytes() == X0 and T.tobytes() == T0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(b1=d["b1"][:3]), "shapes"),
+        (lambda d: d.update(w2=[row[:3] for row in d["w2"]]), "shapes"),
+        (lambda d: d.update(b2=[d["b2"]]), "shapes"),
+        (lambda d: d.update(w1=d["w1"][0]), "shapes"),
+        (lambda d: d["b2"].__setitem__(1, math.inf), "non-finite"),
+        (lambda d: d["w2"][2].__setitem__(0, math.nan), "non-finite"),
+    ])
+    def test_json_rejects_bad_shapes_and_non_finite_values(self, edit, message):
+        doc = json.loads(RealMlp.init(4, 4, 3, 7).to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            RealMlp.from_json(json.dumps(doc))
 
 
 class TestGa:
@@ -485,6 +519,17 @@ class TestLoopReferences:
         _, Xq = quantize_features(train)
         T = one_hot(labels_of(train), 3)
         kw = dict(epochs=400, learning_rate=0.5, seed=3, train_biases=train_biases)
+        mlp, losses = train_mlp(Xq.astype(float), T, **kw)
+        ref_mlp, ref_losses = _reference_train_mlp(Xq.astype(float), T, **kw)
+        assert mlp.to_json() == ref_mlp.to_json()
+        assert repr(losses) == repr(ref_losses)
+
+    def test_train_mlp_matches_reference_at_default_size(self, iris_samples):
+        # the pipeline's own schedule: 3000 epochs, seed 7, biases pinned
+        train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
+        _, Xq = quantize_features(train)
+        T = one_hot(labels_of(train), 3)
+        kw = dict(epochs=3000, learning_rate=0.5, seed=7, train_biases=False)
         mlp, losses = train_mlp(Xq.astype(float), T, **kw)
         ref_mlp, ref_losses = _reference_train_mlp(Xq.astype(float), T, **kw)
         assert mlp.to_json() == ref_mlp.to_json()
