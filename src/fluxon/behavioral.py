@@ -141,8 +141,9 @@ class SynapseConfig:
 def synapse_contribution(cfg: SynapseConfig, x: int) -> int:
     """Weighted contribution x*w of one synapse for input level x."""
     xi = int(x)
-    if xi != x or not 0 <= xi <= cfg.max_input:
-        raise ValueError(f"input level {x} outside 0..{cfg.max_input} for {cfg.kind}")
+    hi = _MAX_INPUT[cfg.kind]
+    if xi != x or not 0 <= xi <= hi:
+        raise ValueError(f"input level {x} outside 0..{hi} for {cfg.kind}")
     return xi * cfg.weight
 
 

@@ -200,6 +200,11 @@ def _ga_config(cfg: dict) -> trainmod.GaConfig:
         raise UserError(f"bad ga config: {exc}") from None
 
 
+def _log_spiking(n: int, t0: float) -> None:
+    dt = time.perf_counter() - t0
+    log.info("spiking: %d inputs in %.3f s (%.1f µs/input)", n, dt, 1e6 * dt / max(n, 1))
+
+
 def cmd_discretize(cfg: dict) -> int:
     ga_cfg = _ga_config(cfg)
     out = Path(cfg["out_dir"])
@@ -232,7 +237,7 @@ def cmd_discretize(cfg: dict) -> int:
         )
         for xv in Xq_all
     )
-    log.info("spiking: %d inputs in %.3f s", len(Xq_all), time.perf_counter() - t0)
+    _log_spiking(len(Xq_all), t0)
     pct = 100.0 * match / len(samples)
     print(f"train accuracy {m_train['accuracy']:.4f}, test accuracy {m_test['accuracy']:.4f}")
     print(f"spiking/discrete match: {match}/{len(samples)} ({pct:.1f}%)")
@@ -268,7 +273,7 @@ def cmd_simulate(cfg: dict, args) -> int:
             vec = _parse_input_vector(args.input, spec.input_dim)
             t0 = time.perf_counter()
             report = snn.simulate_spiking(spec, vec)
-            log.info("spiking: 1 inputs in %.3f s", time.perf_counter() - t0)
+            _log_spiking(1, t0)
             with open(out / "events.csv", "w") as fh:
                 write_event_log(fh, report.event_log)
             _write(
@@ -296,7 +301,7 @@ def cmd_simulate(cfg: dict, args) -> int:
                 rep = snn.simulate_spiking(spec, xv)
                 ref = snn.classify_outputs(snn.evaluate_discrete(spec, xv)[-1])
                 seen[key] = (rep.fired_class, ref, int(lab))
-        log.info("spiking: %d inputs in %.3f s", len(seen), time.perf_counter() - t0)
+        _log_spiking(len(seen), t0)
         rows = ["input,spiking_class,discrete_class,label"]
         for key in sorted(seen):
             fired, ref, lab = seen[key]

@@ -8,6 +8,7 @@ types here are immutable values and safe to share between workers.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -27,7 +28,7 @@ def _normalize_times(times: Iterable[float]) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PulseEvent:
     """A single pulse at `time` ps on `node`."""
 
@@ -67,7 +68,7 @@ class SpikeTrain:
 
 
 def sorted_events(events: Iterable[PulseEvent]) -> list[PulseEvent]:
-    return sorted(events, key=lambda e: (e.time, e.node))
+    return sorted(events, key=operator.attrgetter("time", "node"))
 
 
 def write_event_log(fh: IO[str], events: Iterable[PulseEvent]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ class LayerSpec:
     weights: np.ndarray
     thresholds: tuple[int, ...]
     synapse: str = "SM4"
+    theta: np.ndarray = field(init=False, repr=False, compare=False)  # thresholds, read-only
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=int)
@@ -56,6 +57,9 @@ class LayerSpec:
             raise ValueError(f"layer weights must lie in [{lo}, {hi}]")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
+        theta = np.array(self.thresholds, dtype=int)
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
         if len(self.thresholds) != w.shape[0]:
             raise ValueError("one threshold per neuron required")
         if self.synapse not in ("SM2", "SM4"):
@@ -138,13 +142,17 @@ class NetworkSpec:
         )
 
 
-def _check_input(spec: NetworkSpec, x: Sequence[int]) -> np.ndarray:
-    xv = np.asarray(x, dtype=int)
+def _check_input(spec: NetworkSpec, x: Sequence[int]) -> list[int]:
+    xv = np.asarray(x)
     if xv.shape != (spec.input_dim,):
         raise ValueError(f"input shape {xv.shape} != ({spec.input_dim},)")
-    if np.any(xv < 0) or np.any(xv > 2):
+    levels = xv.tolist()
+    if not {0, 1, 2}.issuperset(levels):
+        bad = next(v for v in levels if v not in (0, 1, 2))
+        if isinstance(bad, float) and not bad.is_integer():
+            raise ValueError(f"input level {bad!r} is not an integer")
         raise ValueError("first-layer inputs must lie in {0, 1, 2}")
-    return xv
+    return levels
 
 
 def evaluate_discrete(spec: NetworkSpec, x: Sequence[int]) -> list[np.ndarray]:
@@ -152,8 +160,7 @@ def evaluate_discrete(spec: NetworkSpec, x: Sequence[int]) -> list[np.ndarray]:
     acts = _check_input(spec, x)
     outputs = []
     for layer in spec.layers:
-        u = layer.weights @ acts
-        acts = (u >= np.asarray(layer.thresholds)).astype(int)
+        acts = (layer.weights @ acts >= layer.theta).astype(int)
         outputs.append(acts)
     return outputs
 
@@ -180,27 +187,35 @@ def classify_outputs(bits: Sequence[int]) -> int | str | None:
 
 
 # Bound of the neuron response cache. A response depends only on its
-# four arguments, and networks share few of them: totals lie in -64..64
-# and thresholds in a small set, so this holds the keys of many
-# networks at once.
+# five arguments, and networks share many of them: totals lie in
+# -64..64, thresholds in a small set and positions below the layer
+# widths, so this holds the keys of many networks at once.
 RESPONSE_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=RESPONSE_CACHE_SIZE)
 def _neuron_response(
-    total: int, threshold: int | None, clock_start: float, clock_ps: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """BQ burst times for a synaptic total, and the fire times of a soma of
-    `threshold` fed by that burst (none for threshold None, the input encoder).
+    total: int, threshold: int | None, layer: int, index: int, clock_ps: float
+) -> tuple[tuple[PulseEvent, ...], int]:
+    """Frozen pulse events of neuron `index` of `layer` for a synaptic
+    total (BQ burst, soma fire times, latch pulse at the next clock),
+    and its fired bit. Threshold None is the input encoder: a burst alone.
 
-    The behavioral models are the only definition of both; an error they
-    raise propagates on every call, since lru_cache stores only returns.
+    The behavioral models are the only definition of burst and fire
+    times; an error they raise propagates on every call, since
+    lru_cache stores only returns.
     """
-    bq = BqConfig(clock_period=clock_ps)
-    burst = bq_quantize(total, bq, clock_start)
+    t0 = layer * clock_ps
+    burst = bq_quantize(total, BqConfig(clock_period=clock_ps), t0)
     if threshold is None:
-        return burst.times, ()
-    return burst.times, soma_fire_times(soma_for_threshold(threshold), burst).times
+        return tuple(PulseEvent(t, f"input/{index}") for t in burst.times), 0
+    fires = soma_fire_times(soma_for_threshold(threshold), burst).times
+    prefix = f"layer{layer}/neuron{index}"
+    events = [PulseEvent(t, f"{prefix}/bq") for t in burst.times]
+    events += [PulseEvent(t, f"{prefix}/soma") for t in fires]
+    if fires:
+        events.append(PulseEvent(t0 + clock_ps, f"{prefix}/out"))
+    return tuple(events), 1 if fires else 0
 
 
 def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
@@ -211,29 +226,19 @@ def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
     synaptic total is quantized to a pulse burst, integrated by its
     soma, and squeezed to at most one latched pulse per clock.
     """
-    xv = _check_input(spec, x)
+    acts = _check_input(spec, x)
     clock = spec.clock_ps
     events: list[PulseEvent] = []
+    for k, level in enumerate(acts):
+        events += _neuron_response(level, None, 0, k, clock)[0]
 
-    for k, level in enumerate(xv.tolist()):
-        node = f"input/{k}"
-        events += [PulseEvent(t, node) for t in _neuron_response(level, None, 0.0, clock)[0]]
-
-    acts = xv.tolist()
     for li, layer in enumerate(spec.layers):
-        t0 = li * clock
-        latch_t = t0 + clock
         fired: list[int] = []
         for j, (synapses, threshold) in enumerate(zip(layer.synapses, layer.thresholds)):
             u = sum(map(synapse_contribution, synapses, acts))
-            burst, fires = _neuron_response(u, threshold, t0, clock)
-            prefix = f"layer{li}/neuron{j}"
-            bq_node, soma_node = f"{prefix}/bq", f"{prefix}/soma"
-            events += [PulseEvent(t, bq_node) for t in burst]
-            events += [PulseEvent(t, soma_node) for t in fires]
-            if fires:
-                events.append(PulseEvent(latch_t, f"{prefix}/out"))
-            fired.append(1 if fires else 0)
+            neuron_events, bit = _neuron_response(u, threshold, li, j, clock)
+            events += neuron_events
+            fired.append(bit)
         acts = fired
 
     per_clock = [np.zeros(spec.output_dim, dtype=int) for _ in spec.layers[:-1]]

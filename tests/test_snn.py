@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -247,6 +249,42 @@ class TestAgainstReference:
         spec = small_spec([[1, 1, 1, 1]], (1,), [[1]], (1,))
         with pytest.raises(ValueError):
             spec.layers[0].weights[0, 0] = 2
+
+    def test_thresholds_are_read_only(self):
+        spec = small_spec([[1, 1, 1, 1]], (5,), [[1]], (1,))
+        assert spec.layers[0].theta.tolist() == [5]
+        with pytest.raises(ValueError):
+            spec.layers[0].theta[0] = 1
+
+    @pytest.mark.parametrize("bad", [1.9, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("engine", [simulate_spiking, evaluate_discrete])
+    def test_non_integral_input_rejected(self, engine, bad):
+        # a cast to int would run 1.9 as level 1 and fail bare on NaN
+        spec = small_spec([[1, 1, 1, 1]], (1,), [[1]], (1,))
+        for x in ((bad, 0, 0, 0), np.array([0, 0, 0, bad])):
+            with pytest.raises(ValueError, match=f"input level {bad!r} is not an integer"):
+                engine(spec, x)
+
+    def test_integral_float_input_runs_as_its_level(self):
+        spec = small_spec(np.ones((4, 4), dtype=int), (1, 2, 5, 1), np.ones((3, 4), dtype=int), (1, 2, 5))
+        x = (2, 0, 1, 2)
+        assert_same_report(simulate_spiking(spec, np.asarray(x, dtype=float)),
+                           reference_simulate_spiking(spec, x))
+
+    def test_event_log_is_fresh_per_call(self):
+        spec = small_spec(np.ones((4, 4), dtype=int), (1, 2, 5, 1), np.ones((3, 4), dtype=int), (1, 2, 5))
+        x = (1, 2, 0, 1)
+        first = simulate_spiking(spec, x)
+        first.event_log.clear()
+        assert_same_report(simulate_spiking(spec, x), reference_simulate_spiking(spec, x))
+
+    def test_cached_events_are_immutable(self):
+        spec = small_spec(np.ones((4, 4), dtype=int), (1, 2, 5, 1), np.ones((3, 4), dtype=int), (1, 2, 5))
+        log = simulate_spiking(spec, (1, 2, 0, 1)).event_log
+        assert log
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            log[0].time = 0.5
+        assert simulate_spiking(spec, (1, 2, 0, 1)).event_log == log
 
 
 class TestSpecValidation:
