@@ -295,7 +295,10 @@ class Netlist:
             raise KeyError(f"source {name} has no field {fld!r}")
         if not hasattr(dev, fld):
             raise KeyError(f"device {name} has no field {fld!r}")
-        return dev, fld, getattr(dev, fld)
+        value = getattr(dev, fld)
+        if not isinstance(value, (int, float)):
+            raise KeyError(f"field {fld!r} of device {name} is not a number")
+        return dev, fld, value
 
     def with_param(self, selector: str, value: float) -> "Netlist":
         """Copy of the netlist with one device field replaced."""

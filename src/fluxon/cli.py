@@ -35,7 +35,7 @@ from .circuit import (
     write_waveform_csv,
 )
 from .core import write_event_log
-from .optimize import Objective, PsoConfig, margin_objective, pso_minimize
+from .optimize import PsoConfig, margin_objective, pso_minimize
 
 log = logging.getLogger("fluxon.cli")
 
@@ -380,9 +380,11 @@ def _margins_setup(cfg: dict, args):
     params = args.params.split(",") if args.params else mc["params"]
     for sel in params:
         try:
-            netlist.resolve_selector(sel)
+            _, _, nominal = netlist.resolve_selector(sel)
         except KeyError as exc:
             raise UserError(exc.args[0]) from None
+        if nominal == 0:
+            raise UserError(f"{sel} is 0 at nominal, so it has no relative margins")
     junction, count = mc["junction"].lower(), mc["count"]
     if junction not in {d.name for d in netlist.devices if isinstance(d, Junction)}:
         raise UserError(f"bad margins config: junction {junction!r} is not a junction of {name}")
@@ -413,40 +415,21 @@ def cmd_margins(cfg: dict, args) -> int:
 def cmd_pso(cfg: dict, args) -> int:
     out = Path(cfg["out_dir"])
     pc = cfg["pso"]
-    if args.benchmark:
-        if args.benchmark == "sphere":
-            obj = Objective(lambda x: float(np.sum(x * x)), "sphere")
-            bounds = tuple((-10.0, 10.0) for _ in range(5))
-            pso_cfg = PsoConfig(bounds=bounds, n_particles=30, n_iterations=200, seed=cfg["seed"])
-        elif args.benchmark == "rosenbrock":
-            obj = Objective(
-                lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2),
-                "rosenbrock",
-            )
-            pso_cfg = PsoConfig(
-                bounds=((-2.0, 2.0), (-2.0, 2.0)),
-                n_particles=40,
-                n_iterations=400,
-                seed=cfg["seed"],
-            )
-        else:
-            raise UserError(f"unknown benchmark {args.benchmark!r}")
-    else:
-        netlist, params, pass_test = _margins_setup(cfg, args)
-        params = params if args.params else params[:1]  # the first of margins.params
-        if len(params) != 1:
-            raise UserError(f"pso tunes exactly one parameter, got {len(params)}: {params}")
-        _, _, nominal = netlist.resolve_selector(params[0])
-        obj = margin_objective(netlist, params, pass_test, resolution=0.05)
-        try:
-            pso_cfg = PsoConfig(
-                bounds=((nominal * 0.8, nominal * 1.2),),
-                n_particles=pc["n_particles"],
-                n_iterations=pc["n_iterations"],
-                seed=cfg["seed"],
-            )
-        except (TypeError, ValueError) as exc:
-            raise UserError(f"bad pso config: {exc}") from None
+    netlist, params, pass_test = _margins_setup(cfg, args)
+    params = params if args.params else params[:1]  # the first of margins.params
+    if len(params) != 1:
+        raise UserError(f"pso tunes exactly one parameter, got {len(params)}: {params}")
+    _, _, nominal = netlist.resolve_selector(params[0])
+    obj = margin_objective(netlist, params, pass_test, resolution=0.05)
+    try:
+        pso_cfg = PsoConfig(
+            bounds=((nominal * 0.8, nominal * 1.2),),
+            n_particles=pc["n_particles"],
+            n_iterations=pc["n_iterations"],
+            seed=cfg["seed"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise UserError(f"bad pso config: {exc}") from None
     t0 = time.perf_counter()
     best_x, best_f, trace = pso_minimize(obj, pso_cfg)
     n_evals = pso_cfg.n_particles * pso_cfg.n_iterations
@@ -534,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--netlist")
     mg.add_argument("--params", help="comma-separated name.field selectors")
     ps = sub.add_parser("pso")
-    ps.add_argument("--benchmark", help="sphere | rosenbrock")
     ps.add_argument("--netlist")
     ps.add_argument("--params")
     sub.add_parser("reproduce-paper")

@@ -8,13 +8,15 @@ with constriction-style constants (w=0.72, c1=c2=1.49), a velocity clamp
 of 20% of each dimension's range, and reflection at the bounds.
 Iteration 0 is the evaluation of the seeded initial swarm, so a run
 with n_iterations=1 reports the best initial particle unchanged.
+A NaN score counts as +inf, so that particle never becomes a best;
+each block of scores holding a NaN logs one warning.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,36 +46,16 @@ class PsoConfig:
                 raise ValueError(f"bad bound ({lo}, {hi})")
 
 
-@dataclass(frozen=True)
-class Objective:
-    """Deterministic score function over a parameter vector; lower is better."""
-
-    evaluator: Callable[[np.ndarray], float]
-    description: str = ""
-
-    def __call__(self, x: np.ndarray) -> float:
-        score = float(self.evaluator(np.asarray(x, dtype=float)))
-        if math.isnan(score):
-            log.warning("objective %s returned NaN; treating as +inf", self.description)
-            return math.inf
-        return score
-
-
 def _reflect(x: np.ndarray, v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Velocity clamping keeps overshoot below one span, but loop anyway.
-    for _ in range(8):
-        under = x < lo
-        over = x > hi
-        if not (under.any() or over.any()):
-            break
-        x = np.where(under, 2 * lo - x, x)
-        x = np.where(over, 2 * hi - x, x)
-        v = np.where(under | over, -v, v)
-    return np.clip(x, lo, hi), v
+    # The velocity clamp keeps overshoot within VMAX_FRACTION of a span, so
+    # one reflection lands inside the bounds; the clip only guards round-off.
+    under, over = x < lo, x > hi
+    x = np.where(under, 2 * lo - x, np.where(over, 2 * hi - x, x))
+    return np.clip(x, lo, hi), np.where(under | over, -v, v)
 
 
 def pso_minimize(
-    obj: Objective | Callable[[np.ndarray], float],
+    obj: Callable[[np.ndarray], float],
     cfg: PsoConfig,
 ) -> tuple[np.ndarray, float, list[tuple[int, float, float]]]:
     """Minimize obj within cfg.bounds.
@@ -81,15 +63,22 @@ def pso_minimize(
     Returns (best_vector, best_score, trace) where trace rows are
     (iteration, best_score_so_far, mean_score_of_swarm).
     """
-    if not isinstance(obj, Objective):
-        obj = Objective(obj)
-    return _swarm(lambda pts: np.asarray([obj(p) for p in pts]), cfg)
+    return _swarm(lambda pts: [obj(p) for p in pts], cfg)
 
 
 def _swarm(
-    evaluate_swarm: Callable[[np.ndarray], np.ndarray], cfg: PsoConfig
+    evaluate_swarm: Callable[[np.ndarray], Sequence[float]], cfg: PsoConfig
 ) -> tuple[np.ndarray, float, list[tuple[int, float, float]]]:
     """The swarm loop of pso_minimize; evaluate_swarm scores every row of a block."""
+
+    def evaluate(block: np.ndarray) -> np.ndarray:
+        scores = np.asarray(evaluate_swarm(block), dtype=float)
+        nan = np.isnan(scores)
+        if nan.any():
+            log.warning("objective returned NaN for %d of %d particles; treating as +inf",
+                        nan.sum(), len(scores))
+        return np.where(nan, np.inf, scores)
+
     rng = np.random.default_rng(cfg.seed)
     lo = np.asarray([b[0] for b in cfg.bounds])
     hi = np.asarray([b[1] for b in cfg.bounds])
@@ -98,7 +87,7 @@ def _swarm(
 
     x = lo + rng.random((cfg.n_particles, len(cfg.bounds))) * span
     v = (rng.random(x.shape) - 0.5) * 2.0 * vmax
-    scores = evaluate_swarm(x)
+    scores = evaluate(x)
     pbest = x.copy()
     pbest_scores = scores.copy()
     g = int(np.argmin(scores))
@@ -111,7 +100,7 @@ def _swarm(
         v = INERTIA * v + ACCELERATION * r1 * (pbest - x) + ACCELERATION * r2 * (gbest - x)
         v = np.clip(v, -vmax, vmax)
         x, v = _reflect(x + v, v, lo, hi)
-        scores = evaluate_swarm(x)
+        scores = evaluate(x)
         improved = scores < pbest_scores
         pbest[improved] = x[improved]
         pbest_scores[improved] = scores[improved]
@@ -129,8 +118,8 @@ def margin_objective(
     pass_test: Callable,
     *,
     resolution: float = 0.05,
-) -> Objective:
-    """Objective scoring a candidate netlist by its parameter margins.
+) -> Callable[[np.ndarray], float]:
+    """Score function of a candidate netlist by its parameter margins; lower is better.
 
     The candidate vector is substituted into the netlist at the given
     `name.field` selectors; a candidate failing pass_test at nominal
@@ -157,4 +146,4 @@ def margin_objective(
             return NOMINAL_FAIL_PENALTY
         return -total
 
-    return Objective(evaluate, description=f"margins of {', '.join(selectors)}")
+    return evaluate

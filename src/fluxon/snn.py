@@ -167,7 +167,13 @@ def evaluate_discrete(spec: NetworkSpec, x: Sequence[int]) -> list[np.ndarray]:
 
 @dataclass
 class SimReport:
-    """Outcome of one spiking run: latched binaries per clock plus the event log."""
+    """Outcome of one spiking run: the output port per clock plus the event log.
+
+    outputs[c] is the network's output port after clock c, one entry per
+    layer. It has the width of the final layer and holds zeros until the
+    last layer latches, so only outputs[-1] carries bits; the hidden
+    layers' latched bits appear in the event log alone.
+    """
 
     outputs: list[np.ndarray]
     event_log: list[PulseEvent]

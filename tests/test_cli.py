@@ -300,22 +300,22 @@ class TestMargins:
 
 
 class TestPso:
-    def test_sphere_benchmark(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run("--out", str(out), "pso", "--benchmark", "sphere") == 0
-        best = json.loads((out / "pso_best.json").read_text())
-        assert best["best_score"] < 1e-6
-        rows = (out / "pso_trace.csv").read_text().splitlines()
-        assert rows[0] == "iteration,best_score,mean_score"
-
     def test_run_logged(self, tmp_path, capsys, caplog):
-        with caplog.at_level("INFO", logger="fluxon.cli"):
-            assert run("--out", str(tmp_path / "out"), "pso", "--benchmark", "rosenbrock") == 0
-        assert "pso: 16000 evaluations in " in caplog.text  # 40 particles x 400 iterations
-        assert capsys.readouterr().out.startswith("pso best score ")
+        outs = []
+        for rerun in ("a", "b"):
+            (tmp_path / rerun).mkdir()
+            with caplog.at_level("INFO", logger="fluxon.cli"):
+                assert run_with_config(tmp_path / rerun, SMALL_SWARM, "pso", "--params", "b2.ic") == 0
+            assert "pso: 2 evaluations in " in caplog.text  # 2 particles x 1 iteration
+            assert capsys.readouterr().out.startswith("pso best score ")
+            outs.append(tmp_path / rerun / "out")
+        for name in ("pso_trace.csv", "pso_best.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_unknown_benchmark(self, tmp_path):
-        assert run("--out", str(tmp_path / "o"), "pso", "--benchmark", "zzz") == 2
+    def test_benchmark_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("--out", str(tmp_path / "o"), "pso", "--benchmark", "sphere")
+        assert exc.value.code == 2
 
     def test_bad_selector_exit_2(self, tmp_path, capsys):
         assert run("--out", str(tmp_path / "o"), "pso", "--netlist", "soma2",
@@ -420,6 +420,11 @@ SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_o
      "bad {tmp}/out/mlp.json: shapes w1 (4, 4), b1 (4,), w2 (2, 4), b2 (3,)"),
     ({}, {"out/mlp.json": {**MLP, "w1": [[math.nan] * 4] + MLP["w1"][1:]}}, ["discretize"],
      "bad {tmp}/out/mlp.json: non-finite weight or bias"),
+    ({}, {}, ["margins", "--params", "b2.name"], "field 'name' of device b2 is not a number"),
+    ({}, {}, ["margins", "--params", "k1.l1"], "field 'l1' of device k1 is not a number"),
+    (SMALL_SWARM, {}, ["pso", "--params", "b2.np_"], "field 'np_' of device b2 is not a number"),
+    ({}, {}, ["margins", "--params", "lloop.ic"], "lloop.ic is 0 at nominal"),
+    (SMALL_SWARM, {}, ["pso", "--params", "lloop.ic"], "lloop.ic is 0 at nominal"),
 ])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
     for name, doc in files.items():

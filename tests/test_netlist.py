@@ -189,6 +189,15 @@ class TestSelectors:
         with pytest.raises(KeyError):
             nl.resolve_selector("b1")
 
+    @pytest.mark.parametrize("sel,fld", [("b1.name", "name"), ("b1.np_", "np_"), ("l1.nm", "nm"),
+                                         ("b1.__class__", "__class__")])
+    def test_non_numeric_field_is_not_a_selector(self, nl, sel, fld):
+        dev = sel.split(".")[0]
+        with pytest.raises(KeyError, match=f"field '{fld}' of device {dev} is not a number"):
+            nl.resolve_selector(sel)
+        with pytest.raises(KeyError):
+            nl.with_param(sel, 1.0)
+
 
 def test_waveform_shapes():
     p = Pulse(delay=10.0, rise=2.0, width=5.0, fall=2.0, amplitude=1.0)

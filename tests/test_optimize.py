@@ -2,8 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from fluxon.optimize import NOMINAL_FAIL_PENALTY, Objective, PsoConfig, margin_objective, pso_minimize
+from fluxon.optimize import NOMINAL_FAIL_PENALTY, PsoConfig, _reflect, margin_objective, pso_minimize
 
 
 def sphere(x):
@@ -66,7 +67,7 @@ class TestPso:
 
         cfg = PsoConfig(bounds=((-1.0, 1.0),), n_particles=6, n_iterations=10, seed=3)
         with caplog.at_level(logging.WARNING, logger="fluxon.optimize"):
-            _, best, _ = pso_minimize(Objective(nasty, "nasty"), cfg)
+            _, best, _ = pso_minimize(nasty, cfg)
         assert np.isfinite(best)
         assert "NaN" in caplog.text
 
@@ -77,6 +78,38 @@ class TestPso:
             PsoConfig(bounds=((2.0, 1.0),))
         with pytest.raises(ValueError, match="n_iterations must be >= 1"):
             PsoConfig(bounds=((0.0, 1.0),), n_iterations=0)
+
+
+def reference_reflect(x, v, lo, hi):
+    """The former reflection: reflect until inside, at most 8 passes, then clip."""
+    for _ in range(8):
+        under = x < lo
+        over = x > hi
+        if not (under.any() or over.any()):
+            break
+        x = np.where(under, 2 * lo - x, x)
+        x = np.where(over, 2 * hi - x, x)
+        v = np.where(under | over, -v, v)
+    return np.clip(x, lo, hi), v
+
+
+@st.composite
+def overshooting_swarms(draw):
+    # positions up to 0.2 of a span (the velocity clamp) outside either bound
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    lo = np.asarray(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    span = np.asarray(draw(st.lists(st.floats(1e-6, 1e3), min_size=dim, max_size=dim)))
+    u = np.asarray(draw(st.lists(st.floats(-0.2, 1.2), min_size=n * dim, max_size=n * dim)))
+    v = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * dim, max_size=n * dim)))
+    return lo + u.reshape(n, dim) * span, v.reshape(n, dim) * 0.2 * span, lo, lo + span
+
+
+@given(overshooting_swarms())
+def test_one_pass_reflect_matches_the_loop(swarm):
+    x, v, lo, hi = swarm
+    got_x, got_v = _reflect(x, v, lo, hi)
+    want_x, want_v = reference_reflect(x, v, lo, hi)
+    assert np.array_equal(got_x, want_x) and np.array_equal(got_v, want_v)
 
 
 @pytest.fixture(scope="module")
