@@ -16,20 +16,38 @@ import numpy as np
 
 from ..core import SpikeTrain
 
+SEARCH_WINDOW = 512  # samples compared with the target in one array operation
+
 if TYPE_CHECKING:
     from .transient import TraceSet
 
 
 def detect_pulses(time_ps: np.ndarray, phase: np.ndarray, node: str = "") -> SpikeTrain:
     """Events at each crossing of phi = (2k+1) pi, k = 0, 1, ..."""
-    time_ps = np.asarray(time_ps, dtype=float)
-    phase = np.asarray(phase, dtype=float)
     events: list[float] = []
-    target = math.pi
-    for i in range(1, len(phase)):
-        if phase[i] >= target:
-            target = crossings(time_ps[i - 1], time_ps[i], phase[i - 1], phase[i], target, events)
+    stamp_crossings(np.asarray(time_ps, dtype=float), np.asarray(phase, dtype=float), math.pi, events)
     return SpikeTrain(node, tuple(events))
+
+
+def stamp_crossings(time_ps: np.ndarray, phase: np.ndarray, target: float, events: list) -> float:
+    """Append to events each crossing of target, target + 2 pi, ... by
+    phase[1:], interpolated from the sample before it; return the next target.
+
+    The samples are compared with the target SEARCH_WINDOW at a time, so
+    a search costs a few array operations per window and per crossing
+    rather than a Python step per sample.
+    """
+    i = 1
+    while i < len(phase):
+        hit = phase[i:i + SEARCH_WINDOW] >= target
+        k = int(hit.argmax())  # the first hit, or 0 when there is none
+        if hit[k]:
+            i += k
+            target = crossings(time_ps[i - 1], time_ps[i], phase[i - 1], phase[i], target, events)
+            i += 1
+        else:
+            i += len(hit)
+    return target
 
 
 def crossings(t0: float, t1: float, p0: float, p1: float, target: float, events: list) -> float:

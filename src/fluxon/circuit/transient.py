@@ -16,10 +16,9 @@ phases, voltages and capacitor currents, then a junction predictor and
 the source values w. The linear matrix A is solved once per run for the
 Euler step and once for the trapezoidal steps, which turns a step into
 u = M u_prev - Z c: M maps the previous state and the step's source
-values (sampled over the whole time grid up front, each waveform on the
-time array in one call) to the new state without supercurrents and to
-the predictor, the phases the previous voltages extrapolate to, in one
-product; c = Ic sin(phi_new) are the supercurrents, whose columns Z
+values to the new state without supercurrents and to the predictor, the
+phases the previous voltages extrapolate to, in one product;
+c = Ic sin(phi_new) are the supercurrents, whose columns Z
 follow from A^-1 P (P the junction incidence, junction voltages
 v = P^T x). Newton iteration then runs on the n_j new phases p alone,
 from the predictor: with r the phases the step would reach without
@@ -33,8 +32,10 @@ variant whose rho reaches 1/2 is a CircuitError naming it, the junction
 and the step. Each of at most NEWTON_MAX_ITER passes evaluates f and
 updates once, except that from the second pass on max|f| <= NEWTON_FTOL
 ends the step instead; its state is then M u_prev - Z c with the
-supercurrents c of that residual. A converged step thus costs one
-update. A netlist without junctions skips Newton.
+supercurrents c of that residual. A pass forms the whole product Z c,
+whose phase rows give f and which the step then subtracts as it is, so
+the check and the state update share one product. A converged step
+thus costs one update. A netlist without junctions skips Newton.
 
 M and Z do not depend on junction critical currents or source
 waveforms, so `run_transients` advances every group of netlists that
@@ -50,10 +51,22 @@ order and the arithmetic is pure float64, so identical inputs give
 bit-identical traces; a variant of a batch matches its solo run to
 round-off (the matrix products run over all variants at once).
 
+The steps run in chunks of CHUNK through a (CHUNK + 1, rows, variants)
+state buffer: each step writes its state and predictor rows into the
+buffer's next slot with one product. Work that need not happen per step
+happens once per chunk: one gather fills the source rows of the chunk's
+states from the sampled waveforms, the recorded rows go to the traces in
+one copy, and the worst accepted residual is folded from a buffer of
+the chunk's |f|. Each distinct source waveform is sampled over the whole
+time grid once, in one call, and stored once, as a column shared by
+every variant that drives a source with it.
+
 A lean run (record=False) keeps only the print-request node rows and
-stamps each junction's (2k+1) pi crossings as it steps, on the phases
-of each accepted step with detect_pulses' interpolation, so a wide
-batch of margin probes holds pulses instead of waveforms.
+stamps each junction's (2k+1) pi crossings chunk by chunk, with
+detect_pulses' search and interpolation: one comparison over the
+chunk's phases finds the junctions of the variants that reached their
+next target, and only those are searched. A wide batch of margin probes
+thus holds pulses instead of waveforms.
 
 Because the junction phase update is the trapezoidal rule applied to
 dphi/dt = (2 pi / PHI0) V, trapezoid-rule quadrature of a junction's
@@ -64,7 +77,9 @@ up to window clipping.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,12 +96,15 @@ from .netlist import (
     Resistor,
     VoltageSource,
 )
-from .pulses import crossings
+from .pulses import stamp_crossings
 
 DEFAULT_STEP_PS = 0.05
 MAX_STEP_PS = 0.1
 NEWTON_MAX_ITER = 50
 NEWTON_FTOL = 1e-11  # radians, on the junction phase residual
+CHUNK = 64  # steps per pass of the state buffer
+
+log = logging.getLogger("fluxon.transient")
 
 
 class CircuitError(RuntimeError):
@@ -207,7 +225,13 @@ def run_transients(
     traces: list = [None] * len(netlists)
     for (nl_step, nl_stop, *_), ix in groups.items():
         names = ix if len(netlists) > 1 else [None]
-        for i, tr in zip(ix, _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record)):
+        t0 = time.perf_counter()
+        group = _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record)
+        dt = time.perf_counter() - t0
+        steps = len(group[0].time_ps) - 1
+        log.debug("transient: %d variants, %d steps in %.3f s (%.1f µs/step)", len(ix), steps, dt,
+                  1e6 * dt / max(steps, 1))
+        for i, tr in zip(ix, group):
             traces[i] = tr
     return traces
 
@@ -254,16 +278,14 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     want_nodes = [n for kind, n in netlist.prints if kind == "v"] or nodes
 
     # Sources sampled over the whole grid, each distinct waveform once:
-    # waves[n] holds the source values (per variant) at step n.
+    # source k of variant v takes column wcol[k, v] of waves.
     src_at = [netlist.devices.index(d) for d in sources]
-    waves = np.empty((n_steps + 1, len(sources), K))
     sampled: dict = {}
-    for v, var in enumerate(batch):
-        for k, i in enumerate(src_at):
-            wf = var.devices[i].waveform
-            if wf not in sampled:
-                sampled[wf] = wf(times)
-            waves[:, k, v] = sampled[wf]
+    wcol = np.array([[sampled.setdefault(var.devices[i].waveform, len(sampled)) for var in batch]
+                     for i in src_at], dtype=int).reshape(len(sources), K)
+    waves = np.empty((n_steps + 1, len(sampled)))
+    for wf, k in sampled.items():
+        waves[:, k] = wf(times)
     j_at = [netlist.devices.index(d) for d in junctions]
     j_ic = np.array([[var.devices[i].ic for var in batch] for i in j_at]).reshape(n_j, K)
 
@@ -276,18 +298,22 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     )
     rec = np.empty((len(rec_ix), K, n_steps + 1))
     # The state of _step_operators, whose last rows hold the junction
-    # predictor and the step's source values.
+    # predictor and the step's source values. A chunk of steps runs in
+    # buf: buf[i + 1] is the state after buf[i], buf[0] the state the
+    # chunk starts from, and each state's source rows hold the values of
+    # the step out of it.
     dim = m + 3 * n_j
+    top = dim + n_j  # the rows a step writes: the state, then the predictor
     ph = slice(m, m + n_j)  # junction phases; voltages and capacitor currents follow
-    pred, src = slice(dim, dim + n_j), slice(dim + n_j, None)
-    u = np.zeros((dim + n_j + len(sources), K))
+    pred, src = slice(dim, top), slice(top, None)
+    buf = np.zeros((CHUNK + 1, top + len(sources), K))
     for L in inductors:
-        u[branch[L.name]] = L.ic
-    rec[..., 0] = u[rec_ix]
+        buf[0, branch[L.name]] = L.ic
+    rec[..., 0] = buf[0, rec_ix]
     if not record:  # stamp pulses: the next crossing each junction waits for
         target = np.full((n_j, K), math.pi)
         stamps: list[list[list[float]]] = [[[] for _ in junctions] for _ in range(K)]
-        before = u[ph]
+    fabs = np.empty((CHUNK, n_j, K))  # |f| of each step's accepted residual
 
     # Every step with junctions makes one update per variant; later
     # updates and the worst accepted residual are kept per variant.
@@ -296,34 +322,39 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     most = np.full(K, min(first_updates, 1))
     worst = np.zeros(K)
     rho = np.zeros(K)
-    for n in range(1, n_steps + 1):
-        if n <= 2:  # backward Euler on the first step, trapezoidal after
-            M, Z = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
-            Zp = Z[ph]
-            rows = np.abs(Zp).dot(j_ic)  # row sums of |Zp| diag(Ic), per variant
-            rho = np.maximum(rho, rows.max(axis=0, initial=0.0))
-            if not np.all(rho < 0.5):  # the update may stop contracting; a NaN rho fails too
-                v = int(np.argmax(~(rho < 0.5)))
-                j = junctions[int(np.argmax(rows[:, v]))].name
-                raise CircuitError(
-                    f"junction coupling rho = {rho[v]:.3g} >= 1/2 at junction {j} on the "
-                    f"step to t = {times[n]:.4f} ps: the Newton update may not contract{_in_variant(names[v])}"
-                )
-        u[src] = waves[n]
-        u = M.dot(u)
-        if n_j:
-            p, r = u[pred], u[ph]  # the predictor; the new phases if no supercurrent flowed
+    for n0 in range(0, n_steps, CHUNK):
+        steps = min(CHUNK, n_steps - n0)
+        buf[:steps, src] = waves[n0 + 1:n0 + steps + 1, wcol]
+        for i in range(steps):
+            n = n0 + i + 1
+            if n <= 2:  # backward Euler on the first step, trapezoidal after
+                M, Z = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
+                M, Zx, Zp = M[:top], Z[:dim], Z[ph]  # the rows of Z below dim are 0
+                rows = np.abs(Zp).dot(j_ic)  # row sums of |Zp| diag(Ic), per variant
+                rho = np.maximum(rho, rows.max(axis=0, initial=0.0))
+                if not np.all(rho < 0.5):  # the update may stop contracting; a NaN rho fails too
+                    v = int(np.argmax(~(rho < 0.5)))
+                    j = junctions[int(np.argmax(rows[:, v]))].name
+                    raise CircuitError(
+                        f"junction coupling rho = {rho[v]:.3g} >= 1/2 at junction {j} on the "
+                        f"step to t = {times[n]:.4f} ps: the Newton update may not contract{_in_variant(names[v])}"
+                    )
+            u = buf[i + 1]
+            M.dot(buf[i], out=u[:top])
+            if not n_j:
+                continue
+            x, p, r = u[:dim], u[pred], u[ph]  # r: the new phases if no supercurrent flowed
             c = j_ic * np.cos(p)  # the Jacobian is I + Zp diag(c), taken at the predictor
             live = True  # the variants still iterating: all on the first pass
             for it in range(1, NEWTON_MAX_ITER + 1):  # it - 1 updates so far
                 s = j_ic * np.sin(p)
-                f = p - r + Zp.dot(s)
+                zs = Zx.dot(s)  # the check's Zp s, and the step's supercurrent term
+                f = p - r + zs[ph]
                 if it > 1:
-                    res = np.abs(f).max(axis=0)
-                    done = res <= NEWTON_FTOL  # a NaN residual is not done
-                    if np.count_nonzero(done) == K:
+                    done = np.abs(f, out=fabs[i]) <= NEWTON_FTOL  # a NaN residual is not done
+                    if np.count_nonzero(done) == done.size:
                         break
-                    live = ~done
+                    live = ~done.all(axis=0)
                     extra_updates += live
                     most = np.maximum(most, it * live)
                     f = np.where(live, f, 0.0)  # converged variants update by 0
@@ -335,18 +366,15 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
                 v = int(np.argmax(live))  # the first variant still iterating
                 update, residual = (float(np.abs(a).max(axis=0)[v]) for a in (dp, f))
                 raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
-            worst = np.maximum(worst, res)
-            u -= Z.dot(s)
-            if not record:
-                now = u[ph]  # a view of this step's u, which later steps replace, not write
-                hit = now >= target
-                if hit.any():
-                    t0, t1 = times[n - 1], times[n]
-                    for j, v in zip(*np.nonzero(hit)):
-                        target[j, v] = crossings(t0, t1, before[j, v], now[j, v], target[j, v],
-                                                 stamps[v][j])
-                before = now
-        rec[..., n] = u.take(rec_ix, axis=0)  # about half the cost of u[rec_ix] on a 2-D state
+            x -= zs
+        worst = np.maximum(worst, fabs[:steps].max(axis=(0, 1), initial=0.0))
+        rec[..., n0 + 1:n0 + steps + 1] = buf[1:steps + 1].take(rec_ix, axis=1).transpose(1, 2, 0)
+        if not record:
+            phases = buf[:steps + 1, ph]  # from the last state of the chunk before
+            for j, v in zip(*np.nonzero((phases[1:] >= target).any(axis=0))):
+                target[j, v] = stamp_crossings(times[n0:n0 + steps + 1], phases[:, j, v],
+                                               target[j, v], stamps[v][j])
+        buf[0] = buf[steps]
 
     out = []
     for v in range(K):

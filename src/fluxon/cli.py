@@ -423,7 +423,7 @@ def cmd_pso(cfg: dict, args) -> int:
     obj = margin_objective(netlist, params, pass_test, resolution=0.05)
     try:
         pso_cfg = PsoConfig(
-            bounds=((nominal * 0.8, nominal * 1.2),),
+            bounds=(tuple(sorted((nominal * 0.8, nominal * 1.2))),),  # a negative nominal flips the pair
             n_particles=pc["n_particles"],
             n_iterations=pc["n_iterations"],
             seed=cfg["seed"],

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import string
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -316,6 +317,19 @@ class TestPso:
         with pytest.raises(SystemExit) as exc:
             run("--out", str(tmp_path / "o"), "pso", "--benchmark", "sphere")
         assert exc.value.code == 2
+
+    def test_negative_nominal_is_tuned_between_its_bounds(self, tmp_path, capsys):
+        # soma2's bias written as the same current with its sign and nodes
+        # swapped: the bounds 0.8 and 1.2 times the nominal come out reversed
+        text = resources.files("fluxon.data").joinpath("netlists/soma2.cir").read_text()
+        bias = "ib 0 11 pulse 0 50 1e6 0 369u"
+        assert bias in text
+        cir = tmp_path / "neg.cir"
+        cir.write_text(text.replace(bias, "ib 11 0 pulse 0 50 1e6 0 -369u"))
+        assert run_with_config(tmp_path, SMALL_SWARM, "pso", "--netlist", str(cir), "--params", "ib.amp") == 0
+        assert capsys.readouterr().out.startswith("pso best score ")
+        (best,) = json.loads((tmp_path / "out" / "pso_best.json").read_text())["best_vector"]
+        assert -369e-6 * 1.2 <= best <= -369e-6 * 0.8
 
     def test_bad_selector_exit_2(self, tmp_path, capsys):
         assert run("--out", str(tmp_path / "o"), "pso", "--netlist", "soma2",

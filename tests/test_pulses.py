@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fluxon.circuit import (
     detect_pulses,
@@ -10,7 +12,9 @@ from fluxon.circuit import (
     parse_netlist,
     run_transient,
 )
-from fluxon.core import PHI0
+from fluxon.circuit import pulses
+from fluxon.circuit.pulses import crossings, stamp_crossings
+from fluxon.core import PHI0, SpikeTrain
 
 
 def test_constant_phase_no_events():
@@ -39,6 +43,53 @@ def test_fast_multislip_sample():
     t = np.array([0.0, 1.0])
     phase = np.array([0.0, 4.5 * math.pi])
     assert len(detect_pulses(t, phase)) == 2
+
+
+def per_sample_search(time_ps, phase, target):
+    """The sample-by-sample search detect_pulses once ran, kept as the
+    oracle of stamp_crossings: its events and the next target."""
+    events = []
+    for i in range(1, len(phase)):
+        if phase[i] >= target:
+            target = crossings(time_ps[i - 1], time_ps[i], phase[i - 1], phase[i], target, events)
+    return events, target
+
+
+# Phase steps: still samples (equal neighbours), steps of a whole number of
+# half turns (samples landing on a target), jumps over several targets in
+# one step, and falls that the phase later climbs back from.
+PHASE_STEPS = st.sampled_from([0.0, math.pi, 2 * math.pi, 5 * math.pi]) | st.floats(-7.0, 9.0)
+
+
+@st.composite
+def phase_traces(draw):
+    n = draw(st.integers(0, 40))
+    start = draw(st.sampled_from([0.0, math.pi, 3.5 * math.pi]) | st.floats(-4.0, 12.0))
+    phase = start + np.cumsum([0.0] + draw(st.lists(PHASE_STEPS, min_size=n, max_size=n)))
+    time_ps = np.cumsum(draw(st.lists(st.floats(0.01, 2.0), min_size=n + 1, max_size=n + 1)))
+    return time_ps, phase
+
+
+@given(phase_traces(), st.sampled_from([math.pi, 3 * math.pi, 7 * math.pi]),
+       st.sampled_from([1, 2, 5, pulses.SEARCH_WINDOW]))
+def test_search_finds_what_the_per_sample_loop_finds(trace, target, window):
+    time_ps, phase = trace
+    events = []
+    with mock.patch.object(pulses, "SEARCH_WINDOW", window):  # crossings on window edges too
+        assert stamp_crossings(time_ps, phase, target, events) == per_sample_search(time_ps, phase, target)[1]
+        assert events == per_sample_search(time_ps, phase, target)[0]
+        want = SpikeTrain("", tuple(per_sample_search(time_ps, phase, math.pi)[0]))
+        assert detect_pulses(time_ps, phase) == want
+
+
+def test_equal_samples_above_the_target_stamp_the_later_one():
+    # only the first sample can sit on or above the target unseen, so a
+    # still second sample takes the p1 == p0 path
+    t = np.array([0.0, 1.0, 2.0])
+    phase = np.array([4.0, 4.0, 4.0])
+    events = []
+    assert stamp_crossings(t, phase, math.pi, events) == 3 * math.pi
+    assert events == per_sample_search(t, phase, math.pi)[0] == [1.0]
 
 
 @pytest.fixture(scope="module")

@@ -531,6 +531,22 @@ def trace_rows(traces):
             yield f"{kind}[{name}]", row
 
 
+def assert_matches_solo(got, want):
+    """A recorded variant of a batch against its solo run: traces to
+    round-off, the same pulse counts and Newton update counts."""
+    assert np.array_equal(got.time_ps, want.time_ps)
+    for (label, new), (_, old) in zip(trace_rows(got), trace_rows(want), strict=True):
+        scale = max(np.max(np.abs(old)), 1e-30)
+        assert np.max(np.abs(new - old)) <= 1e-9 * scale, label
+    for j in want.junction_phase:
+        assert len(detect_pulses_in(got, j)) == len(detect_pulses_in(want, j)), j
+    assert (got.newton_iterations, got.newton_max_per_step) == (
+        want.newton_iterations,
+        want.newton_max_per_step,
+    )
+    assert got.newton_rho == pytest.approx(want.newton_rho, rel=1e-12)
+
+
 class TestLockstep:
     # derandomized: the Newton counters must match exactly, and fixed stacks
     # keep a round-off tie at NEWTON_FTOL from flaking between runs
@@ -542,18 +558,7 @@ class TestLockstep:
         batch = run_transients(stack, stop=stop)
         assert len(batch) == len(stack)
         for nl, got in zip(stack, batch):  # input order
-            want = run_transient(nl, stop=stop)
-            assert np.array_equal(got.time_ps, want.time_ps)
-            for (label, new), (_, old) in zip(trace_rows(got), trace_rows(want), strict=True):
-                scale = max(np.max(np.abs(old)), 1e-30)
-                assert np.max(np.abs(new - old)) <= 1e-9 * scale, label
-            for j in want.junction_phase:
-                assert len(detect_pulses_in(got, j)) == len(detect_pulses_in(want, j)), j
-            assert (got.newton_iterations, got.newton_max_per_step) == (
-                want.newton_iterations,
-                want.newton_max_per_step,
-            )
-            assert got.newton_rho == pytest.approx(want.newton_rho, rel=1e-12)
+            assert_matches_solo(got, run_transient(nl, stop=stop))
 
     @pytest.mark.parametrize("cell", sorted(LOCKSTEP_STOPS))
     def test_batch_of_one_is_run_transient(self, cell):
@@ -580,6 +585,18 @@ class TestLockstep:
 
     def test_empty_batch(self):
         assert run_transients([]) == []
+
+    def test_each_group_logs_its_solver_time(self, caplog):
+        nl = parse_netlist(RUNNING_JUNCTION)
+        stack = [nl, scaled(nl, "b1.ic", 1.1), parse_netlist(TestBatchFailures.JUNCTION_FREE)]
+        with caplog.at_level("DEBUG", logger="fluxon.transient"):
+            run_transients(stack)
+        lines = [r.getMessage() for r in caplog.records if r.name == "fluxon.transient"]
+        assert [line.split(" in ")[0] for line in lines] == [
+            "transient: 2 variants, 400 steps",
+            "transient: 1 variants, 200 steps",
+        ]
+        assert all(line.endswith(" µs/step)") for line in lines)
 
 
 # An overdriven junction: its phase runs, and the Newton residual of a
@@ -758,3 +775,54 @@ class TestSolverProperties:
         err = info.value
         assert (err.time_ps, err.iterations, err.variant) == (nl.tran_step, max_iter, None)
         assert math.isfinite(err.update) and math.isfinite(err.residual)
+
+
+# --- the chunked step loop ---------------------------------------------------
+
+CHUNK = transient.CHUNK
+# Two coupled junctions that switch every 55 steps from step 30 on
+# (b1) and 51 on (b2), under two drives whose common delay shifts every
+# crossing.
+TWO_SOURCES = ("b1 1 0 ic=100u rn=8\nl1 1 2 3p\nb2 2 0 ic=120u rn=8\nr2 2 0 3\n"
+               "i1 0 1 pulse {delay} 1 1e6 0 400u\ni2 0 2 pulse {delay} 1 1e6 0 80u\n.tran 0.05 20")
+
+
+def mixed_stack(text):
+    """Four variants: the first two share i1's waveform and the last two
+    scale it apart; all four share i2's."""
+    nl = parse_netlist(text)
+    return [nl, scaled(nl, "b1.ic", 0.9), scaled(nl, "i1.amp", 1.1),
+            scaled(scaled(nl, "i1.amp", 0.9), "b2.ic", 1.1)]
+
+
+def assert_chunked_runs_agree(stack, stop):
+    """Recorded and lean batches of `stack` against each other and each
+    variant's recorded batch against its solo run."""
+    recorded = run_transients(stack, stop=stop)
+    lean = run_transients(stack, stop=stop, record=False)
+    for nl, rec, ln in zip(stack, recorded, lean, strict=True):
+        assert_lean_matches(ln, rec)
+        assert_matches_solo(rec, run_transient(nl, stop=stop))
+    return recorded
+
+
+class TestChunkEdges:
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_runs_ending_at_chunk_edges(self, n_steps):
+        recorded = assert_chunked_runs_agree(mixed_stack(TWO_SOURCES.format(delay=0)), n_steps * 0.05)
+        assert all(len(tr.time_ps) == n_steps + 1 for tr in recorded)
+        if n_steps > CHUNK:  # every variant's b1 has switched by then
+            assert all(len(detect_pulses_in(tr, "b1")) > 0 for tr in recorded)
+
+    @pytest.mark.parametrize("landing,n_steps", [
+        (CHUNK + 1, CHUNK + 1),  # the run's last chunk is that one step
+        (CHUNK + 1, 2 * CHUNK + 3),
+        (2 * CHUNK + 1, 2 * CHUNK + 3),
+    ])
+    def test_a_crossing_on_a_chunks_first_step(self, landing, n_steps):
+        # delay the drive so that b1's first crossing of pi moves to step `landing`
+        early = run_transient(parse_netlist(TWO_SOURCES.format(delay=0))).junction_phase["b1"]
+        shift = landing - int(np.argmax(early >= math.pi))
+        stack = mixed_stack(TWO_SOURCES.format(delay=f"{shift * 0.05:.2f}"))
+        recorded = assert_chunked_runs_agree(stack, n_steps * 0.05)
+        assert int(np.argmax(recorded[0].junction_phase["b1"] >= math.pi)) == landing
