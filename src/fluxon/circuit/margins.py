@@ -21,10 +21,10 @@ grid point. A default soma2 scan (resolution 0.02) runs 23 or 27
 transients in 2 batches.
 
 pass_test sees a lean run (`run_transients(record=False)`): its node
-voltages and its junction pulses, which detect_pulses_in returns as
-detect_pulses would find them, but no junction phase, junction voltage
-or inductor current trace. A probe thus holds a few print rows instead
-of every junction's waveforms, so batches can be wide.
+voltages and the junction pulses it stamped as it stepped, which
+detect_pulses_in reads, but no junction phase, junction voltage or
+inductor current trace. A probe thus holds a few print rows instead of
+every junction's waveforms, so batches can be wide.
 
 run_transients advances the variants of a junction ic or source
 waveform scan in one lockstep group; a resistance, inductance or

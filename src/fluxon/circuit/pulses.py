@@ -2,9 +2,11 @@
 
 A junction emits one pulse per 2 pi phase slip; the event is stamped
 where the phase crosses (2k+1) pi, linearly interpolated between the
-two bracketing samples. The time integral of the junction voltage
-across each detected pulse is one flux quantum, which flux_integrals
-exposes for verification.
+two bracketing samples. Every transient stamps its junctions' pulses
+this way as it steps, and detect_pulses_in reads them from its
+TraceSet; detect_pulses runs the same search over a whole phase array.
+The time integral of the junction voltage across each detected pulse
+is one flux quantum, which flux_integrals exposes for verification.
 """
 
 from __future__ import annotations
@@ -64,11 +66,9 @@ def crossings(t0: float, t1: float, p0: float, p1: float, target: float, events:
 
 
 def detect_pulses_in(traces: TraceSet, junction: str) -> SpikeTrain:
-    """The pulses of one junction: stamped by a lean run, else detected in its phase."""
+    """The pulses of one junction, as the run stamped them while it stepped."""
     junction = junction.lower()
-    if traces.pulses is not None:
-        return SpikeTrain(junction, traces.pulses[junction])
-    return detect_pulses(traces.time_ps, traces.junction_phase[junction], node=junction)
+    return SpikeTrain(junction, traces.pulses[junction])
 
 
 def flux_through(

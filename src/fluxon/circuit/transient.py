@@ -61,12 +61,13 @@ the chunk's |f|. Each distinct source waveform is sampled over the whole
 time grid once, in one call, and stored once, as a column shared by
 every variant that drives a source with it.
 
-A lean run (record=False) keeps only the print-request node rows and
-stamps each junction's (2k+1) pi crossings chunk by chunk, with
-detect_pulses' search and interpolation: one comparison over the
+Every run stamps each junction's (2k+1) pi crossings chunk by chunk,
+with detect_pulses' search and interpolation: one comparison over the
 chunk's phases finds the junctions of the variants that reached their
-next target, and only those are searched. A wide batch of margin probes
-thus holds pulses instead of waveforms.
+next target, and only those are searched. record only chooses the rows
+a run keeps: a lean run (record=False) keeps the print-request node
+rows alone, so a wide batch of margin probes holds pulses instead of
+waveforms.
 
 Because the junction phase update is the trapezoidal rule applied to
 dphi/dt = (2 pi / PHI0) V, trapezoid-rule quadrature of a junction's
@@ -146,13 +147,12 @@ class TraceSet:
     """Uniform-grid transient results.
 
     node_voltage holds the requested nodes (all nodes when the netlist
-    carries no print requests). A recorded run also holds every
-    junction's phase and voltage and every inductor's current, and its
-    pulses are None: detect_pulses_in finds them in the phases. A lean
-    run (record=False) leaves those three fields empty, reading one of
-    their keys is a CircuitError, and pulses maps each junction to the
-    times of its (2k+1) pi crossings, stamped as the run stepped with
-    detect_pulses' interpolation. newton_iterations counts the
+    carries no print requests). pulses maps each junction to the times
+    of its (2k+1) pi crossings, stamped as the run stepped with
+    detect_pulses' interpolation. A recorded run also holds every
+    junction's phase and voltage and every inductor's current; a lean
+    run (record=False) leaves those three fields empty, and reading one
+    of their keys is a CircuitError. newton_iterations counts the
     Newton updates of the whole run, newton_max_per_step is the most
     updates any one step took, newton_residual is the largest junction
     phase residual of any accepted step, and newton_rho is the largest
@@ -165,7 +165,7 @@ class TraceSet:
     junction_phase: dict[str, np.ndarray]
     junction_voltage: dict[str, np.ndarray]
     inductor_current: dict[str, np.ndarray]
-    pulses: dict[str, tuple[float, ...]] | None = None
+    pulses: dict[str, tuple[float, ...]]
     newton_iterations: int = 0
     newton_max_per_step: int = 0
     newton_residual: float = 0.0
@@ -200,13 +200,13 @@ def run_transients(
     failure in a batch of several netlists names the variant's index in
     `netlists`.
 
+    Every run stamps each junction's pulses as it steps, equal to
+    detect_pulses on its phase; record only chooses the rows it keeps.
     A recorded run keeps every junction's phase and voltage and every
     inductor's current at every step, so each variant of a group holds
     (nodes + inductors + 2 junctions) x steps floats until the group is
-    done. With record=False the run keeps only the print-request nodes
-    (node_voltage is the same as recorded) and instead stamps each
-    junction's pulses as it steps, equal to detect_pulses on the phase
-    it would have recorded, with the same Newton counters: the way to
+    done. With record=False the run keeps only the print-request nodes,
+    with the same node_voltage, pulses and Newton counters: the way to
     run many variants whose test reads pulses or node voltages.
     """
     groups: dict[tuple, list[int]] = {}
@@ -275,7 +275,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
         if name not in (node_ix if kind == "v" else j_names):
             what = "node" if kind == "v" else "junction"
             raise CircuitError(f"print request for unknown {what} {name!r}")
-    want_nodes = [n for kind, n in netlist.prints if kind == "v"] or nodes
+    want_nodes = [n for kind, n in netlist.prints if kind == "v"] if netlist.prints else nodes
 
     # Sources sampled over the whole grid, each distinct waveform once:
     # source k of variant v takes column wcol[k, v] of waves.
@@ -310,9 +310,8 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     for L in inductors:
         buf[0, branch[L.name]] = L.ic
     rec[..., 0] = buf[0, rec_ix]
-    if not record:  # stamp pulses: the next crossing each junction waits for
-        target = np.full((n_j, K), math.pi)
-        stamps: list[list[list[float]]] = [[[] for _ in junctions] for _ in range(K)]
+    target = np.full((n_j, K), math.pi)  # the next crossing each junction waits for
+    stamps: list[list[list[float]]] = [[[] for _ in junctions] for _ in range(K)]
     fabs = np.empty((CHUNK, n_j, K))  # |f| of each step's accepted residual
 
     # Every step with junctions makes one update per variant; later
@@ -369,11 +368,10 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
             x -= zs
         worst = np.maximum(worst, fabs[:steps].max(axis=(0, 1), initial=0.0))
         rec[..., n0 + 1:n0 + steps + 1] = buf[1:steps + 1].take(rec_ix, axis=1).transpose(1, 2, 0)
-        if not record:
-            phases = buf[:steps + 1, ph]  # from the last state of the chunk before
-            for j, v in zip(*np.nonzero((phases[1:] >= target).any(axis=0))):
-                target[j, v] = stamp_crossings(times[n0:n0 + steps + 1], phases[:, j, v],
-                                               target[j, v], stamps[v][j])
+        phases = buf[:steps + 1, ph]  # from the last state of the chunk before
+        for j, v in zip(*np.nonzero((phases[1:] >= target).any(axis=0))):
+            target[j, v] = stamp_crossings(times[n0:n0 + steps + 1], phases[:, j, v],
+                                           target[j, v], stamps[v][j])
         buf[0] = buf[steps]
 
     out = []
@@ -382,10 +380,8 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
         node_voltage = {name: next(rows) for name in want_nodes}
         if record:
             kept = [{d.name: next(rows) for d in devs} for devs in (inductors, junctions, junctions)]
-            pulses = None
         else:
             kept = [Unrecorded(f) for f in ("inductor_current", "junction_phase", "junction_voltage")]
-            pulses = {d.name: tuple(map(float, ts)) for d, ts in zip(junctions, stamps[v])}
         out.append(
             TraceSet(
                 time_ps=times,
@@ -393,7 +389,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
                 inductor_current=kept[0],
                 junction_phase=kept[1],
                 junction_voltage=kept[2],
-                pulses=pulses,
+                pulses={d.name: tuple(map(float, ts)) for d, ts in zip(junctions, stamps[v])},
                 newton_iterations=first_updates + int(extra_updates[v]),
                 newton_max_per_step=int(most[v]),
                 newton_residual=float(worst[v]),

@@ -323,14 +323,12 @@ def cmd_simulate(cfg: dict, args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "waveform.csv", "w") as fh:
             write_waveform_csv(fh, traces, netlist)
-        events = []
-        for jname in traces.junction_phase:
-            events.extend(detect_pulses_in(traces, jname).events())
+        events = [ev for j in traces.pulses for ev in detect_pulses_in(traces, j).events()]
         with open(out / "pulses.csv", "w") as fh:
             write_event_log(fh, events)
-        out_pulses = detect_pulses_in(traces, "bout") if "bout" in traces.junction_phase else None
-        if out_pulses is not None:
-            print(f"{name}: {len(out_pulses)} output pulse(s) at {[round(t,2) for t in out_pulses.times]} ps")
+        if "bout" in traces.pulses:
+            bout = detect_pulses_in(traces, "bout").times
+            print(f"{name}: {len(bout)} output pulse(s) at {[round(t,2) for t in bout]} ps")
         print(f"artifacts: {out/'waveform.csv'}, {out/'pulses.csv'}")
         return 0
     raise UserError(f"unknown simulate mode {args.mode!r}")
@@ -375,9 +373,14 @@ def _projections():
 def _margins_setup(cfg: dict, args):
     """The netlist, selectors and pass test of a margins or pso run, checked before any transient."""
     mc = cfg["margins"]
+    params = args.params.split(",") if args.params else mc["params"]
+    if not params:
+        raise UserError("bad margins config: params names no selector")
+    junction, count = mc["junction"].lower(), mc["count"]
+    if count < 0:
+        raise UserError(f"bad margins config: count must be >= 0, got {count}")
     name = args.netlist or mc["netlist"]
     netlist = parse_netlist(read_input("netlist", name, NETLISTS))
-    params = args.params.split(",") if args.params else mc["params"]
     for sel in params:
         try:
             _, _, nominal = netlist.resolve_selector(sel)
@@ -385,7 +388,6 @@ def _margins_setup(cfg: dict, args):
             raise UserError(exc.args[0]) from None
         if nominal == 0:
             raise UserError(f"{sel} is 0 at nominal, so it has no relative margins")
-    junction, count = mc["junction"].lower(), mc["count"]
     if junction not in {d.name for d in netlist.devices if isinstance(d, Junction)}:
         raise UserError(f"bad margins config: junction {junction!r} is not a junction of {name}")
     return netlist, params, lambda traces: len(detect_pulses_in(traces, junction)) == count

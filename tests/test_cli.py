@@ -439,6 +439,8 @@ SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_o
     (SMALL_SWARM, {}, ["pso", "--params", "b2.np_"], "field 'np_' of device b2 is not a number"),
     ({}, {}, ["margins", "--params", "lloop.ic"], "lloop.ic is 0 at nominal"),
     (SMALL_SWARM, {}, ["pso", "--params", "lloop.ic"], "lloop.ic is 0 at nominal"),
+    ({"margins": {"count": -1}}, {}, ["margins"], "bad margins config: count must be >= 0, got -1"),
+    ({"margins": {"params": []}}, {}, ["margins"], "bad margins config: params names no selector"),
 ])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
     for name, doc in files.items():

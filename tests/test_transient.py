@@ -234,6 +234,19 @@ class TestSolverContract:
         with pytest.raises(CircuitError):
             run_transient(parse_netlist("r1 1 0 1\ni1 0 1 dc 1m\n.tran 0.1 1\n.print v(9)"))
 
+    def test_phase_only_prints_keep_no_node_rows(self):
+        nl = parse_netlist(bundled_text("soma2"))
+        phi_only = dataclasses.replace(nl, prints=(("phi", "bout"), ("phi", "b2")))
+        recorded = run_transient(phi_only)
+        (lean,) = run_transients([phi_only], record=False)
+        assert recorded.node_voltage == {} and lean.node_voltage == {}
+        assert lean.pulses == recorded.pulses and len(recorded.pulses["bout"]) == 1
+        got, want = io.StringIO(), io.StringIO()
+        write_waveform_csv(got, recorded, phi_only)
+        write_waveform_csv(want, run_transient(nl), phi_only)  # soma2's own prints keep v(25)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().startswith("time_ps,phi(bout),phi(b2)\n")
+
     def test_phase_continuity(self):
         nl = parse_netlist("b1 1 0 ic=100u\ni1 0 1 dc 150u\n.tran 0.05 200")
         tr = run_transient(nl)
@@ -248,6 +261,15 @@ class TestBundledCells:
         for junction, want in BUNDLED_PULSES[cell].items():
             got = detect_pulses_in(traces, junction).times
             assert got == pytest.approx(want, abs=1e-5), junction
+
+    @pytest.mark.parametrize("cell", sorted(BUNDLED_PULSES))
+    def test_recorded_pulses_are_read_not_searched(self, bundled_traces, cell):
+        traces = bundled_traces[cell]
+        bare = dataclasses.replace(traces, junction_phase={})
+        for junction, phase in traces.junction_phase.items():
+            got = detect_pulses_in(bare, junction)
+            assert got == detect_pulses_in(traces, junction), junction
+            assert got == detect_pulses(traces.time_ps, phase, node=junction), junction
 
     @pytest.mark.parametrize("cell", sorted(BUNDLED_PULSES))
     def test_voltage_integral_equals_phase_advance(self, bundled_traces, cell):
@@ -709,9 +731,9 @@ def assert_lean_matches(got, want):
     assert got.node_voltage.keys() == want.node_voltage.keys()
     for name, row in want.node_voltage.items():
         assert np.array_equal(got.node_voltage[name], row), name
-    assert got.pulses.keys() == want.junction_phase.keys()
+    assert got.pulses.keys() == want.pulses.keys() == want.junction_phase.keys()
     for j, phase in want.junction_phase.items():
-        assert got.pulses[j] == detect_pulses(want.time_ps, phase).times, j
+        assert got.pulses[j] == want.pulses[j] == detect_pulses(want.time_ps, phase).times, j
         assert detect_pulses_in(got, j) == detect_pulses_in(want, j), j
     counters = ("newton_iterations", "newton_max_per_step", "newton_residual", "newton_rho")
     assert [getattr(got, c) for c in counters] == [getattr(want, c) for c in counters]
