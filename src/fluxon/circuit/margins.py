@@ -24,7 +24,14 @@ pass_test sees a lean run (`run_transients(record=False)`): its node
 voltages and the junction pulses it stamped as it stepped, which
 detect_pulses_in reads, but no junction phase, junction voltage or
 inductor current trace. A probe thus holds a few print rows instead of
-every junction's waveforms, so batches can be wide.
+every junction's waveforms, so batches can be wide. A lean run ends at
+the end of its first quiet chunk (sources at their final values,
+junction |V| under transient.QUIET_VOLTAGE, inductor currents moving
+less than transient.QUIET_CURRENT a step, every junction
+transient.QUIET_PHASE short of its next crossing), so its pulses are
+those of the full run but node_voltage[name][-1] is the value at that
+quiet end, not at the netlist's stop time. The scan logs its transients,
+batches and the steps its transients took.
 
 run_transients advances the variants of a junction ic or source
 waveform scan in one lockstep group; a resistance, inductance or
@@ -67,7 +74,7 @@ def margin_scan(
         raise ValueError(f"resolution {resolution} must be positive and finite")
     _, _, nominal = netlist.resolve_selector(param)
     passed: dict[float, bool] = {}  # signed fraction -> pass_test result
-    batches = 0
+    batches = steps = 0
 
     def bracket(sign: float) -> tuple[float, float | None]:
         """(last pass, first failure) walking outward; None when every point passes."""
@@ -85,6 +92,7 @@ def margin_scan(
         variants = [netlist.with_param(param, nominal * (1.0 + f)) for f in fractions]
         for f, traces in zip(fractions, run_transients(variants, record=False)):
             passed[f] = bool(pass_test(traces))
+            steps += len(traces.time_ps) - 1
         if not passed[0.0]:
             raise MarginError(f"nominal fails: pass_test is false at {param} = {nominal}")
         fractions = []
@@ -98,5 +106,5 @@ def margin_scan(
             fractions += [sign * f for f in inner if lo < f < hi]
 
     margins = bracket(-1.0)[0], bracket(+1.0)[0]
-    log.info("margins: %s: %d transients in %d batches", param, len(passed), batches)
+    log.info("margins: %s: %d transients in %d batches, %d steps", param, len(passed), batches, steps)
     return margins

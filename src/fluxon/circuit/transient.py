@@ -64,10 +64,25 @@ every variant that drives a source with it.
 Every run stamps each junction's (2k+1) pi crossings chunk by chunk,
 with detect_pulses' search and interpolation: one comparison over the
 chunk's phases finds the junctions of the variants that reached their
-next target, and only those are searched. record only chooses the rows
-a run keeps: a lean run (record=False) keeps the print-request node
-rows alone, so a wide batch of margin probes holds pulses instead of
-waveforms.
+next target, and only those are searched. A recorded run keeps the
+rows of every junction and inductor and steps the whole grid. A lean
+run (record=False) keeps the print-request node rows alone, so a wide
+batch of margin probes holds pulses instead of waveforms, and it ends
+at the end of its first quiet chunk, where three things hold:
+- every source it drives holds its final sample from the chunk's first
+  step to the end of the grid (read once per run from the sampled
+  waveforms, so a sine never ends a run);
+- over the whole chunk every junction's |V| stays below QUIET_VOLTAGE
+  and every inductor current changes by less than QUIET_CURRENT a step;
+- every junction ends the chunk at least QUIET_PHASE short of its next
+  (2k+1) pi target.
+The junction test alone is not enough: a loop current can keep moving
+under still junctions and fire one later. An ended variant's TraceSet
+stops at that step, time grid, node rows and Newton counters alike, and
+takes no later stamps, so it is the variant's solo lean run, up to the
+round-off by which any batch differs from its solo runs. The variant
+keeps stepping in the batch, and the batch stops once every variant has
+ended.
 
 Because the junction phase update is the trapezoidal rule applied to
 dphi/dt = (2 pi / PHI0) V, trapezoid-rule quadrature of a junction's
@@ -103,6 +118,9 @@ DEFAULT_STEP_PS = 0.05
 MAX_STEP_PS = 0.1
 NEWTON_MAX_ITER = 50
 NEWTON_FTOL = 1e-11  # radians, on the junction phase residual
+QUIET_VOLTAGE = 1e-6  # volts: a quiet chunk keeps every junction's |V| below this
+QUIET_CURRENT = 1e-9  # amperes: ... and every inductor current's change per step below this
+QUIET_PHASE = 0.5  # radians: ... and every junction at least this far short of its next target
 CHUNK = 64  # steps per pass of the state buffer
 
 log = logging.getLogger("fluxon.transient")
@@ -152,7 +170,10 @@ class TraceSet:
     detect_pulses' interpolation. A recorded run also holds every
     junction's phase and voltage and every inductor's current; a lean
     run (record=False) leaves those three fields empty, and reading one
-    of their keys is a CircuitError. newton_iterations counts the
+    of their keys is a CircuitError. A lean run ends once it is quiet
+    (see the module docstring): its time_ps and node rows stop there,
+    so node_voltage[name][-1] is the value at its quiet end, and its
+    counters count the steps up to it. newton_iterations counts the
     Newton updates of the whole run, newton_max_per_step is the most
     updates any one step took, newton_residual is the largest junction
     phase residual of any accepted step, and newton_rho is the largest
@@ -201,13 +222,18 @@ def run_transients(
     `netlists`.
 
     Every run stamps each junction's pulses as it steps, equal to
-    detect_pulses on its phase; record only chooses the rows it keeps.
-    A recorded run keeps every junction's phase and voltage and every
-    inductor's current at every step, so each variant of a group holds
-    (nodes + inductors + 2 junctions) x steps floats until the group is
-    done. With record=False the run keeps only the print-request nodes,
-    with the same node_voltage, pulses and Newton counters: the way to
-    run many variants whose test reads pulses or node voltages.
+    detect_pulses on its phase. A recorded run keeps every junction's
+    phase and voltage and every inductor's current at every step of the
+    grid, so each variant of a group holds (nodes + inductors + 2
+    junctions) x steps floats until the group is done. With
+    record=False the run keeps only the print-request nodes and ends
+    at the end of its first quiet chunk: its sources hold their final
+    samples, its junction voltages stay under QUIET_VOLTAGE, its
+    inductor currents move less than QUIET_CURRENT a step, and every
+    junction is QUIET_PHASE short of its next crossing. Its pulses are
+    those of the full recorded run, and its time grid, node rows and
+    Newton counters those of a recorded run stopped at its end: the way
+    to run many variants whose test reads pulses or final node voltages.
     """
     groups: dict[tuple, list[int]] = {}
     for i, nl in enumerate(netlists):
@@ -228,9 +254,9 @@ def run_transients(
         t0 = time.perf_counter()
         group = _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record)
         dt = time.perf_counter() - t0
-        steps = len(group[0].time_ps) - 1
-        log.debug("transient: %d variants, %d steps in %.3f s (%.1f µs/step)", len(ix), steps, dt,
-                  1e6 * dt / max(steps, 1))
+        steps = max(len(tr.time_ps) for tr in group) - 1  # the steps the group stepped
+        log.debug("transient: %d variants, %d of %d steps in %.3f s (%.1f µs/step)", len(ix), steps,
+                  round(nl_stop / nl_step), dt, 1e6 * dt / max(steps, 1))
         for i, tr in zip(ix, group):
             traces[i] = tr
     return traces
@@ -278,14 +304,19 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     want_nodes = [n for kind, n in netlist.prints if kind == "v"] if netlist.prints else nodes
 
     # Sources sampled over the whole grid, each distinct waveform once:
-    # source k of variant v takes column wcol[k, v] of waves.
+    # source k of variant v takes column wcol[k, v] of waves, and column c
+    # holds its last sample from step held_from[c] on.
     src_at = [netlist.devices.index(d) for d in sources]
     sampled: dict = {}
     wcol = np.array([[sampled.setdefault(var.devices[i].waveform, len(sampled)) for var in batch]
                      for i in src_at], dtype=int).reshape(len(sources), K)
     waves = np.empty((n_steps + 1, len(sampled)))
-    for wf, k in sampled.items():
-        waves[:, k] = wf(times)
+    held_from = np.zeros(len(sampled), dtype=int)
+    for wf, c in sampled.items():
+        waves[:, c] = wave = wf(times)
+        moved = wave[::-1] != wave[-1]  # counted from the end
+        held_from[c] = n_steps + 1 - moved.argmax() if moved.any() else 0
+    final_from = held_from[wcol].max(axis=0, initial=0)  # per variant, over its sources
     j_at = [netlist.devices.index(d) for d in junctions]
     j_ic = np.array([[var.devices[i].ic for var in batch] for i in j_at]).reshape(n_j, K)
 
@@ -316,11 +347,18 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
 
     # Every step with junctions makes one update per variant; later
     # updates and the worst accepted residual are kept per variant.
-    first_updates = n_steps if n_j else 0
     extra_updates = np.zeros(K, dtype=int)
-    most = np.full(K, min(first_updates, 1))
+    most = np.full(K, int(n_j > 0 and n_steps > 0))
     worst = np.zeros(K)
     rho = np.zeros(K)
+    # A lean variant ends at the end of its first quiet chunk: end[v] is
+    # its last step, and ended[v] its counters (extra, most, worst) there.
+    end = np.full(K, n_steps)
+    ended: dict[int, tuple] = {}
+    may_end = np.full(K, not record)  # the lean variants still stepping
+    vj = slice(m + n_j, m + 2 * n_j)  # junction voltages
+    il = slice(n_nodes, n_nodes + len(inductors))  # inductor currents
+    d_il = np.empty((CHUNK, len(inductors), K))  # their changes over a chunk's steps
     for n0 in range(0, n_steps, CHUNK):
         steps = min(CHUNK, n_steps - n0)
         buf[:steps, src] = waves[n0 + 1:n0 + steps + 1, wcol]
@@ -372,11 +410,28 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
         for j, v in zip(*np.nonzero((phases[1:] >= target).any(axis=0))):
             target[j, v] = stamp_crossings(times[n0:n0 + steps + 1], phases[:, j, v],
                                            target[j, v], stamps[v][j])
+        quiet = may_end & (final_from <= n0 + 1)
+        if quiet.any():  # the cheaper tests first; per-axis maxima, which numpy reduces faster
+            span = buf[:steps + 1]  # from the last state of the chunk before
+            quiet &= np.abs(span[:, vj]).max(axis=0).max(axis=0, initial=0.0) < QUIET_VOLTAGE
+            quiet &= (target - span[-1, ph]).min(axis=0, initial=math.inf) >= QUIET_PHASE
+        if quiet.any():
+            d = np.subtract(span[1:, il], span[:-1, il], out=d_il[:steps])
+            quiet &= np.abs(d, out=d).max(axis=0).max(axis=0, initial=0.0) < QUIET_CURRENT
+            for v in np.flatnonzero(quiet):
+                end[v] = n0 + steps
+                ended[v] = extra_updates[v], most[v], worst[v]
+            target[:, quiet] = math.inf  # an ended variant takes no later stamps
+            may_end &= ~quiet
+            if not may_end.any():
+                break
         buf[0] = buf[steps]
 
     out = []
     for v in range(K):
-        rows = iter(rec[:, v])  # in the order of rec_ix
+        n = int(end[v]) + 1  # the samples variant v keeps
+        extra, peak, res = ended.get(v, (extra_updates[v], most[v], worst[v]))
+        rows = iter(rec[:, v, :n])  # in the order of rec_ix
         node_voltage = {name: next(rows) for name in want_nodes}
         if record:
             kept = [{d.name: next(rows) for d in devs} for devs in (inductors, junctions, junctions)]
@@ -384,15 +439,15 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
             kept = [Unrecorded(f) for f in ("inductor_current", "junction_phase", "junction_voltage")]
         out.append(
             TraceSet(
-                time_ps=times,
+                time_ps=times[:n],
                 node_voltage=node_voltage,
                 inductor_current=kept[0],
                 junction_phase=kept[1],
                 junction_voltage=kept[2],
                 pulses={d.name: tuple(map(float, ts)) for d, ts in zip(junctions, stamps[v])},
-                newton_iterations=first_updates + int(extra_updates[v]),
-                newton_max_per_step=int(most[v]),
-                newton_residual=float(worst[v]),
+                newton_iterations=(n - 1 if n_j else 0) + int(extra),
+                newton_max_per_step=int(peak),
+                newton_residual=float(res),
                 newton_rho=float(rho[v]),
             )
         )

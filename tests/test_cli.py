@@ -281,10 +281,12 @@ class TestMargins:
         assert outputs[0] == outputs[1]
         lines = [r.getMessage() for r in caplog.records if r.name == "fluxon.margins"]
         # at resolution 0.1 the first batch's grid already places every edge
-        assert lines == [
+        assert [line.rsplit(", ", 1)[0] for line in lines] == [
             "margins: vin.amp: 19 transients in 1 batches",
             "margins: b2.ic: 19 transients in 1 batches",
         ]
+        # then the steps the lean transients took, short of 19 full runs of 3000
+        assert all(line.endswith(" steps") and 0 < int(line.split()[-2]) < 19 * 3000 for line in lines)
 
     def test_default_scan_reports_the_connected_interval(self, tmp_path, capsys):
         # soma2 passes again at b2.ic -90% beyond a failing stretch from -80%

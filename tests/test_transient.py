@@ -613,10 +613,12 @@ class TestLockstep:
         stack = [nl, scaled(nl, "b1.ic", 1.1), parse_netlist(TestBatchFailures.JUNCTION_FREE)]
         with caplog.at_level("DEBUG", logger="fluxon.transient"):
             run_transients(stack)
+            run_transients([parse_netlist(TestQuietEnd.QUIET_DC)], record=False)
         lines = [r.getMessage() for r in caplog.records if r.name == "fluxon.transient"]
         assert [line.split(" in ")[0] for line in lines] == [
-            "transient: 2 variants, 400 steps",
-            "transient: 1 variants, 200 steps",
+            "transient: 2 variants, 400 of 400 steps",
+            "transient: 1 variants, 200 of 200 steps",
+            "transient: 1 variants, 128 of 800 steps",  # a lean run that ended quiet
         ]
         assert all(line.endswith(" µs/step)") for line in lines)
 
@@ -698,8 +700,10 @@ class TestBatchFailures:
 def rcsj_circuits(draw):
     """1-4 junctions on a chain of nodes, each to ground or to the node
     before it; the chain's links are inductors or resistors, some nodes
-    get a shunt resistor, and one current source, dc or a pulse, drives
-    one node. Junction rn and cap are drawn or left to their defaults."""
+    get a shunt resistor, and one current source drives one node: dc, an
+    early pulse, a pulse whose last edge ends the run, or a sine, which
+    is never constant. Junction rn and cap are drawn or left to their
+    defaults."""
     n_j = draw(st.integers(1, 4))
     lines = []
     for k in range(1, n_j + 1):
@@ -716,27 +720,60 @@ def rcsj_circuits(draw):
             lines.append(f"{link}{k} {k - 1} {k} {value}")
         if draw(st.booleans()):
             lines.append(f"rs{k} {k} 0 {draw(st.floats(0.5, 20.0)):.3f}")
-    amp = draw(st.integers(0, 600))
-    shape = draw(st.sampled_from([f"dc {amp}u", f"pulse 5 2 10 2 {amp}u"]))
-    lines.append(f"i1 0 {draw(st.integers(1, n_j))} {shape}")
     step = draw(st.sampled_from([0.05, 0.1]))
     stop = draw(st.sampled_from([10, 20, 40]))
+    amp = draw(st.integers(0, 600))
+    shape = draw(st.sampled_from([
+        f"dc {amp}u",
+        f"pulse 5 2 10 2 {amp}u",
+        f"pulse {stop - 3} 1 1 1 {amp}u",
+        f"sin {amp}u {draw(st.integers(1, 300))}u {draw(st.sampled_from([7, 25, 60]))}",
+    ]))
+    lines.append(f"i1 0 {draw(st.integers(1, n_j))} {shape}")
     lines.append(f".tran {step} {stop}")
     return "\n".join(lines)
 
 
-def assert_lean_matches(got, want):
-    """A record=False run against the recorded run of the same netlist."""
-    assert np.array_equal(got.time_ps, want.time_ps)
-    assert got.node_voltage.keys() == want.node_voltage.keys()
-    for name, row in want.node_voltage.items():
-        assert np.array_equal(got.node_voltage[name], row), name
-    assert got.pulses.keys() == want.pulses.keys() == want.junction_phase.keys()
-    for j, phase in want.junction_phase.items():
-        assert got.pulses[j] == want.pulses[j] == detect_pulses(want.time_ps, phase).times, j
-        assert detect_pulses_in(got, j) == detect_pulses_in(want, j), j
-    counters = ("newton_iterations", "newton_max_per_step", "newton_residual", "newton_rho")
-    assert [getattr(got, c) for c in counters] == [getattr(want, c) for c in counters]
+def assert_lean_matches(stack, lean, recorded):
+    """The record=False runs of `stack` against its recorded runs.
+
+    A lean variant ends at the end of its first quiet chunk. Up to that
+    step its time grid, node rows and four Newton counters equal, bit for
+    bit, those of a recorded run of the same stack stopped there; its
+    pulses equal the full-length recorded run's.
+    """
+    cut = {}  # recorded runs of the stack, by stop time
+    for v, (got, want) in enumerate(zip(lean, recorded, strict=True)):
+        stop = float(got.time_ps[-1])
+        if stop not in cut:
+            cut[stop] = run_transients(stack, stop=stop)
+        short = cut[stop][v]
+        assert len(got.time_ps) <= len(want.time_ps)
+        assert np.array_equal(got.time_ps, short.time_ps)
+        assert got.node_voltage.keys() == short.node_voltage.keys() == want.node_voltage.keys()
+        for name, row in short.node_voltage.items():
+            assert np.array_equal(got.node_voltage[name], row), name
+        counters = ("newton_iterations", "newton_max_per_step", "newton_residual", "newton_rho")
+        assert [getattr(got, c) for c in counters] == [getattr(short, c) for c in counters]
+        assert got.pulses.keys() == want.pulses.keys() == want.junction_phase.keys()
+        for j, phase in want.junction_phase.items():
+            assert got.pulses[j] == want.pulses[j] == detect_pulses(want.time_ps, phase).times, j
+            assert detect_pulses_in(got, j) == detect_pulses_in(want, j), j
+
+
+def assert_ends_only_when_sources_hold(netlist, lean):
+    """A lean run that ended early did so at a chunk's end, with every
+    source at its final sample from that chunk's first step on."""
+    n_steps = int(round(netlist.tran_stop / netlist.tran_step))
+    end = len(lean.time_ps) - 1
+    if end == n_steps:
+        return
+    assert end % CHUNK == 0
+    grid = np.arange(n_steps + 1) * netlist.tran_step
+    for d in netlist.devices:
+        if hasattr(d, "waveform"):
+            wave = d.waveform(grid)
+            assert np.all(wave[end - CHUNK + 1:] == wave[-1]), d.name
 
 
 class TestSolverProperties:
@@ -749,6 +786,7 @@ class TestSolverProperties:
         except CircuitError:
             return  # a numeric failure is reported, never returned
         steps = len(tr.time_ps) - 1
+        assert steps == round(nl.tran_stop / nl.tran_step)  # a recorded run never ends early
         for _, row in trace_rows(tr):
             assert np.all(np.isfinite(row))
         assert 0.0 <= tr.newton_residual <= transient.NEWTON_FTOL
@@ -776,15 +814,16 @@ class TestSolverProperties:
         if isinstance(want, str):
             assert got == want  # the same failure, reported the same way
         else:
-            assert_lean_matches(got, want)
+            assert_lean_matches([nl], [got], [want])
+            assert_ends_only_when_sources_hold(nl, got)
+            if " sin " in text:
+                assert len(got.time_ps) == len(want.time_ps)
 
-    def test_lean_soma2_batch_gives_what_the_recorded_batch_gives(self):
-        nl = parse_netlist(bundled_text("soma2"))
-        stack = [scaled(nl, "b2.ic", 1.0 + f) for f in np.linspace(-0.9, 0.9, 17)]
-        lean = run_transients(stack, record=False)
-        for got, want in zip(lean, run_transients(stack), strict=True):
-            assert_lean_matches(got, want)
+    def test_lean_soma2_batch_gives_what_the_recorded_batch_gives(self, b2ic_stack):
+        stack, lean = b2ic_stack
+        assert_lean_matches(stack, lean, run_transients(stack))
         assert sum(len(tr.pulses["bout"]) for tr in lean) > 0
+        assert all(len(tr.time_ps) < 4301 for tr in lean)  # every variant ended quiet
 
     @settings(max_examples=10, deadline=None)
     @given(rcsj_circuits(), st.integers(1, 3))
@@ -797,6 +836,79 @@ class TestSolverProperties:
         err = info.value
         assert (err.time_ps, err.iterations, err.variant) == (nl.tran_step, max_iter, None)
         assert math.isfinite(err.update) and math.isfinite(err.residual)
+
+
+# --- the quiet end of a lean run ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def b2ic_stack():
+    """17 soma2 b2.ic variants over +-90% and their lean batch."""
+    nl = parse_netlist(bundled_text("soma2"))
+    stack = [scaled(nl, "b2.ic", 1.0 + f) for f in np.linspace(-0.9, 0.9, 17)]
+    return stack, run_transients(stack, record=False)
+
+
+class TestQuietEnd:
+    # one junction far below Ic: quiet once its plasma oscillation has died
+    QUIET_DC = "b1 1 0 ic=100u\ni1 0 1 dc 1u\n.tran 0.05 40"
+
+    @pytest.mark.parametrize("factor, bout", [
+        # b2.ic at -20%: bout fires a second time 95 ps after its first pulse
+        (0.8, [179.5, 274.9]),
+        # b2.ic at -84%: every junction stays under QUIET_VOLTAGE over whole
+        # chunks from about 250 ps, but the storage loop's current still
+        # moves; only the inductor test holds the run open for bout's second
+        # pulse
+        (0.16, [173.7, 383.5]),
+    ])
+    def test_probes_that_fire_again_after_going_still(self, factor, bout):
+        probe = scaled(parse_netlist(bundled_text("soma2")), "b2.ic", factor)
+        (lean,), (recorded,) = run_transients([probe], record=False), run_transients([probe])
+        assert lean.pulses["bout"] == pytest.approx(bout, abs=0.05)
+        assert lean.pulses == recorded.pulses
+        assert bout[-1] < lean.time_ps[-1] <= recorded.time_ps[-1] == 430.0
+
+    @pytest.mark.parametrize("v", [0, 1, 8, 16])
+    def test_a_batch_variant_ends_where_its_solo_run_ends(self, b2ic_stack, v):
+        # the variants end at different chunks; each ends on its own test
+        stack, lean = b2ic_stack
+        got, (want,) = lean[v], run_transients([stack[v]], record=False)
+        assert len(got.time_ps) == len(want.time_ps) < 4301
+        assert got.pulses.keys() == want.pulses.keys()
+        for j, times in want.pulses.items():  # the batch's products round apart
+            assert got.pulses[j] == pytest.approx(times, abs=1e-6), j
+        assert (got.newton_iterations, got.newton_max_per_step) == (
+            want.newton_iterations,
+            want.newton_max_per_step,
+        )
+        assert got.newton_residual == pytest.approx(want.newton_residual, rel=1e-3)
+        assert got.newton_rho == pytest.approx(want.newton_rho, rel=1e-12)
+
+    def test_recorded_runs_never_end_early(self):
+        nl = parse_netlist(bundled_text("soma2"))
+        recorded = run_transient(nl)
+        (lean,) = run_transients([nl], record=False)
+        assert len(recorded.time_ps) == 4301 > len(lean.time_ps)
+        # a lean run's last node sample is its value at the quiet end
+        end = len(lean.time_ps) - 1
+        assert lean.node_voltage["25"][-1] == recorded.node_voltage["25"][end]
+        assert lean.pulses == recorded.pulses
+
+    def test_a_sine_never_ends_a_run(self):
+        # the same junction under a 1 nA sine: never constant, never quiet
+        (still,) = run_transients([parse_netlist(self.QUIET_DC)], record=False)
+        wobble = parse_netlist(self.QUIET_DC.replace("dc 1u", "sin 1u 1n 1000"))
+        (lean,) = run_transients([wobble], record=False)
+        assert len(still.time_ps) - 1 == 2 * CHUNK
+        assert len(lean.time_ps) - 1 == 800
+
+    def test_a_late_edge_holds_the_run_open(self):
+        # a second source steps 1 nA at 39 ps: the run ends at its last step
+        late = parse_netlist(self.QUIET_DC.replace(".tran", "i2 0 1 pulse 39 0.5 10 0 1n\n.tran"))
+        (lean,) = run_transients([late], record=False)
+        assert len(lean.time_ps) - 1 == 800
+        assert_ends_only_when_sources_hold(late, lean)
 
 
 # --- the chunked step loop ---------------------------------------------------
@@ -821,9 +933,8 @@ def assert_chunked_runs_agree(stack, stop):
     """Recorded and lean batches of `stack` against each other and each
     variant's recorded batch against its solo run."""
     recorded = run_transients(stack, stop=stop)
-    lean = run_transients(stack, stop=stop, record=False)
-    for nl, rec, ln in zip(stack, recorded, lean, strict=True):
-        assert_lean_matches(ln, rec)
+    assert_lean_matches(stack, run_transients(stack, stop=stop, record=False), recorded)
+    for nl, rec in zip(stack, recorded, strict=True):
         assert_matches_solo(rec, run_transient(nl, stop=stop))
     return recorded
 
