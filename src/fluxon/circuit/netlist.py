@@ -39,12 +39,12 @@ DEFAULT_ICRN_PRODUCT = 0.25e-3  # V
 
 
 class NetlistError(ValueError):
-    def __init__(self, message: str, lineno: int | None = None, device: str | None = None):
+    def __init__(self, message: str, lineno: int | None = None, device: str | tuple | None = None):
         if lineno is not None:
             message = f"line {lineno}: {message}"
         super().__init__(message)
         self.lineno = lineno
-        self.device = device  # the device at fault, for the parser to find its line
+        self.device = device  # the device or print request at fault, for the parser to find its line
 
 
 _NUMBER_RE = re.compile(
@@ -278,6 +278,13 @@ class Netlist:
                 if not abs(d.m) <= bound * (1.0 + 1e-12):
                     msg = f"mutual {d.name}: |M|={d.m} exceeds sqrt(L1*L2)={bound:.3e}"
                     raise NetlistError(msg, device=d.name)
+        if self.prints:
+            nodes = {"0"} | {n for d in self.devices if not isinstance(d, Mutual) for n in (d.np_, d.nm)}
+            junctions = {d.name for d in self.devices if isinstance(d, Junction)}
+            for kind, name in self.prints:
+                if name not in (nodes if kind == "v" else junctions):
+                    what = "node" if kind == "v" else "junction"
+                    raise NetlistError(f"print request for unknown {what} {name!r}", device=(kind, name))
 
     def resolve_selector(self, selector: str) -> tuple[Device, str, float]:
         """Split 'name.field' into (device, field, nominal value)."""
@@ -374,7 +381,7 @@ def critical_damping_cap(ic: float, rn: float) -> float:
 def parse_netlist(text: str) -> Netlist:
     """Parse netlist text into a validated Netlist."""
     devices: list[Device] = []
-    lines: dict[str, int] = {}  # device name -> its line
+    lines: dict = {}  # device name, or (kind, target) of a print request -> its line
     tran_step = tran_stop = tran_line = None
     prints: list[tuple[str, str]] = []
     title = ""
@@ -405,6 +412,7 @@ def parse_netlist(text: str) -> Netlist:
                     if not m:
                         raise NetlistError(f"bad print request {req!r}", lineno)
                     prints.append((m.group(1), m.group(2)))
+                    lines.setdefault(prints[-1], lineno)
             elif head == ".end":
                 break
             else:

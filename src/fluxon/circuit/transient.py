@@ -296,11 +296,6 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     node_ix["0"] = m - 1
     n_j = len(junctions)
 
-    j_names = {d.name for d in junctions}
-    for kind, name in netlist.prints:
-        if name not in (node_ix if kind == "v" else j_names):
-            what = "node" if kind == "v" else "junction"
-            raise CircuitError(f"print request for unknown {what} {name!r}")
     want_nodes = [n for kind, n in netlist.prints if kind == "v"] if netlist.prints else nodes
 
     # Sources sampled over the whole grid, each distinct waveform once:

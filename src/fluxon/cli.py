@@ -1,10 +1,11 @@
 """Command-line entry point wiring the full pipeline.
 
-Subcommands: train, discretize, simulate, power, margins, pso, and the
-reproduce-paper meta-command that chains train -> discretize ->
-simulate -> power and prints a pass/fail checklist of the bundled
-reference targets. All artifacts are JSON/CSV without timestamps, so
-identical config and seed reproduce them byte for byte.
+Subcommands: train, discretize, simulate, power, margins, pso, and
+reproduce-paper, which runs train -> discretize -> simulate -> power
+with their default options and then prints a pass/fail checklist of the
+paper's reference targets, read from the artifacts those stages wrote.
+All artifacts are JSON/CSV without timestamps, so identical config and
+seed reproduce them byte for byte.
 
 Exit codes: 0 success, 1 internal failure, 2 user/config error.
 """
@@ -34,7 +35,7 @@ from .circuit import (
     run_transient,
     write_waveform_csv,
 )
-from .core import write_event_log
+from .core import SpikeTrain, write_event_log
 from .optimize import PsoConfig, margin_objective, pso_minimize
 
 log = logging.getLogger("fluxon.cli")
@@ -166,7 +167,7 @@ def _dataset(cfg: dict):
     return samples, train_s, test_s, quantizer, Xq_train
 
 
-def cmd_train(cfg: dict) -> int:
+def cmd_train(cfg: dict, args) -> int:
     out = Path(cfg["out_dir"])
     _, train_s, _, quantizer, Xq_train = _dataset(cfg)
     y = trainmod.labels_of(train_s)
@@ -205,7 +206,7 @@ def _log_spiking(n: int, t0: float) -> None:
     log.info("spiking: %d inputs in %.3f s (%.1f µs/input)", n, dt, 1e6 * dt / max(n, 1))
 
 
-def cmd_discretize(cfg: dict) -> int:
+def cmd_discretize(cfg: dict, args) -> int:
     ga_cfg = _ga_config(cfg)
     out = Path(cfg["out_dir"])
     mlp = _read_artifact(out / "mlp.json", "train", trainmod.RealMlp.from_json)
@@ -311,27 +312,25 @@ def cmd_simulate(cfg: dict, args) -> int:
         agree = all(f == r for f, r, _ in seen.values())
         print(f"{len(seen)} unique test vectors; spiking == discrete: {agree}")
         return 0
-    if args.mode == "circuit":
-        name = args.netlist or "soma2"
-        netlist = parse_netlist(read_input("netlist", name, NETLISTS))
-        t0 = time.perf_counter()
-        traces = run_transient(netlist)
-        steps = len(traces.time_ps) - 1
-        log.info("transient: %s: %d steps, %.3f Newton updates per step, rho %.2e in %.3f s", name,
-                 steps, traces.newton_iterations / max(steps, 1), traces.newton_rho,
-                 time.perf_counter() - t0)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "waveform.csv", "w") as fh:
-            write_waveform_csv(fh, traces, netlist)
-        events = [ev for j in traces.pulses for ev in detect_pulses_in(traces, j).events()]
-        with open(out / "pulses.csv", "w") as fh:
-            write_event_log(fh, events)
-        if "bout" in traces.pulses:
-            bout = detect_pulses_in(traces, "bout").times
-            print(f"{name}: {len(bout)} output pulse(s) at {[round(t,2) for t in bout]} ps")
-        print(f"artifacts: {out/'waveform.csv'}, {out/'pulses.csv'}")
-        return 0
-    raise UserError(f"unknown simulate mode {args.mode!r}")
+    name = args.netlist or "soma2"
+    netlist = parse_netlist(read_input("netlist", name, NETLISTS))
+    t0 = time.perf_counter()
+    traces = run_transient(netlist)
+    steps = len(traces.time_ps) - 1
+    log.info("transient: %s: %d steps, %.3f Newton updates per step, rho %.2e in %.3f s", name,
+             steps, traces.newton_iterations / max(steps, 1), traces.newton_rho,
+             time.perf_counter() - t0)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "waveform.csv", "w") as fh:
+        write_waveform_csv(fh, traces, netlist)
+    events = [ev for j in traces.pulses for ev in detect_pulses_in(traces, j).events()]
+    with open(out / "pulses.csv", "w") as fh:
+        write_event_log(fh, events)
+    if "bout" in traces.pulses:
+        bout = detect_pulses_in(traces, "bout").times
+        print(f"{name}: {len(bout)} output pulse(s) at {[round(t,2) for t in bout]} ps")
+    print(f"artifacts: {out/'waveform.csv'}, {out/'pulses.csv'}")
+    return 0
 
 
 def cmd_power(cfg: dict, args) -> int:
@@ -354,20 +353,16 @@ def cmd_power(cfg: dict, args) -> int:
             f"{r.name:8} {r.dynamic_w:12.4g} {r.on_chip_w:12.4g} {r.total_w:10.4g} "
             f"{r.sops:10.4g} {r.sops_per_watt:11.4g} {r.sops_worst_case:11.4g}"
         )
-    for _, rep in _projections():
+    proj = json.loads(bundled_text("power/nw_d.json"))  # the multi-core scaling projection
+    for tech in ("RSFQ", "eRSFQ", "AQFP"):
+        rep = powermod.scale_projection(
+            proj["cores"], proj["neurons_per_core"], proj["per_core_power_w"], proj["per_core_sops"],
+            tech, per_core_static_w=proj["per_core_static_w"], cooling_overhead=proj["cooling"],
+        )
         _write(out / f"power_{rep.name}.json", rep.to_json())
         print(f"{rep.name}: sops={rep.sops:.3g} total_w={rep.total_w:.4g} sops/W={rep.sops_per_watt:.3g}")
     log.info("power: %d networks in %.3f s", len(rows), time.perf_counter() - t0)
     return 0
-
-
-def _projections():
-    """(technology, report) of the multi-core scaling projection of the bundled nw_d sizing."""
-    proj = json.loads(bundled_text("power/nw_d.json"))
-    return [(tech, powermod.scale_projection(
-        proj["cores"], proj["neurons_per_core"], proj["per_core_power_w"], proj["per_core_sops"],
-        tech, per_core_static_w=proj["per_core_static_w"], cooling_overhead=proj["cooling"],
-    )) for tech in ("RSFQ", "eRSFQ", "AQFP")]
 
 
 def _margins_setup(cfg: dict, args):
@@ -451,30 +446,39 @@ def cmd_pso(cfg: dict, args) -> int:
 
 def cmd_reproduce(cfg: dict, args) -> int:
     _ga_config(cfg)  # a bad ga section fails before any artifact is written
+    for stage_args in args.stages:
+        stage_args.handler(cfg, stage_args)
+
+    out = Path(cfg["out_dir"])
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str):
         checks.append((name, ok, detail))
         print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
 
-    e = powermod.energy_per_pulse(109e-6)
+    reports = {}  # the power reports the rows read, as the power stage wrote them
+    for name in ("iris", "nw_a", "nw_b", "*-RSFQ", "*-eRSFQ", "*-AQFP"):
+        path = next(out.glob(f"power_{name}.json"), None)
+        if path is None:  # the config's power list leaves the network out
+            raise UserError(f"reproduce-paper checks power_{name}.json, which the power config does not write")
+        reports[name] = json.loads(path.read_text())
+
+    iris = reports["iris"]
+    e, dyn = iris["energy_per_pulse_j"], iris["dynamic_w"]
     check("energy per pulse @109uA", abs(e - 2.254e-19) / 2.254e-19 < 0.005, f"{e:.4g} J (target 2.254e-19)")
-    dyn = powermod.dynamic_power(88, 109e-6, 1e9)
     check("worst-case dynamic power, 88 cells @1GHz", abs(dyn - 1.98e-8) / 1.98e-8 < 0.01, f"{dyn:.4g} W (target 1.98e-08)")
 
     targets = {"iris": (1.2e10, 8.57e11), "nw_a": (4e12, 2.53e13), "nw_b": (1.6e16, 8e15)}
     for name, (sops_t, spw_t) in targets.items():
-        rep = powermod.total_power(powermod.PowerInputs.from_json(bundled_text(f"power/{name}.json")))
-        ok = abs(rep.sops - sops_t) / sops_t < 0.01 and abs(rep.sops_per_watt - spw_t) / spw_t < 0.01
-        check(f"{name} SOPS / SOPS-per-watt", ok, f"{rep.sops:.3g} / {rep.sops_per_watt:.3g}")
-    for (tech, rep), spw_t in zip(_projections(), (1e15, 1e16, 1e17)):
-        ok = 1e17 <= rep.sops <= 1e19 and 0.1 <= rep.sops_per_watt / spw_t <= 10.0
-        check(f"multi-core {tech} projection", ok, f"{rep.sops:.2g} SOPS, {rep.sops_per_watt:.2g} SOPS/W (~{spw_t:.0g})")
+        sops, spw = map(reports[name].get, ("sops", "sops_per_watt"))
+        ok = abs(sops - sops_t) / sops_t < 0.01 and abs(spw - spw_t) / spw_t < 0.01
+        check(f"{name} SOPS / SOPS-per-watt", ok, f"{sops:.3g} / {spw:.3g}")
+    for tech, spw_t in (("RSFQ", 1e15), ("eRSFQ", 1e16), ("AQFP", 1e17)):
+        sops, spw = map(reports[f"*-{tech}"].get, ("sops", "sops_per_watt"))
+        ok = 1e17 <= sops <= 1e19 and 0.1 <= spw / spw_t <= 10.0
+        check(f"multi-core {tech} projection", ok, f"{sops:.2g} SOPS, {spw:.2g} SOPS/W (~{spw_t:.0g})")
 
-    soma2 = behavioral.soma_for_threshold(2)
-    soma3 = behavioral.soma_for_threshold(3)
-    from .core import SpikeTrain
-
+    soma2, soma3 = behavioral.soma_for_threshold(2), behavioral.soma_for_threshold(3)
     fire = lambda p, ts: len(behavioral.soma_fire_times(p, SpikeTrain("t", ts)))
     ok = (
         fire(soma2, (0.0, 65.0)) == 1
@@ -486,15 +490,9 @@ def cmd_reproduce(cfg: dict, args) -> int:
     ok = ok and len(burst) == 3 and all(abs(b - a - 40.0) < 1e-9 for a, b in zip(burst.times, burst.times[1:]))
     check("behavioral soma timing windows", ok, "2@65ps fires, 66ps misses; 3@20ps fires, 30ps misses; 6 pulses -> 3 @40ps")
 
-    rc = cmd_train(cfg)
-    rc |= cmd_discretize(cfg)
-    metrics = json.loads((Path(cfg["out_dir"]) / "metrics.json").read_text())
+    metrics = json.loads((out / "metrics.json").read_text())
     check("IRIS training accuracy >= 0.95", metrics["train"]["accuracy"] >= 0.95, f"{metrics['train']['accuracy']:.4f}")
     check("spiking == discrete on all samples", metrics["spiking_match_pct"] == 100.0, f"{metrics['spiking_match_pct']:.1f}%")
-
-    ns = argparse.Namespace(mode="behavioral", input=None, netlist=None)
-    cmd_simulate(cfg, ns)
-    cmd_power(cfg, argparse.Namespace(network=None))
 
     n_fail = sum(1 for _, ok, _ in checks if not ok)
     print(f"\nchecklist: {len(checks) - n_fail}/{len(checks)} passed")
@@ -507,21 +505,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, help="seed for every stochastic stage")
     ap.add_argument("--out", help="artifact directory (default ./out)")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("train")
-    sub.add_parser("discretize")
+    sub.add_parser("train").set_defaults(handler=cmd_train)
+    sub.add_parser("discretize").set_defaults(handler=cmd_discretize)
     sim = sub.add_parser("simulate")
+    sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--mode", choices=["behavioral", "circuit"], default="behavioral")
     sim.add_argument("--input", help="comma-separated integer input vector")
     sim.add_argument("--netlist", help="bundled cell name or netlist path")
     pw = sub.add_parser("power")
+    pw.set_defaults(handler=cmd_power)
     pw.add_argument("--network", nargs="*", help="bundled names or config paths")
-    mg = sub.add_parser("margins")
-    mg.add_argument("--netlist")
-    mg.add_argument("--params", help="comma-separated name.field selectors")
-    ps = sub.add_parser("pso")
-    ps.add_argument("--netlist")
-    ps.add_argument("--params")
-    sub.add_parser("reproduce-paper")
+    for name, handler in (("margins", cmd_margins), ("pso", cmd_pso)):
+        mg = sub.add_parser(name)
+        mg.set_defaults(handler=handler)
+        mg.add_argument("--netlist")
+        mg.add_argument("--params", help="comma-separated name.field selectors")
+    # The stages reproduce-paper runs, with their default options. Parsed here, so no
+    # parser is held while they run: its reference cycles would then reach the oldest
+    # GC generation and stay on the heap, one parser per run.
+    stages = [ap.parse_args([stage]) for stage in ("train", "discretize", "simulate", "power")]
+    sub.add_parser("reproduce-paper").set_defaults(handler=cmd_reproduce, stages=stages)
     return ap
 
 
@@ -531,25 +534,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.seed, args.out)
         Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "discretize":
-            return cmd_discretize(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args)
-        if args.command == "power":
-            return cmd_power(cfg, args)
-        if args.command == "margins":
-            return cmd_margins(cfg, args)
-        if args.command == "pso":
-            return cmd_pso(cfg, args)
-        if args.command == "reproduce-paper":
-            return cmd_reproduce(cfg, args)
-        raise UserError(f"unknown command {args.command!r}")
+        return args.handler(cfg, args)
     except (UserError, MarginError, NetlistError, CircuitError, trainmod.DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         log.exception("internal failure")
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -68,7 +68,7 @@ class LayerSpec:
     @functools.cached_property
     def synapses(self) -> tuple[tuple[SynapseConfig, ...], ...]:
         """The synapse model of every weight, row by row, built on first use."""
-        cells = {w: SynapseConfig(self.synapse, w) for w in range(-2, 3)}
+        cells = {w: SynapseConfig(self.synapse, w) for w in range(WEIGHT_RANGE[0], WEIGHT_RANGE[1] + 1)}
         return tuple(tuple(cells[w] for w in row) for row in self.weights.tolist())
 
     @property

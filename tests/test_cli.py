@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
+from fluxon import cli
 from fluxon.cli import DEFAULT_CONFIG, UserError, load_config, main
 from fluxon.train import RealMlp
 
@@ -108,6 +109,82 @@ class TestDiscretize:
         assert (out_a / "network.json").read_bytes() == (out_b / "network.json").read_bytes()
 
 
+CHECKLIST_POWER_ROWS = [
+    "[ok] energy per pulse @109uA: 2.254e-19 J (target 2.254e-19)",
+    "[ok] worst-case dynamic power, 88 cells @1GHz: 1.984e-08 W (target 1.98e-08)",
+    "[ok] iris SOPS / SOPS-per-watt: 1.2e+10 / 8.57e+11",
+    "[ok] nw_a SOPS / SOPS-per-watt: 4e+12 / 2.53e+13",
+    "[ok] nw_b SOPS / SOPS-per-watt: 1.6e+16 / 8e+15",
+    "[ok] multi-core RSFQ projection: 4.1e+18 SOPS, 8e+15 SOPS/W (~1e+15)",
+    "[ok] multi-core eRSFQ projection: 4.1e+18 SOPS, 7e+16 SOPS/W (~1e+16)",
+    "[ok] multi-core AQFP projection: 4.1e+18 SOPS, 7e+17 SOPS/W (~1e+17)",
+]
+CHECKLIST_ITEMS = [row[5:].split(": ")[0] for row in CHECKLIST_POWER_ROWS] + [
+    "behavioral soma timing windows",
+    "IRIS training accuracy >= 0.95",
+    "spiking == discrete on all samples",
+]
+
+
+def checklist(stdout: str) -> tuple[list[str], list[str], list[str]]:
+    """The lines before the first checklist item, the 11 item lines, and the lines after them."""
+    lines = stdout.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith(("[ok] ", "[FAIL] ")))
+    end = first + len(CHECKLIST_ITEMS)
+    return lines[:first], lines[first:end], lines[end:]
+
+
+class TestReproducePaper:
+    def test_checklist_follows_the_stages(self, tmp_path, fast_config, capsys):
+        rc = run("--config", fast_config, "--out", str(tmp_path / "out"), "reproduce-paper")
+        before, items, after = checklist(capsys.readouterr().out)
+        assert [row.split("] ", 1)[1].split(": ")[0] for row in items] == CHECKLIST_ITEMS
+        assert items[:8] == CHECKLIST_POWER_ROWS
+        stages = "\n".join(before)
+        for stage_output in ("trained mlp:", "spiking/discrete match:", "unique test vectors;", "256x256-AQFP:"):
+            assert stage_output in stages
+        passed = sum(row.startswith("[ok]") for row in items)
+        assert after == ["", f"checklist: {passed}/11 passed"]
+        assert rc == (0 if passed == 11 else 1)
+
+    def test_untrained_network_fails_only_the_accuracy_item(self, tmp_path, capsys):
+        cfg = {**FAST_CONFIG, "train": {**FAST_CONFIG["train"], "epochs": 0}}
+        assert run_with_config(tmp_path, cfg, "reproduce-paper") == 1
+        _, items, after = checklist(capsys.readouterr().out)
+        failed = [row for row in items if not row.startswith("[ok] ")]
+        assert len(failed) == 1 and failed[0].startswith("[FAIL] IRIS training accuracy >= 0.95: ")
+        assert after == ["", "checklist: 10/11 passed"]
+
+    def test_power_rows_read_the_reports_the_power_stage_wrote(self, tmp_path, fast_config, monkeypatch, capsys):
+        power = cli.cmd_power
+
+        def doctored_power(cfg, args):
+            rc = power(cfg, args)
+            path = tmp_path / "out" / "power_nw_a.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), "sops": 1.0}))
+            return rc
+
+        monkeypatch.setattr(cli, "cmd_power", doctored_power)
+        assert run("--config", fast_config, "--out", str(tmp_path / "out"), "reproduce-paper") == 1
+        _, items, _ = checklist(capsys.readouterr().out)
+        assert items[3] == "[FAIL] nw_a SOPS / SOPS-per-watt: 1 / 2.53e+13"
+
+    def test_power_config_without_a_checked_network_exits_2(self, tmp_path, capsys):
+        assert run_with_config(tmp_path, {**FAST_CONFIG, "power": ["iris", "nw_b"]}, "reproduce-paper") == 2
+        captured = capsys.readouterr()
+        assert "error: reproduce-paper checks power_nw_a.json, which the power config does not write" in captured.err
+        assert "internal error" not in captured.err and "[ok]" not in captured.out  # no partial checklist
+
+
+def test_internal_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def broken(cfg, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_power", broken)  # dispatch looks the handler up by name at call time
+    assert main(["--out", str(tmp_path / "out"), "power"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: boom")
+
+
 class TestSimulate:
     def test_behavioral_zero_input_silent(self, tmp_path, fast_config, capsys):
         out = tmp_path / "out"
@@ -194,7 +271,7 @@ class TestSimulate:
         cir.write_text("b1 1 0 ic=100u\ni1 0 1 dc 50u\n.tran 0.1 1\n.print phi(bzz)\n")
         assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
                    "--netlist", str(cir)) == 2
-        assert "unknown junction 'bzz'" in capsys.readouterr().err
+        assert "line 4: print request for unknown junction 'bzz'" in capsys.readouterr().err
 
 
 class TestStageLogs:

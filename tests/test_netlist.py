@@ -146,10 +146,12 @@ class TestParse:
         assert exc.value.lineno == 2
 
     def test_print_requests(self):
-        nl = parse_netlist("b1 1 0 ic=100u\n.print v(1) phi(b1)")
-        assert nl.prints == (("v", "1"), ("phi", "b1"))
+        nl = parse_netlist("b1 1 0 ic=100u\n.print v(1) phi(b1) v(0)")
+        assert nl.prints == (("v", "1"), ("phi", "b1"), ("v", "0"))
         with pytest.raises(NetlistError):
             parse_netlist(".print vee(1)")
+        with pytest.raises(NetlistError, match="^print request for unknown node '2'$"):
+            Netlist((Resistor("r1", "1", "0", 1.0),), prints=(("v", "2"),))
 
 
 class TestSelectors:
@@ -359,6 +361,8 @@ def test_random_tokens_raise_only_netlist_errors_with_a_line(text):
         ("v1 1 0 sin 0 1m 0", 1),
         ("l1 1 0 2p\nk1 l1 l9 1p\nr1 1 0 1", 2),  # checked once every line is read
         ("l1 1 0 2p\nl2 2 0 2p\nr1 2 0 1\nk1 l1 l2 5p", 4),
+        ("r1 1 0 1\n.print v(1) v(99)", 2),
+        (".print phi(r1)\nr1 1 0 1", 1),  # a print target is checked once every line is read
     ],
 )
 def test_device_checks_name_their_line(text, line):
