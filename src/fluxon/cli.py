@@ -52,7 +52,7 @@ DEFAULT_CONFIG = {
         "mutation_rate": 0.15,
         "crossover_rate": 0.7,
         "elitism": 2,
-        "threshold_set": list(snn.DEFAULT_THRESHOLD_SET),
+        "threshold_set": list(trainmod.DEFAULT_THRESHOLD_SET),
     },
     "pso": {"n_particles": 12, "n_iterations": 60},
     "power": ["iris", "nw_a", "nw_b"],
@@ -129,6 +129,8 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None) -> dict
         cfg = _merge(cfg, doc)
     if seed is not None:
         cfg["seed"] = seed
+    if cfg["seed"] < 0:
+        raise UserError(f"bad config: seed must be >= 0, got {cfg['seed']}")
     if out_dir is not None:
         cfg["out_dir"] = out_dir
     return cfg
@@ -266,10 +268,7 @@ def _parse_input_vector(text: str, dim: int) -> np.ndarray:
 def cmd_simulate(cfg: dict, args) -> int:
     out = Path(cfg["out_dir"])
     if args.mode == "behavioral":
-        # network.json does not record the threshold set the GA drew from
-        thr_set = tuple(cfg["ga"]["threshold_set"])
-        spec = _read_artifact(out / "network.json", "discretize",
-                              lambda text: snn.NetworkSpec.from_json(text, thr_set))
+        spec = _read_artifact(out / "network.json", "discretize", snn.NetworkSpec.from_json)
         if args.input:
             vec = _parse_input_vector(args.input, spec.input_dim)
             t0 = time.perf_counter()

@@ -56,9 +56,12 @@ class PowerInputs:
     @staticmethod
     def from_json(text: str) -> "PowerInputs":
         doc = json.loads(text)
+        n_cells = float(doc["n_cells"])
+        if not n_cells.is_integer():
+            raise ValueError(f"n_cells must be a whole number, got {doc['n_cells']}")
         return PowerInputs(
             name=doc["name"],
-            n_switching_cells=int(doc["n_cells"]),
+            n_switching_cells=int(n_cells),
             ic=float(doc["ic_a"]),
             clock=float(doc["clock_hz"]),
             static_on_chip=float(doc["static_on_chip_w"]),

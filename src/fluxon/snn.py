@@ -1,7 +1,12 @@
 """Layered spiking network assembly and the discrete reference evaluator.
 
-A NetworkSpec is a feed-forward stack of integer-weight layers with
-per-neuron pulse-count thresholds. Two engines evaluate it:
+A NetworkSpec is a feed-forward stack of at least one integer-weight
+layer with per-neuron pulse-count thresholds, and it is valid when its
+cells exist: every threshold has a soma cell (a key of
+behavioral.DEFAULT_T_MAX, 1..6), every weight lies in WEIGHT_RANGE, the
+range the SM2 and SM4 synapses realize, and the clock period is
+positive and finite. A value that is not an integer, such as a
+threshold of 1.7, is rejected, not truncated. Two engines evaluate it:
 
 * evaluate_discrete -- per neuron u = sum(x_k * w_k), output 1 iff
   u >= theta. This is the offline reference.
@@ -16,13 +21,15 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .behavioral import (
-    BqConfig,
+    DEFAULT_T_MAX,
+    SYNAPSE_KINDS,
     SynapseConfig,
     bq_quantize,
     soma_fire_times,
@@ -33,9 +40,8 @@ from .core import PulseEvent, sorted_events
 
 AMBIGUOUS = "ambiguous"
 
-DEFAULT_THRESHOLD_SET = (1, 2, 5)
 DEFAULT_CLOCK_PS = 1000.0
-WEIGHT_RANGE = (-2, 2)  # the integer weights an SM2/SM4 synapse realizes
+WEIGHT_RANGE = SYNAPSE_KINDS["SM4"][:2]  # the integer weights an SM2/SM4 synapse realizes
 
 
 @dataclass(frozen=True)
@@ -48,27 +54,34 @@ class LayerSpec:
     theta: np.ndarray = field(init=False, repr=False, compare=False)  # thresholds, read-only
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=int)
-        w.flags.writeable = False  # `synapses` is derived from it once
+        w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2:
             raise ValueError("layer weights must be a 2-D matrix")
         lo, hi = WEIGHT_RANGE
-        if np.any(w < lo) or np.any(w > hi):
-            raise ValueError(f"layer weights must lie in [{lo}, {hi}]")
+        bad = w[(w != np.round(w)) | (w < lo) | (w > hi)]  # NaN != NaN, so NaN is caught too
+        if bad.size:
+            raise ValueError(f"layer weights must be integers in [{lo}, {hi}], got {bad[0]:g}")
+        w = w.astype(int)
+        w.flags.writeable = False  # `synapses` is derived from it once
         object.__setattr__(self, "weights", w)
+        bad = [t for t in self.thresholds if t not in DEFAULT_T_MAX]  # 1.7 and NaN are no key
+        if bad:
+            raise ValueError(f"thresholds {bad} have no soma cell; "
+                             f"the cells cover {min(DEFAULT_T_MAX)}..{max(DEFAULT_T_MAX)}")
         object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
         theta = np.array(self.thresholds, dtype=int)
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         if len(self.thresholds) != w.shape[0]:
             raise ValueError("one threshold per neuron required")
-        if self.synapse not in ("SM2", "SM4"):
+        if SYNAPSE_KINDS.get(self.synapse, ())[:2] != WEIGHT_RANGE:
             raise ValueError(f"layer synapse must be SM2 or SM4, got {self.synapse!r}")
 
     @functools.cached_property
     def synapses(self) -> tuple[tuple[SynapseConfig, ...], ...]:
         """The synapse model of every weight, row by row, built on first use."""
-        cells = {w: SynapseConfig(self.synapse, w) for w in range(WEIGHT_RANGE[0], WEIGHT_RANGE[1] + 1)}
+        lo, hi = WEIGHT_RANGE
+        cells = {w: SynapseConfig(self.synapse, w) for w in range(lo, hi + 1)}
         return tuple(tuple(cells[w] for w in row) for row in self.weights.tolist())
 
     @property
@@ -85,19 +98,19 @@ class NetworkSpec:
     input_dim: int
     layers: tuple[LayerSpec, ...]
     clock_ps: float = DEFAULT_CLOCK_PS
-    threshold_set: tuple[int, ...] = DEFAULT_THRESHOLD_SET
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        if not self.layers:
+            raise ValueError("layers must hold at least one layer")
+        if not 0.0 < self.clock_ps < math.inf:
+            raise ValueError(f"clock_ps must be positive and finite, got {self.clock_ps}")
         fan_in = self.input_dim
         for i, layer in enumerate(self.layers):
             if layer.fan_in != fan_in:
                 raise ValueError(
                     f"layer {i} fan-in {layer.fan_in} != upstream width {fan_in}"
                 )
-            bad = [t for t in layer.thresholds if t not in self.threshold_set]
-            if bad:
-                raise ValueError(f"thresholds {bad} outside the soma set {self.threshold_set}")
             # Hidden inputs reach level 2, so the first layer needs the
             # 2-input synapse; downstream layers see latched binaries.
             if i == 0 and layer.synapse != "SM4":
@@ -124,21 +137,20 @@ class NetworkSpec:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str, threshold_set: tuple[int, ...] = DEFAULT_THRESHOLD_SET) -> "NetworkSpec":
+    def from_json(text: str) -> "NetworkSpec":
         doc = json.loads(text)
         layers = tuple(
             LayerSpec(
-                weights=np.asarray(l["weights"], dtype=int),
+                weights=l["weights"],
                 thresholds=tuple(l["thresholds"]),
                 synapse=l.get("synapse", "SM4"),
             )
             for l in doc["layers"]
         )
         return NetworkSpec(
-            input_dim=int(doc["input_dim"]),
+            input_dim=doc["input_dim"],
             layers=layers,
             clock_ps=float(doc.get("clock_ps", DEFAULT_CLOCK_PS)),
-            threshold_set=threshold_set,
         )
 
 
@@ -212,7 +224,7 @@ def _neuron_response(
     lru_cache stores only returns.
     """
     t0 = layer * clock_ps
-    burst = bq_quantize(total, BqConfig(clock_period=clock_ps), t0)
+    burst = bq_quantize(total, clock_ps, t0)
     if threshold is None:
         return tuple(PulseEvent(t, f"input/{index}") for t in burst.times), 0
     fires = soma_fire_times(soma_for_threshold(threshold), burst).times

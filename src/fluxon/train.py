@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .behavioral import DEFAULT_T_MAX
-from .snn import DEFAULT_THRESHOLD_SET, WEIGHT_RANGE, LayerSpec, NetworkSpec
+from .snn import WEIGHT_RANGE, LayerSpec, NetworkSpec
 
 log = logging.getLogger("fluxon.train")
 
@@ -305,6 +305,7 @@ def train_mlp(
 # --- genetic discretization ----------------------------------------------
 
 SCALE_BOUNDS = (0.05, 20.0)  # the per-neuron weight scales the GA searches
+DEFAULT_THRESHOLD_SET = (1, 2, 5)  # the soma thresholds the GA searches by default
 
 
 @dataclass(frozen=True)
@@ -476,7 +477,6 @@ def ga_discretize(
             LayerSpec(w1, tuple(int(t) for t in best[1][:n_hidden]), "SM4"),
             LayerSpec(w2, tuple(int(t) for t in best[1][n_hidden:]), "SM2"),
         ),
-        threshold_set=cfg.threshold_set,
     )
     log.info(
         "ga: %d generations of %d in %.3f s",

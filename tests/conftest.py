@@ -4,10 +4,10 @@ import pytest
 from fluxon.snn import LayerSpec, NetworkSpec
 
 
-def random_spec(rng: np.random.Generator, shape=(4, 4, 3)) -> NetworkSpec:
-    """Random integer-weight network in the hardware alphabet."""
+def random_spec(rng: np.random.Generator, shape=(4, 4, 3), thresholds=(1, 2, 5)) -> NetworkSpec:
+    """Random integer-weight network in the hardware alphabet, thresholds drawn from `thresholds`."""
     n_in, n_hidden, n_out = shape
-    thr = np.asarray([1, 2, 5])
+    thr = np.asarray(thresholds)
     return NetworkSpec(
         input_dim=n_in,
         layers=(

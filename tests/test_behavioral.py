@@ -2,15 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fluxon.behavioral import (
-    BqConfig,
     SomaParams,
-    SomaState,
     SynapseConfig,
     bq_quantize,
     calibrate_threshold,
     soma_fire_times,
     soma_for_threshold,
-    soma_step,
     synapse_contribution,
 )
 from fluxon.core import SpikeTrain
@@ -62,22 +59,12 @@ class TestSomaTiming:
     def test_empty_train(self):
         assert fire_count(soma_for_threshold(3), ()) == 0
 
-    def test_out_of_order_pulse_rejected(self):
-        soma = soma_for_threshold(2)
-        state, _ = soma_step(soma, SomaState(), 10.0)
-        with pytest.raises(ValueError):
-            soma_step(soma, state, 5.0)
-
-    def test_fold_matches_step_iteration(self):
+    def test_pinned_fire_times(self):
+        # pinned fire times; the train is sorted first, so its order does not matter
         soma = soma_for_threshold(3, tau=30.0)
         times = tuple(float(t) for t in (0, 15, 31, 44, 70, 81, 95, 120))
-        state = SomaState()
-        fires = []
-        for t in times:
-            state, fired = soma_step(soma, state, t)
-            if fired:
-                fires.append(t)
-        assert soma_fire_times(soma, SpikeTrain("t", times)).times == tuple(fires)
+        assert soma_fire_times(soma, SpikeTrain("t", times)).times == (31.0, 81.0)
+        assert soma_fire_times(soma, SpikeTrain("t", times[::-1])).times == (31.0, 81.0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -137,45 +124,59 @@ class TestSynapse:
             SynapseConfig("SM1", -1)
         with pytest.raises(ValueError):
             SynapseConfig("SM2", 3)
-        assert SynapseConfig("SM4", -2).max_input == 2
-        assert SynapseConfig("SM2", 2).max_input == 1
+        with pytest.raises(ValueError):
+            SynapseConfig("SM3", 1)
+        assert synapse_contribution(SynapseConfig("SM4", -2), 2) == -4
+        assert synapse_contribution(SynapseConfig("SM1", 1), 1) == 1
+        with pytest.raises(ValueError, match="input level 2 outside 0..1 for SM2"):
+            synapse_contribution(SynapseConfig("SM2", 2), 2)
 
 
 class TestBufferQuantizer:
     def test_six_pulses_20ps_apart(self):
-        out = bq_quantize(6, BqConfig(), 0.0)
+        out = bq_quantize(6, 1000.0, 0.0)
         assert out.times == (0.0, 20.0, 40.0, 60.0, 80.0, 100.0)
 
     def test_inhibitory_total_clamps_to_silence(self):
-        assert len(bq_quantize(-2, BqConfig(), 0.0)) == 0
+        assert len(bq_quantize(-2, 1000.0, 0.0)) == 0
 
     def test_figure_style_total_of_four(self):
         weights = (1, 1, 1, -1)
         inputs = (1, 1, 2, 2)
         u = sum(synapse_contribution(SynapseConfig("SM4", w), x) for w, x in zip(weights, inputs))
         assert u == 2  # 1+1+2-2
-        out = bq_quantize(4, BqConfig(), 1000.0)
+        out = bq_quantize(4, 1000.0, 1000.0)
         assert len(out) == 4 and out.times[0] == 1000.0
 
     def test_cap_at_clock_budget(self):
-        cfg = BqConfig(clock_period=100.0)
-        assert cfg.max_pulses_per_clock == 5
-        assert len(bq_quantize(9, cfg, 0.0)) == 5
+        assert len(bq_quantize(5, 100.0, 0.0)) == 5
+        assert len(bq_quantize(9, 100.0, 0.0)) == 5
+        assert len(bq_quantize(9, 119.9, 0.0)) == 5
+
+    @pytest.mark.parametrize("clock", [0.0, -1000.0])
+    def test_non_positive_clock_rejected(self, clock):
+        with pytest.raises(ValueError, match="clock_period must be positive"):
+            bq_quantize(1, clock, 0.0)
 
     def test_sane_bound(self):
         with pytest.raises(ValueError):
-            bq_quantize(65, BqConfig(), 0.0)
+            bq_quantize(65, 1000.0, 0.0)
 
     @given(st.integers(min_value=-64, max_value=64))
     def test_count_is_clamped_total(self, u):
-        cfg = BqConfig()
-        assert len(bq_quantize(u, cfg, 0.0)) == max(0, min(u, cfg.max_pulses_per_clock))
+        assert len(bq_quantize(u, 1000.0, 0.0)) == max(0, min(u, 50))  # 50 pulses 20 ps apart fit in 1000 ps
 
 
 def test_soma_params_validation():
+    for n in (0, 7):
+        with pytest.raises(ValueError, match=f"no soma cell has threshold {n}; the cells cover 1..6"):
+            soma_for_threshold(n)
+        with pytest.raises(ValueError):
+            SomaParams(n_threshold=n, t_max=20.0)
     with pytest.raises(ValueError):
-        SomaParams(n_threshold=7)
+        SomaParams(n_threshold=2, t_max=65.0, tau=-1.0)
     with pytest.raises(ValueError):
-        SomaParams(n_threshold=2, tau=-1.0)
+        soma_for_threshold(2, t_max=0.0)
     p = soma_for_threshold(2)
     assert p.t_max == 65.0 and 1.0 < p.v_th < 2.0
+    assert soma_for_threshold(2, t_max=30.0, tau=10.0) == SomaParams(2, 30.0, 10.0)

@@ -207,15 +207,15 @@ class TestSimulate:
         assert {t for layer in net["layers"] for t in layer["thresholds"]} <= {3, 4}
         assert "spiking == discrete: True" in capsys.readouterr().out
 
-    def test_network_outside_threshold_set_exits_2(self, tmp_path, fast_config, capsys):
-        out = tmp_path / "out"
-        run("--config", fast_config, "--out", str(out), "train")
-        run("--config", fast_config, "--out", str(out), "discretize")
-        cfg = tmp_path / "thr.json"
-        cfg.write_text(json.dumps({"ga": {"threshold_set": [6]}}))
-        assert run("--config", str(cfg), "--out", str(out), "simulate") == 2
-        err = capsys.readouterr().err
-        assert "outside the soma set (6,)" in err and "internal error" not in err
+    @pytest.mark.parametrize("threshold,rc", [(3, 0), (6, 0), (7, 2), (0, 2)])
+    def test_network_is_valid_when_its_soma_cells_exist(self, tmp_path, capsys, threshold, rc):
+        # the default config's GA searches {1, 2, 5}; simulate runs any soma cell 1..6
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "network.json").write_text(json.dumps(network_with({"thresholds": [threshold, 1, 2, 5]})))
+        assert run("--out", str(tmp_path / "out"), "simulate", "--input", "2,1,0,2") == rc
+        if rc:
+            assert_clean_error(capsys, f"error: bad {tmp_path}/out/network.json: thresholds [{threshold}] "
+                                       "have no soma cell; the cells cover 1..6")
 
     def test_spiking_pass_logged(self, tmp_path, fast_config, capsys, caplog):
         out = tmp_path / "out"
@@ -474,6 +474,19 @@ def test_config_values_must_have_their_defaults_kind(tmp_path_factory, data):
 
 
 SMALL_SWARM = {"pso": {"n_particles": 2, "n_iterations": 1}}
+NETWORK = {"input_dim": 4, "clock_ps": 1000.0, "layers": [
+    {"weights": [[1, 1, 1, -1]] * 4, "thresholds": [1, 2, 5, 1], "synapse": "SM4"},
+    {"weights": [[1, 0, 1, 0]] * 3, "thresholds": [1, 2, 5], "synapse": "SM2"},
+]}
+
+
+def network_with(layer0=None, **doc):
+    """NETWORK with `doc`'s top-level keys and `layer0`'s first-layer keys replaced."""
+    return {**NETWORK, "layers": [{**NETWORK["layers"][0], **(layer0 or {})}, NETWORK["layers"][1]], **doc}
+
+
+BAD_NET = "bad {tmp}/out/network.json: "
+SIMULATE = ["simulate", "--input", "2,1,0,2"]
 JUNCTION = "bad margins config: junction 'nosuch' is not a junction of soma2"
 MLP = json.loads(RealMlp.init(4, 4, 3, 7).to_json())
 SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_on_chip_w": 0.0,
@@ -520,6 +533,22 @@ SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_o
     (SMALL_SWARM, {}, ["pso", "--params", "lloop.ic"], "lloop.ic is 0 at nominal"),
     ({"margins": {"count": -1}}, {}, ["margins"], "bad margins config: count must be >= 0, got -1"),
     ({"margins": {"params": []}}, {}, ["margins"], "bad margins config: params names no selector"),
+    ({}, {"out/network.json": network_with({"weights": [[1, 1.7, 1, -1]] * 4})}, SIMULATE,
+     BAD_NET + "layer weights must be integers in [-2, 2], got 1.7"),
+    ({}, {"out/network.json": network_with({"weights": [[1, 1, 1.9, -1]] * 4})}, ["simulate"],
+     BAD_NET + "layer weights must be integers in [-2, 2], got 1.9"),
+    ({}, {"out/network.json": network_with({"thresholds": [1, 1.7, 2, 5]})}, SIMULATE,
+     BAD_NET + "thresholds [1.7] have no soma cell; the cells cover 1..6"),
+    ({}, {"out/network.json": network_with({"thresholds": [1.9, 1, 2, 5]})}, ["simulate"],
+     BAD_NET + "thresholds [1.9] have no soma cell; the cells cover 1..6"),
+    ({}, {"out/network.json": network_with(clock_ps=0)}, SIMULATE,
+     BAD_NET + "clock_ps must be positive and finite, got 0.0"),
+    ({}, {"out/network.json": network_with(clock_ps=math.inf)}, SIMULATE,
+     BAD_NET + "clock_ps must be positive and finite, got inf"),
+    ({}, {"out/network.json": {**NETWORK, "layers": []}}, SIMULATE, BAD_NET + "layers must hold at least one layer"),
+    ({}, {"out/network.json": network_with(input_dim=4.7)}, SIMULATE, BAD_NET + "layer 0 fan-in 4 != upstream width 4.7"),
+    ({}, {"p.json": {**SOPS_NULL, "sops_rated": 0.0, "n_cells": 88.9}}, ["power", "--network", "{tmp}/p.json"],
+     "malformed power config {tmp}/p.json: n_cells must be a whole number, got 88.9"),
 ])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
     for name, doc in files.items():
@@ -529,3 +558,16 @@ def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, ar
     cfg = json.loads(json.dumps(cfg).replace("{tmp}", str(tmp_path)))
     assert run_with_config(tmp_path, cfg, *argv) == 2
     assert_clean_error(capsys, message.format(tmp=tmp_path))
+
+
+@pytest.mark.parametrize("command", [["train"], ["discretize"], ["simulate"], ["power"], ["margins"],
+                                     ["pso"], ["reproduce-paper"]])
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_negative_seed_exits_2_before_any_stage(tmp_path, capsys, command, where):
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": -1} if where == "config" else {}))
+    seed = ["--seed", "-1"] if where == "option" else []
+    assert run("--config", str(cfg), "--out", str(out), *seed, *command) == 2
+    assert_clean_error(capsys, "error: bad config: seed must be >= 0, got -1")
+    assert not out.exists()

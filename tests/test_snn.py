@@ -7,7 +7,7 @@ import pytest
 
 from conftest import all_ternary_inputs, random_spec
 from fluxon.behavioral import (
-    BqConfig,
+    DEFAULT_T_MAX,
     SynapseConfig,
     bq_quantize,
     soma_fire_times,
@@ -90,6 +90,18 @@ class TestSpiking:
                 got = simulate_spiking(spec, x).final_outputs
                 assert np.array_equal(want, got)
 
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (4, 16, 3)])
+    def test_matches_discrete_over_every_soma_cell(self, shape):
+        rng = np.random.default_rng(61)
+        inputs = all_ternary_inputs()
+        seen = set()
+        for _ in range(60):
+            spec = random_spec(rng, shape, thresholds=tuple(DEFAULT_T_MAX))
+            seen.update(t for layer in spec.layers for t in layer.thresholds)
+            for x in inputs:
+                assert np.array_equal(evaluate_discrete(spec, x)[-1], simulate_spiking(spec, x).final_outputs)
+        assert seen == set(range(1, 7))
+
     def test_determinism(self):
         rng = np.random.default_rng(7)
         spec = random_spec(rng)
@@ -145,10 +157,10 @@ def reference_simulate_spiking(spec: NetworkSpec, x) -> SimReport:
         raise ValueError(f"input shape {xv.shape} != ({spec.input_dim},)")
     if np.any(xv < 0) or np.any(xv > 2):
         raise ValueError("first-layer inputs must lie in {0, 1, 2}")
-    bq = BqConfig(clock_period=spec.clock_ps)
+    clock = spec.clock_ps
     events = []
     for k, level in enumerate(xv):
-        events.extend(bq_quantize(int(level), bq, 0.0, node=f"input/{k}").events())
+        events.extend(bq_quantize(int(level), clock, 0.0, node=f"input/{k}").events())
     acts = xv
     per_clock = [np.zeros(spec.output_dim, dtype=int) for _ in spec.layers]
     for li, layer in enumerate(spec.layers):
@@ -160,7 +172,7 @@ def reference_simulate_spiking(spec: NetworkSpec, x) -> SimReport:
                 cfg = SynapseConfig(layer.synapse, int(layer.weights[j, k]))
                 u += synapse_contribution(cfg, int(acts[k]))
             prefix = f"layer{li}/neuron{j}"
-            burst = bq_quantize(u, bq, t0, node=f"{prefix}/bq")
+            burst = bq_quantize(u, clock, t0, node=f"{prefix}/bq")
             events.extend(burst.events())
             soma = soma_for_threshold(layer.thresholds[j])
             fires = soma_fire_times(soma, burst.renamed(f"{prefix}/soma"))
@@ -289,12 +301,31 @@ class TestAgainstReference:
 
 class TestSpecValidation:
     def test_weight_range(self):
-        with pytest.raises(ValueError):
-            small_spec([[3, 0, 0, 0]], (1,), [[1]], (1,))
+        for w in (3, -3, 1.7, 1.9, -0.5, math.nan, math.inf):  # 1.7 is rejected, not run as 1
+            with pytest.raises(ValueError, match=r"layer weights must be integers in \[-2, 2\]"):
+                small_spec([[1, w, 0, 0]], (1,), [[1]], (1,))
 
     def test_threshold_set(self):
-        with pytest.raises(ValueError):
-            small_spec([[1, 0, 0, 0]], (4,), [[1]], (1,))
+        for t in (0, 7, 1.7, math.nan):
+            with pytest.raises(ValueError, match="have no soma cell; the cells cover 1..6"):
+                small_spec([[1, 0, 0, 0]], (t,), [[1]], (1,))
+        for t in range(1, 7):  # every soma cell, whatever set the GA searches
+            assert small_spec([[1, 0, 0, 0]], (t,), [[1]], (1,)).layers[0].thresholds == (t,)
+
+    @pytest.mark.parametrize("clock", [0.0, -5.0, math.inf, math.nan])
+    def test_clock_must_be_positive_and_finite(self, clock):
+        layer = LayerSpec(np.ones((1, 4), dtype=int), (1,), "SM4")
+        with pytest.raises(ValueError, match="clock_ps must be positive and finite"):
+            NetworkSpec(4, (layer,), clock_ps=clock)
+
+    def test_needs_a_layer(self):
+        with pytest.raises(ValueError, match="layers must hold at least one layer"):
+            NetworkSpec(4, ())
+
+    def test_layer_synapse_realizes_the_weight_range(self):
+        for kind in ("SM1", "SM3"):
+            with pytest.raises(ValueError, match="layer synapse must be SM2 or SM4"):
+                LayerSpec(np.ones((1, 4), dtype=int), (1,), kind)
 
     def test_layer0_needs_sm4(self):
         with pytest.raises(ValueError):

@@ -428,7 +428,6 @@ def _reference_ga_discretize(mlp, Xq, labels, cfg):
             LayerSpec(w1, tuple(int(t) for t in best[1][:nh]), "SM4"),
             LayerSpec(w2, tuple(int(t) for t in best[1][nh:]), "SM2"),
         ),
-        threshold_set=cfg.threshold_set,
     )
     return spec, trace
 
