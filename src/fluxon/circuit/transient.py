@@ -16,13 +16,18 @@ phases, voltages and capacitor currents, then a junction predictor and
 the source values w. The linear matrix A is solved once per run for the
 Euler step and once for the trapezoidal steps, which turns a step into
 u = M u_prev - Z c: M maps the previous state and the step's source
-values to the new state without supercurrents and to the predictor, the
-phases the previous voltages extrapolate to, in one product;
-c = Ic sin(phi_new) are the supercurrents, whose columns Z
+values to the new state without supercurrents and to the predictor in
+one product; c = Ic sin(phi_new) are the supercurrents, whose columns Z
 follow from A^-1 P (P the junction incidence, junction voltages
-v = P^T x). Newton iteration then runs on the n_j new phases p alone,
-from the predictor: with r the phases the step would reach without
-supercurrent and Zp the phase rows of Z, it drives the residual
+v = P^T x). The predictor extrapolates each phase to second order,
+phi + h phi' + h^2/2 phi'', from the previous voltage,
+phi' = (2 pi / PHI0) V, and capacitor current,
+phi'' = (2 pi / PHI0) i_cap / C: one more entry of M per junction, so
+it costs the step nothing. The Euler first step and a junction without
+capacitance extrapolate to first order. Newton iteration then runs on
+the n_j new phases p alone, from the predictor: with r the phases the
+step would reach without supercurrent and Zp the phase rows of Z, it
+drives the residual
 f = p - r + Zp Ic sin(p) to zero. Its Jacobian I + Zp diag(Ic cos p)
 lies within rho = ||Zp diag(Ic)||_inf of the identity (about 1e-3 on
 the bundled cells, 5e-3 on the Euler step), so none is formed: with
@@ -35,7 +40,10 @@ ends the step instead; its state is then M u_prev - Z c with the
 supercurrents c of that residual. A pass forms the whole product Z c,
 whose phase rows give f and which the step then subtracts as it is, so
 the check and the state update share one product. A converged step
-thus costs one update. A netlist without junctions skips Newton.
+thus costs one update, and from the second-order predictor all but a
+few steps of the bundled cells converge in one (a forward-Euler
+predictor left 2-18% of their steps needing a second). A netlist
+without junctions skips Newton.
 
 M and Z do not depend on junction critical currents or source
 waveforms, so `run_transients` advances every group of netlists that
@@ -57,7 +65,12 @@ buffer's next slot with one product. Work that need not happen per step
 happens once per chunk: one gather fills the source rows of the chunk's
 states from the sampled waveforms, the recorded rows go to the traces in
 one copy, and the worst accepted residual is folded from a buffer of
-the chunk's |f|. Each distinct source waveform is sampled over the whole
+the chunk's |f|. A step allocates nothing: each slot's views of the
+buffer are made once per run, the step's supercurrents, products,
+residual and update are written in place into arrays allocated once,
+and a pass under the mask adds the variants still iterating to a
+(CHUNK, variants) update count that the Newton counters fold once per
+chunk. Each distinct source waveform is sampled over the whole
 time grid once, in one call, and stored once, as a column shared by
 every variant that drives a source with it.
 
@@ -255,8 +268,9 @@ def run_transients(
         group = _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record)
         dt = time.perf_counter() - t0
         steps = max(len(tr.time_ps) for tr in group) - 1  # the steps the group stepped
-        log.debug("transient: %d variants, %d of %d steps in %.3f s (%.1f µs/step)", len(ix), steps,
-                  round(nl_stop / nl_step), dt, 1e6 * dt / max(steps, 1))
+        extra = sum(max(tr.newton_iterations - len(tr.time_ps) + 1, 0) for tr in group)
+        log.debug("transient: %d variants, %d of %d steps in %.3f s (%.1f µs/step), %d extra Newton updates",
+                  len(ix), steps, round(nl_stop / nl_step), dt, 1e6 * dt / max(steps, 1), extra)
         for i, tr in zip(ix, group):
             traces[i] = tr
     return traces
@@ -339,6 +353,18 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     target = np.full((n_j, K), math.pi)  # the next crossing each junction waits for
     stamps: list[list[list[float]]] = [[[] for _ in junctions] for _ in range(K)]
     fabs = np.empty((CHUNK, n_j, K))  # |f| of each step's accepted residual
+    updates = np.zeros((CHUNK, K), dtype=int)  # each step's updates after its first
+    # Step i of a chunk reads state buf[i] and writes buf[i + 1]: its
+    # state x, predictor p and supercurrent-free phases r, views made once.
+    slots = [(buf[i], buf[i + 1][:top], buf[i + 1][:dim], buf[i + 1][pred], buf[i + 1][ph], fabs[i],
+              updates[i]) for i in range(CHUNK)]
+    # A step's work arrays, written in place: no step allocates.
+    c, s, f, w, g, g2, dp = (np.empty((n_j, K)) for _ in range(7))
+    zs = np.empty((dim, K))
+    zs_ph = zs[ph]
+    ftol = np.full((n_j, K), NEWTON_FTOL)
+    done = np.empty((n_j, K), dtype=bool)
+    converged, alive = np.empty(K, dtype=bool), np.empty(K, dtype=bool)
 
     # Every step with junctions makes one update per variant; later
     # updates and the worst accepted residual are kept per variant.
@@ -371,34 +397,38 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
                         f"junction coupling rho = {rho[v]:.3g} >= 1/2 at junction {j} on the "
                         f"step to t = {times[n]:.4f} ps: the Newton update may not contract{_in_variant(names[v])}"
                     )
-            u = buf[i + 1]
-            M.dot(buf[i], out=u[:top])
+            prev, u, x, p, r, fa, up = slots[i]  # r: the new phases if no supercurrent flowed
+            M.dot(prev, out=u)
             if not n_j:
                 continue
-            x, p, r = u[:dim], u[pred], u[ph]  # r: the new phases if no supercurrent flowed
-            c = j_ic * np.cos(p)  # the Jacobian is I + Zp diag(c), taken at the predictor
+            np.multiply(j_ic, np.cos(p, out=c), out=c)  # the Jacobian is I + Zp diag(c), at the predictor
             live = True  # the variants still iterating: all on the first pass
             for it in range(1, NEWTON_MAX_ITER + 1):  # it - 1 updates so far
-                s = j_ic * np.sin(p)
-                zs = Zx.dot(s)  # the check's Zp s, and the step's supercurrent term
-                f = p - r + zs[ph]
+                np.multiply(j_ic, np.sin(p, out=s), out=s)
+                Zx.dot(s, out=zs)  # the check's Zp s, and the step's supercurrent term
+                np.add(np.subtract(p, r, out=f), zs_ph, out=f)
                 if it > 1:
-                    done = np.abs(f, out=fabs[i]) <= NEWTON_FTOL  # a NaN residual is not done
+                    np.less_equal(np.abs(f, out=fa), ftol, out=done)  # a NaN residual is not done
                     if np.count_nonzero(done) == done.size:
                         break
-                    live = ~done.all(axis=0)
-                    extra_updates += live
-                    most = np.maximum(most, it * live)
-                    f = np.where(live, f, 0.0)  # converged variants update by 0
+                    np.logical_and.reduce(done, axis=0, out=converged)
+                    live = np.logical_not(converged, out=alive)
+                    up += live
+                    np.copyto(f, 0.0, where=converged)  # converged variants update by 0
                 # (I + Zp diag c)^-1 f to second order in Zp diag c
-                g = Zp.dot(c * f)
-                dp = f - g + Zp.dot(c * g)
-                p -= dp
+                Zp.dot(np.multiply(c, f, out=w), out=g)
+                Zp.dot(np.multiply(c, g, out=w), out=g2)
+                p -= np.add(np.subtract(f, g, out=dp), g2, out=dp)
             else:
                 v = int(np.argmax(live))  # the first variant still iterating
                 update, residual = (float(np.abs(a).max(axis=0)[v]) for a in (dp, f))
                 raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
             x -= zs
+        if n_j:
+            counted = updates[:steps]
+            extra_updates += counted.sum(axis=0)
+            most = np.maximum(most, counted.max(axis=0) + 1)
+            counted.fill(0)
         worst = np.maximum(worst, fabs[:steps].max(axis=(0, 1), initial=0.0))
         rec[..., n0 + 1:n0 + steps + 1] = buf[1:steps + 1].take(rec_ix, axis=1).transpose(1, 2, 0)
         phases = buf[:steps + 1, ph]  # from the last state of the chunk before
@@ -464,7 +494,9 @@ def _step_operators(
     phases, voltages v = P^T x and capacitor currents, then the junction
     predictor and the source values w. With w set to the step's values,
     u0 = M u is the step without supercurrents, its predictor rows the
-    phases the previous voltages extrapolate to and its source rows 0;
+    phases phi + h phi' + h^2/2 phi'' the previous voltages and capacitor
+    currents extrapolate to (phi + h phi' on the first step and for a
+    junction without capacitance) and its source rows 0;
     the step is u = u0 - Z Ic sin(phi_new). A holds every linear stamp,
     H the inductor and capacitor history, S the sources and P the
     junction incidence; the ground row and column are left out of the
@@ -516,7 +548,8 @@ def _step_operators(
         raise CircuitError(f"singular system matrix: {exc}") from None
     Hx, Sx, Px = np.split(X, [m, m + len(sources)], axis=1)
     # x_new = Hx x + Sx w + Px (i_cap - c), and the new state is T x_new + U u.
-    fac_c = fac * np.array([d.cap for d in junctions])
+    caps = np.array([d.cap for d in junctions])
+    fac_c = fac * caps
     T = np.vstack([np.eye(m), a * P.T, P.T, fac_c[:, None] * P.T])
     eye, zero = np.eye(n_j), np.zeros((n_j, n_j))
     U = np.zeros((m + 3 * n_j, m + 3 * n_j))
@@ -526,6 +559,9 @@ def _step_operators(
     M[:dim, :dim] = T @ np.hstack([Hx, np.zeros((m, 2 * n_j)), Px]) + U
     M[:dim, dim + n_j:] = T @ Sx
     M[dim:dim + n_j, m:m + 2 * n_j] = np.hstack([eye, (a + b) * eye])
+    if not first:  # + h^2/2 phi'', with phi'' = (2 pi / PHI0) i_cap / C
+        held = np.flatnonzero(caps)  # a junction without capacitance keeps the first-order predictor
+        M[dim + held, m + 2 * n_j + held] = a * h / caps[held]
     Z = np.zeros((dim + n_j + n_s, n_j))
     Z[:dim] = T @ Px
     return M, Z

@@ -129,8 +129,9 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None) -> dict
         cfg = _merge(cfg, doc)
     if seed is not None:
         cfg["seed"] = seed
-    if cfg["seed"] < 0:
-        raise UserError(f"bad config: seed must be >= 0, got {cfg['seed']}")
+    for where, section in (("bad config", cfg), ("bad split config", cfg["split"])):
+        if section["seed"] < 0:
+            raise UserError(f"{where}: seed must be >= 0, got {section['seed']}")
     if out_dir is not None:
         cfg["out_dir"] = out_dir
     return cfg

@@ -56,17 +56,24 @@ class PowerInputs:
     @staticmethod
     def from_json(text: str) -> "PowerInputs":
         doc = json.loads(text)
-        n_cells = float(doc["n_cells"])
+
+        def number(key: str, default: float | None = None) -> float:
+            val = doc[key] if default is None else doc.get(key, default)
+            if type(val) not in (int, float):  # a numeric string or a bool is no number
+                raise ValueError(f"{key} must be a number, got {json.dumps(val)}")
+            return float(val)
+
+        n_cells = number("n_cells")
         if not n_cells.is_integer():
             raise ValueError(f"n_cells must be a whole number, got {doc['n_cells']}")
         return PowerInputs(
             name=doc["name"],
             n_switching_cells=int(n_cells),
-            ic=float(doc["ic_a"]),
-            clock=float(doc["clock_hz"]),
-            static_on_chip=float(doc["static_on_chip_w"]),
-            cooling_overhead=float(doc.get("cooling", DEFAULT_COOLING_W_PER_W)),
-            sops_rated=float(doc.get("sops_rated", 0.0)),
+            ic=number("ic_a"),
+            clock=number("clock_hz"),
+            static_on_chip=number("static_on_chip_w"),
+            cooling_overhead=number("cooling", DEFAULT_COOLING_W_PER_W),
+            sops_rated=number("sops_rated", 0.0),
         )
 
 

@@ -549,6 +549,13 @@ SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_o
     ({}, {"out/network.json": network_with(input_dim=4.7)}, SIMULATE, BAD_NET + "layer 0 fan-in 4 != upstream width 4.7"),
     ({}, {"p.json": {**SOPS_NULL, "sops_rated": 0.0, "n_cells": 88.9}}, ["power", "--network", "{tmp}/p.json"],
      "malformed power config {tmp}/p.json: n_cells must be a whole number, got 88.9"),
+    ({}, {"p.json": {**SOPS_NULL, "sops_rated": 0.0, "n_cells": "88"}}, ["power", "--network", "{tmp}/p.json"],
+     'malformed power config {tmp}/p.json: n_cells must be a number, got "88"'),
+    ({}, {"p.json": {**SOPS_NULL, "sops_rated": 0.0, "ic_a": "1e-4"}}, ["power", "--network", "{tmp}/p.json"],
+     'malformed power config {tmp}/p.json: ic_a must be a number, got "1e-4"'),
+    ({}, {"p.json": {**SOPS_NULL, "sops_rated": True}}, ["power", "--network", "{tmp}/p.json"],
+     "malformed power config {tmp}/p.json: sops_rated must be a number, got true"),
+    ({"split": {"seed": -1}}, {}, ["train"], "bad split config: seed must be >= 0, got -1"),
 ])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
     for name, doc in files.items():
