@@ -274,6 +274,8 @@ class Netlist:
                     if ref not in inductors:
                         msg = f"mutual {d.name} references unknown inductor {ref!r}"
                         raise NetlistError(msg, device=d.name)
+                if d.l1 == d.l2:
+                    raise NetlistError(f"mutual {d.name} couples inductor {d.l1!r} to itself", device=d.name)
                 bound = math.sqrt(inductors[d.l1].l * inductors[d.l2].l)
                 if not abs(d.m) <= bound * (1.0 + 1e-12):
                     msg = f"mutual {d.name}: |M|={d.m} exceeds sqrt(L1*L2)={bound:.3e}"

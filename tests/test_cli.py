@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
 import string
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -176,6 +180,14 @@ class TestReproducePaper:
         assert "internal error" not in captured.err and "[ok]" not in captured.out  # no partial checklist
 
 
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "fluxon", "--help"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: fluxon ")
+
+
 def test_internal_failure_exits_1(tmp_path, monkeypatch, capsys):
     def broken(cfg, args):
         raise RuntimeError("boom")
@@ -255,6 +267,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: step must lie in")
         assert "internal error" not in err
+
+    def test_unbuildable_time_grid_exits_2(self, tmp_path, capsys):
+        cir = tmp_path / "fine.cir"
+        cir.write_text("r1 1 0 1\ni1 0 1 dc 1m\n.tran 1e-300 5\n")
+        assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
+                   "--netlist", str(cir)) == 2
+        assert_clean_error(capsys, "error: a 1e-300 ps step to 5.0 ps makes 5e+300 steps, too many for one time grid")
 
     @pytest.mark.parametrize("tran", ["0.05 -5", "0 10"])
     def test_bad_tran_exits_2(self, tmp_path, capsys, tran):

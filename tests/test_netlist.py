@@ -121,6 +121,8 @@ class TestParse:
     def test_mutual_references_existing_inductors(self):
         with pytest.raises(NetlistError, match="unknown inductor"):
             parse_netlist("l1 1 0 10p\nk1 l1 l9 1p")
+        with pytest.raises(NetlistError, match="^line 2: mutual k1 couples inductor 'l1' to itself$"):
+            parse_netlist("l1 1 0 10p\nk1 l1 l1 0.9p")
 
     def test_mutual_coupling_bound(self):
         with pytest.raises(NetlistError, match="exceeds"):
@@ -361,6 +363,7 @@ def test_random_tokens_raise_only_netlist_errors_with_a_line(text):
         ("v1 1 0 sin 0 1m 0", 1),
         ("l1 1 0 2p\nk1 l1 l9 1p\nr1 1 0 1", 2),  # checked once every line is read
         ("l1 1 0 2p\nl2 2 0 2p\nr1 2 0 1\nk1 l1 l2 5p", 4),
+        ("l1 1 0 2p\nk1 l1 l1 0.9p\nr1 1 0 1", 2),  # would stamp -fac*m twice on l1's own diagonal
         ("r1 1 0 1\n.print v(1) v(99)", 2),
         (".print phi(r1)\nr1 1 0 1", 1),  # a print target is checked once every line is read
     ],

@@ -169,10 +169,25 @@ class TestSolverContract:
             run_transient(parse_netlist(""), stop=10.0, step=0.05)
 
     def test_singular_system(self):
-        # inductor loop with a current source in series: no DC path for KCL
+        # two voltage sources in parallel fix the node but neither branch current
         nl = parse_netlist("v1 1 0 dc 1m\nv2 1 0 dc 2m\n.tran 0.1 1")
-        with pytest.raises(CircuitError):
+        with pytest.raises(CircuitError, match="^singular system matrix: no unique solution for "
+                                               "the currents of v1 and v2$"):
             run_transient(nl)
+
+    @pytest.mark.parametrize("text,where", [
+        ("i1 0 1 dc 10u\nr1 2 3 1\nr2 1 0 1", "nodes 2 and 3"),  # an island with no path to ground
+        ("i1 0 1 dc 10u\nv1 2 3 dc 1m\nv2 2 3 dc 1m", "nodes 1, 2 and 3, and the currents of v1 and v2"),
+    ])
+    def test_singular_system_names_its_null_space(self, text, where):
+        with pytest.raises(CircuitError, match=f"^singular system matrix: no unique solution for {where}$"):
+            run_transient(parse_netlist(text + "\n.tran 0.1 1"))
+
+    @pytest.mark.parametrize("tran", ["1e-300 5", "1e-16 5"])
+    def test_unbuildable_time_grid(self, tran):
+        # 5e300 steps is past numpy's size limit, 5e16 past any allocation
+        with pytest.raises(CircuitError, match=r"^a 1e-\d+ ps step to 5.0 ps makes 5e\+\d+ steps, too many"):
+            run_transient(parse_netlist(f"r1 1 0 1\ni1 0 1 dc 1m\n.tran {tran}"))
 
     def test_unknown_phase_print_target(self):
         # caught when the netlist is built, before any transient, naming the .print line
@@ -858,6 +873,51 @@ class TestSolverProperties:
         err = info.value
         assert (err.time_ps, err.iterations, err.variant) == (nl.tran_step, max_iter, None)
         assert math.isfinite(err.update) and math.isfinite(err.residual)
+
+
+@st.composite
+def random_netlists(draw):
+    """Text of 2-10 devices drawn from R, L, B, K, I and V between ground and
+    2-4 nodes, with values over decades: floating islands, loops of sources,
+    coupled inductors and junctions past the Newton update's reach all come
+    up, and some texts do not parse."""
+    nodes = [str(k) for k in range(draw(st.integers(2, 4)) + 1)]  # "0" is ground
+    value = st.builds("{:.3g}e{}".format, st.floats(1.0, 9.99), st.integers(-15, 0))
+    lines, inductors = [], []
+    for k in range(draw(st.integers(2, 10))):
+        kind = draw(st.sampled_from("rrlbbkiv"))
+        a, b = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        if kind == "k":
+            if len(inductors) > 1:
+                l1, l2 = draw(st.permutations(inductors))[:2]
+                lines.append(f"k{k} {l1} {l2} {draw(value)}")
+        elif kind == "b":
+            fields = [f"ic={draw(value)}"] + [f"{f}={draw(value)}" for f in ("rn", "cap") if draw(st.booleans())]
+            lines.append(f"b{k} {a} {b} " + " ".join(fields))
+        elif kind in "iv":
+            shape = draw(st.sampled_from(["dc {}", "pulse 1 0.5 1 0.5 {}", "sin 0 {} 3"]))
+            lines.append(f"{kind}{k} {a} {b} " + shape.format(draw(value)))
+        else:
+            lines.append(f"{kind}{k} {a} {b} {draw(value)}")
+            inductors += [f"l{k}"] if kind == "l" else []
+    lines.append(f".tran 0.1 {draw(st.sampled_from([0.1, 1, 5]))}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_netlists())
+def test_a_parsed_netlist_runs_or_raises_a_circuit_error(text):
+    # warnings are errors under pytest, so this also rules out numpy's
+    # overflow and invalid-value warnings
+    try:
+        nl = parse_netlist(text)
+    except NetlistError:
+        return
+    try:
+        tr = run_transient(nl)
+    except CircuitError:
+        return
+    assert isinstance(tr, transient.TraceSet)
 
 
 # --- the quiet end of a lean run ----------------------------------------------
