@@ -25,13 +25,11 @@ voltages and the junction pulses it stamped as it stepped, which
 detect_pulses_in reads, but no junction phase, junction voltage or
 inductor current trace. A probe thus holds a few print rows instead of
 every junction's waveforms, so batches can be wide. A lean run ends at
-the end of its first quiet chunk (sources at their final values,
-junction |V| under transient.QUIET_VOLTAGE, inductor currents moving
-less than transient.QUIET_CURRENT a step, every junction
-transient.QUIET_PHASE short of its next crossing), so its pulses are
-those of the full run but node_voltage[name][-1] is the value at that
-quiet end, not at the netlist's stop time. The scan logs its transients,
-batches and the steps its transients took.
+the end of its first quiet chunk, by the rule the transient module
+states, so its pulses are those of the full run but
+node_voltage[name][-1] is the value at that quiet end, not at the
+netlist's stop time. The scan logs its transients, batches and the
+steps its transients took.
 
 run_transients advances the variants of a junction ic or source
 waveform scan in one lockstep group; a resistance, inductance or

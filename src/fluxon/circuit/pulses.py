@@ -1,9 +1,13 @@
 """SFQ pulse detection from junction phase traces.
 
 A junction emits one pulse per 2 pi phase slip; the event is stamped
-where the phase crosses (2k+1) pi, linearly interpolated between the
-two bracketing samples. Every transient stamps its junctions' pulses
-this way as it steps, and detect_pulses_in reads them from its
+where the phase first reaches (2k+1) pi, linearly interpolated between
+the two bracketing samples. One step may carry a junction to at most
+one target: a sample that reaches two is a ValueError, which a
+transient reports as a CircuitError naming the junction and the time
+(a step short enough to resolve the switching moves a bundled cell's
+phase by at most 0.13 rad). Every transient stamps its junctions'
+pulses this way as it steps, and detect_pulses_in reads them from its
 TraceSet; detect_pulses runs the same search over a whole phase array.
 The time integral of the junction voltage across each detected pulse
 is one flux quantum, which flux_integrals exposes for verification.
@@ -18,16 +22,17 @@ import numpy as np
 
 from ..core import SpikeTrain
 
-SEARCH_WINDOW = 512  # samples compared with the target in one array operation
-
 if TYPE_CHECKING:
     from .transient import TraceSet
 
 
 def detect_pulses(time_ps: np.ndarray, phase: np.ndarray, node: str = "") -> SpikeTrain:
     """Events at each crossing of phi = (2k+1) pi, k = 0, 1, ..."""
+    phase = np.asarray(phase, dtype=float)
+    if not np.isfinite(phase).all():
+        raise ValueError("phase must be finite")
     events: list[float] = []
-    stamp_crossings(np.asarray(time_ps, dtype=float), np.asarray(phase, dtype=float), math.pi, events)
+    stamp_crossings(np.asarray(time_ps, dtype=float), phase, math.pi, events)
     return SpikeTrain(node, tuple(events))
 
 
@@ -35,33 +40,21 @@ def stamp_crossings(time_ps: np.ndarray, phase: np.ndarray, target: float, event
     """Append to events each crossing of target, target + 2 pi, ... by
     phase[1:], interpolated from the sample before it; return the next target.
 
-    The samples are compared with the target SEARCH_WINDOW at a time, so
-    a search costs a few array operations per window and per crossing
-    rather than a Python step per sample.
+    The first sample to reach a target is the first at which the running
+    maximum of phase[1:] reaches it, so each crossing costs one binary
+    search. A sample that also reaches the next target is a ValueError.
     """
-    i = 1
-    while i < len(phase):
-        hit = phase[i:i + SEARCH_WINDOW] >= target
-        k = int(hit.argmax())  # the first hit, or 0 when there is none
-        if hit[k]:
-            i += k
-            target = crossings(time_ps[i - 1], time_ps[i], phase[i - 1], phase[i], target, events)
-            i += 1
-        else:
-            i += len(hit)
-    return target
-
-
-def crossings(t0: float, t1: float, p0: float, p1: float, target: float, events: list) -> float:
-    """Append to events where a phase going from p0 at t0 to p1 at t1
-    crosses target, target + 2 pi, ...; return the next target."""
-    while p1 >= target:
+    peak = np.maximum.accumulate(phase[1:])
+    while (i := int(peak.searchsorted(target)) + 1) < len(phase):
+        t0, t1, p0, p1 = time_ps[i - 1], time_ps[i], phase[i - 1], phase[i]
         if p1 == p0:
             events.append(t1)
         else:
             frac = min(max((target - p0) / (p1 - p0), 0.0), 1.0)
             events.append(t0 + frac * (t1 - t0))
         target += 2.0 * math.pi
+        if p1 >= target:
+            raise ValueError(f"phase slips more than once on the step to t = {t1:.4f} ps")
     return target
 
 

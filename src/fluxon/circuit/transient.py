@@ -41,9 +41,8 @@ supercurrents c of that residual. A pass forms the whole product Z c,
 whose phase rows give f and which the step then subtracts as it is, so
 the check and the state update share one product. A converged step
 thus costs one update, and from the second-order predictor all but a
-few steps of the bundled cells converge in one (a forward-Euler
-predictor left 2-18% of their steps needing a second). A netlist
-without junctions skips Newton. A singular A is a CircuitError naming
+few steps of the bundled cells converge in one. A netlist without
+junctions skips Newton. A singular A is a CircuitError naming
 the node voltages and branch currents in its null space: the nodes of
 an island with no path to ground, the currents of voltage sources in
 parallel.
@@ -84,16 +83,16 @@ So the step loop binds every numpy callable it calls to a local once per
 run (the ufuncs, count_nonzero, logical_and.reduce, copyto and the
 operators' dot methods, rebound where the operators switch on steps 1
 and 2) and passes each output by position, which skips a global
-lookup and out= keyword parsing per call: a bundled cell's solo step
-went from 10.1-11.3 us to 9.4-10.4 us (best of 42 runs each, on two
-shared cores with Python 3.11 and numpy 2.4). The arithmetic and its
+lookup and out= keyword parsing per call. The arithmetic and its
 order are those of the unbound calls, so the traces are bit-identical
 to theirs.
 
 Every run stamps each junction's (2k+1) pi crossings chunk by chunk,
 with detect_pulses' search and interpolation: one comparison over the
 chunk's phases finds the junctions of the variants that reached their
-next target, and only those are searched. A recorded run keeps the
+next target, and only those are searched. A step may carry a junction
+past one target at most: one that reaches two is a CircuitError naming
+the junction, the time and the variant. A recorded run keeps the
 rows of every junction and inductor and steps the whole grid. A lean
 run (record=False) keeps the print-request node rows alone, so a wide
 batch of margin probes holds pulses instead of waveforms, and it ends
@@ -458,8 +457,11 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
         rec[..., n0 + 1:n0 + steps + 1] = buf[1:steps + 1].take(rec_ix, axis=1).transpose(1, 2, 0)
         phases = buf[:steps + 1, ph]  # from the last state of the chunk before
         for j, v in zip(*np.nonzero((phases[1:] >= target).any(axis=0))):
-            target[j, v] = stamp_crossings(times[n0:n0 + steps + 1], phases[:, j, v],
-                                           target[j, v], stamps[v][j])
+            try:
+                target[j, v] = stamp_crossings(times[n0:n0 + steps + 1], phases[:, j, v],
+                                               target[j, v], stamps[v][j])
+            except ValueError as exc:  # two targets in one step
+                raise CircuitError(f"junction {junctions[j].name}: {exc}{_in_variant(names[v])}") from None
         quiet = may_end & (final_from <= n0 + 1)
         if quiet.any():  # the cheaper tests first; per-axis maxima, which numpy reduces faster
             span = buf[:steps + 1]  # from the last state of the chunk before

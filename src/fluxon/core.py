@@ -60,9 +60,6 @@ class SpikeTrain:
     def __iter__(self):
         return iter(self.times)
 
-    def renamed(self, node: str) -> "SpikeTrain":
-        return SpikeTrain(node, self.times)
-
     def events(self) -> list[PulseEvent]:
         return [PulseEvent(t, self.node) for t in self.times]
 

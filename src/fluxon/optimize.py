@@ -21,6 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .circuit import MarginError, margin_scan
+
 log = logging.getLogger("fluxon.optimize")
 
 NOMINAL_FAIL_PENALTY = 1.0e6
@@ -63,16 +65,9 @@ def pso_minimize(
     Returns (best_vector, best_score, trace) where trace rows are
     (iteration, best_score_so_far, mean_score_of_swarm).
     """
-    return _swarm(lambda pts: [obj(p) for p in pts], cfg)
-
-
-def _swarm(
-    evaluate_swarm: Callable[[np.ndarray], Sequence[float]], cfg: PsoConfig
-) -> tuple[np.ndarray, float, list[tuple[int, float, float]]]:
-    """The swarm loop of pso_minimize; evaluate_swarm scores every row of a block."""
 
     def evaluate(block: np.ndarray) -> np.ndarray:
-        scores = np.asarray(evaluate_swarm(block), dtype=float)
+        scores = np.asarray([obj(p) for p in block], dtype=float)
         nan = np.isnan(scores)
         if nan.any():
             log.warning("objective returned NaN for %d of %d particles; treating as +inf",
@@ -127,8 +122,6 @@ def margin_objective(
     the worst-side margins of the listed parameters (more margin is a
     lower, better score).
     """
-    from .circuit import MarginError, margin_scan
-
     selectors = [p.lower() for p in params]
     for sel in selectors:
         netlist.resolve_selector(sel)  # raise early on a bad selector

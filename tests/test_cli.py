@@ -275,6 +275,13 @@ class TestSimulate:
                    "--netlist", str(cir)) == 2
         assert_clean_error(capsys, "error: a 1e-300 ps step to 5.0 ps makes 5e+300 steps, too many for one time grid")
 
+    def test_a_step_that_slips_a_junction_twice_exits_2(self, tmp_path, capsys):
+        cir = tmp_path / "fast.cir"
+        cir.write_text("b1 3 0 ic=100u\nr1 3 0 1\nv3 3 0 pulse 1 0.5 1 0.5 9.56e3\n.tran 0.1 5\n")
+        assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
+                   "--netlist", str(cir)) == 2
+        assert_clean_error(capsys, "error: junction b1: phase slips more than once on the step to t = 1.1000 ps")
+
     @pytest.mark.parametrize("tran", ["0.05 -5", "0 10"])
     def test_bad_tran_exits_2(self, tmp_path, capsys, tran):
         cir = tmp_path / "bad.cir"

@@ -14,7 +14,7 @@ from fluxon.behavioral import (
     soma_for_threshold,
     synapse_contribution,
 )
-from fluxon.core import PulseEvent, sorted_events
+from fluxon.core import PulseEvent, SpikeTrain, sorted_events
 from fluxon.snn import (
     AMBIGUOUS,
     LayerSpec,
@@ -175,7 +175,7 @@ def reference_simulate_spiking(spec: NetworkSpec, x) -> SimReport:
             burst = bq_quantize(u, clock, t0, node=f"{prefix}/bq")
             events.extend(burst.events())
             soma = soma_for_threshold(layer.thresholds[j])
-            fires = soma_fire_times(soma, burst.renamed(f"{prefix}/soma"))
+            fires = soma_fire_times(soma, SpikeTrain(f"{prefix}/soma", burst.times))
             events.extend(fires.events())
             if len(fires):
                 fired[j] = 1
