@@ -29,8 +29,8 @@ the n_j new phases p alone, from the predictor: with r the phases the
 step would reach without supercurrent and Zp the phase rows of Z, it
 drives the residual
 f = p - r + Zp Ic sin(p) to zero. Its Jacobian I + Zp diag(Ic cos p)
-lies within rho = ||Zp diag(Ic)||_inf of the identity (about 1e-3 on
-the bundled cells, 5e-3 on the Euler step), so none is formed: with
+lies within rho = ||Zp diag(Ic)||_inf of the identity (0.07 on the
+bundled cells' 0.4 ps Euler step, 5e-3 at 0.1 ps), so none is formed: with
 c = Ic cos(p) taken once per step at the predictor, an update is the
 second-order Neumann series dp = f - g + Zp (c g), g = Zp (c f). A
 variant whose rho reaches 1/2 is a CircuitError naming it, the junction
@@ -40,12 +40,19 @@ ends the step instead; its state is then M u_prev - Z c with the
 supercurrents c of that residual. A pass forms the whole product Z c,
 whose phase rows give f and which the step then subtracts as it is, so
 the check and the state update share one product. A converged step
-thus costs one update, and from the second-order predictor all but a
-few steps of the bundled cells converge in one. A netlist without
+thus costs one update: from the second-order predictor all but a few
+steps of the bundled cells converge in one at 0.1 ps, and at their
+0.4 ps step they take 1.17 to 1.50 updates a step. A netlist without
 junctions skips Newton. A singular A is a CircuitError naming
 the node voltages and branch currents in its null space: the nodes of
 an island with no path to ground, the currents of voltage sources in
-parallel.
+parallel. Values the parser accepts can still overflow: numpy's
+floating-point warnings are off during a run, and the run checks for
+finite values instead. A non-finite entry of the stamps or of M or Z,
+checked once per operator, is a CircuitError naming the nodes, branch
+currents, junctions and sources whose rows hold it; a non-finite state,
+checked once per chunk and when Newton fails, is a CircuitError naming
+the step, the variant and the rows. No run returns a NaN trace.
 
 M and Z do not depend on junction critical currents or source
 waveforms, so `run_transients` advances every group of netlists that
@@ -101,7 +108,9 @@ at the end of its first quiet chunk, where three things hold:
   step to the end of the grid (read once per run from the sampled
   waveforms, so a sine never ends a run);
 - over the whole chunk every junction's |V| stays below QUIET_VOLTAGE
-  and every inductor current changes by less than QUIET_CURRENT a step;
+  and every inductor current changes by less than QUIET_CURRENT (a rate,
+  1e-8 A/ps) times the step, so the test does not tighten as the step
+  shrinks;
 - every junction ends the chunk at least QUIET_PHASE short of its next
   (2k+1) pi target.
 The junction test alone is not enough: a loop current can keep moving
@@ -143,11 +152,17 @@ from .netlist import (
 from .pulses import stamp_crossings
 
 DEFAULT_STEP_PS = 0.05
-MAX_STEP_PS = 0.1
+# The bundled cells' step and the cap. Measured on soma2, soma3 and jtl at
+# their own stimuli and criterion 7's input counts: at 0.4 ps every pulse
+# time lies within 0.04 ps of a run at a sixteenth of the step, and no
+# junction gains or loses a pulse; tests hold it to a 0.05 ps budget. The
+# larger step costs 1.2-1.5 Newton updates a step (1.00 at 0.1 ps), at
+# rho = 0.071, and a quarter of the steps.
+MAX_STEP_PS = 0.4
 NEWTON_MAX_ITER = 50
 NEWTON_FTOL = 1e-11  # radians, on the junction phase residual
 QUIET_VOLTAGE = 1e-6  # volts: a quiet chunk keeps every junction's |V| below this
-QUIET_CURRENT = 1e-9  # amperes: ... and every inductor current's change per step below this
+QUIET_CURRENT = 1e-8  # amperes per ps: ... and every inductor current's rate of change below this
 QUIET_PHASE = 0.5  # radians: ... and every junction at least this far short of its next target
 CHUNK = 64  # steps per pass of the state buffer
 
@@ -229,8 +244,12 @@ def run_transient(
     """Simulate [0, stop] ps on a uniform grid of `step` ps.
 
     Arguments default to the netlist's .tran directive, then to a
-    0.05 ps step. Steps above 0.1 ps are rejected: the junction
-    switching waveforms need the resolution.
+    0.05 ps step. Steps above MAX_STEP_PS (0.4 ps) are rejected: at that
+    step the bundled cells' pulse times stay within 0.05 ps of a run at a
+    sixteenth of it, with every pulse kept, and longer steps are not
+    measured. Within the cap, a step too long for a netlist's own
+    dynamics shows as a CircuitError: a junction coupling rho of 1/2 or
+    more, or a junction slipping twice in one step.
     """
     return run_transients([netlist], stop, step)[0]
 
@@ -257,7 +276,7 @@ def run_transients(
     record=False the run keeps only the print-request nodes and ends
     at the end of its first quiet chunk: its sources hold their final
     samples, its junction voltages stay under QUIET_VOLTAGE, its
-    inductor currents move less than QUIET_CURRENT a step, and every
+    inductor currents move at less than QUIET_CURRENT per ps, and every
     junction is QUIET_PHASE short of its next crossing. Its pulses are
     those of the full recorded run, and its time grid, node rows and
     Newton counters those of a recorded run stopped at its end: the way
@@ -280,7 +299,8 @@ def run_transients(
     for (nl_step, nl_stop, *_), ix in groups.items():
         names = ix if len(netlists) > 1 else [None]
         t0 = time.perf_counter()
-        group = _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record)
+        with np.errstate(all="ignore"):  # the run checks its operators and states for finite values instead
+            group = _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record)
         dt = time.perf_counter() - t0
         steps = max(len(tr.time_ps) for tr in group) - 1  # the steps the group stepped
         extra = sum(max(tr.newton_iterations - len(tr.time_ps) + 1, 0) for tr in group)
@@ -366,6 +386,12 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     ph = slice(m, m + n_j)  # junction phases; voltages and capacitor currents follow
     pred, src = slice(dim, top), slice(top, None)
     buf = np.zeros((CHUNK + 1, top + len(sources), K))
+    # What each state row belongs to, for the errors that name rows: a
+    # junction owns its phase, voltage, capacitor current and predictor.
+    owners = (("node", "nodes", {n: (i,) for n, i in node_ix.items() if n != "0"}),
+              ("the current of", "the currents of", {b: (i,) for b, i in branch.items()}),
+              ("junction", "junctions", {d.name: range(m + k, top, n_j) for k, d in enumerate(junctions)}),
+              ("source", "sources", {d.name: (top + k,) for k, d in enumerate(sources)}))
     for L in inductors:
         buf[0, branch[L.name]] = L.ic
     rec[..., 0] = buf[0, rec_ix]
@@ -399,6 +425,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     vj = slice(m + n_j, m + 2 * n_j)  # junction voltages
     il = slice(n_nodes, n_nodes + len(inductors))  # inductor currents
     d_il = np.empty((CHUNK, len(inductors), K))  # their changes over a chunk's steps
+    quiet_di = QUIET_CURRENT * step  # the most a quiet inductor current moves in a step
     # Calls bound once and outputs passed by position: see the module docstring.
     sin, cos, mul, sub, add, absolute = np.sin, np.cos, np.multiply, np.subtract, np.add, np.absolute
     less_equal, logical_not, count_nonzero = np.less_equal, np.logical_not, np.count_nonzero
@@ -409,7 +436,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
         for i in range(steps):
             n = n0 + i + 1
             if n <= 2:  # backward Euler on the first step, trapezoidal after
-                M, Z = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1)
+                M, Z = _step_operators(netlist, node_ix, branch, sources, junctions, h, n == 1, owners)
                 M, Zx, Zp = M[:top], Z[:dim], Z[ph]  # the rows of Z below dim are 0
                 m_dot, zx_dot, zp_dot = M.dot, Zx.dot, Zp.dot
                 rows = np.abs(Zp).dot(j_ic)  # row sums of |Zp| diag(Ic), per variant
@@ -444,10 +471,12 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
                 zp_dot(mul(c, g, w), g2)
                 p -= add(sub(f, g, dp), g2, dp)
             else:
+                _check_finite(u[None], times[n:], owners, names)  # a non-finite state fails Newton too
                 v = int(np.argmax(live))  # the first variant still iterating
                 update, residual = (float(np.abs(a).max(axis=0)[v]) for a in (dp, f))
                 raise NewtonError(float(times[n]), NEWTON_MAX_ITER, update, residual, names[v])
             x -= zs
+        _check_finite(buf[1:steps + 1, :dim], times[n0 + 1:], owners, names)
         if n_j:
             counted = updates[:steps]
             extra_updates += counted.sum(axis=0)
@@ -469,7 +498,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
             quiet &= (target - span[-1, ph]).min(axis=0, initial=math.inf) >= QUIET_PHASE
         if quiet.any():
             d = sub(span[1:, il], span[:-1, il], d_il[:steps])
-            quiet &= absolute(d, d).max(axis=0).max(axis=0, initial=0.0) < QUIET_CURRENT
+            quiet &= absolute(d, d).max(axis=0).max(axis=0, initial=0.0) < quiet_di
             for v in np.flatnonzero(quiet):
                 end[v] = n0 + steps
                 ended[v] = extra_updates[v], most[v], worst[v]
@@ -514,6 +543,7 @@ def _step_operators(
     junctions: list[Junction],
     h: float,
     first: bool,
+    owners: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(M, Z) for a backward-Euler (first) or trapezoidal step of h seconds.
 
@@ -527,7 +557,8 @@ def _step_operators(
     the step is u = u0 - Z Ic sin(phi_new). A holds every linear stamp,
     H the inductor and capacitor history, S the sources and P the
     junction incidence; the ground row and column are left out of the
-    inversion.
+    inversion. A non-finite entry of A, H, M or Z is a CircuitError
+    naming the state rows it sits in, which `owners` gives the names of.
     """
     fac = (1.0 if first else 2.0) / h
     # phi_new = phi + a*v_new + b*v, i_cap_new = fac*C*(v_new - v) - i_cap
@@ -568,12 +599,22 @@ def _step_operators(
         else:
             S[na, col[d.name]] -= 1.0
             S[nb, col[d.name]] += 1.0
+
+    def finite(bad: np.ndarray) -> None:
+        """A CircuitError naming the state rows that `bad` flags, if any."""
+        if bad.any():
+            raise CircuitError(f"the {'backward-Euler' if first else 'trapezoidal'} operator of a "
+                               f"{h * 1e12:g} ps step is not finite in the rows of "
+                               f"{_named(set(np.flatnonzero(bad).tolist()), owners)}: a device value is out of range")
+
+    stamps = ~(np.isfinite(A) & np.isfinite(H))  # S and P hold only +-1
+    finite(stamps.any(axis=0) | stamps.any(axis=1))
     X = np.zeros((m, m + len(sources) + n_j))  # the ground row stays 0
     try:
         X[:-1] = np.linalg.solve(A[:-1, :-1], np.hstack([H[:-1], S[:-1], P[:-1]]))
     except np.linalg.LinAlgError:
         raise CircuitError(f"singular system matrix: no unique solution for "
-                           f"{_undetermined(A[:-1, :-1], node_ix, branch)}") from None
+                           f"{_named(_undetermined(A[:-1, :-1]), owners[:2])}") from None
     Hx, Sx, Px = np.split(X, [m, m + len(sources)], axis=1)
     # x_new = Hx x + Sx w + Px (i_cap - c), and the new state is T x_new + U u.
     caps = np.array([d.cap for d in junctions])
@@ -592,17 +633,40 @@ def _step_operators(
         M[dim + held, m + 2 * n_j + held] = a * h / caps[held]
     Z = np.zeros((dim + n_j + n_s, n_j))
     Z[:dim] = T @ Px
+    bad_m, bad_z = ~np.isfinite(M), ~np.isfinite(Z)
+    rows = bad_m.any(axis=0) | bad_m.any(axis=1) | bad_z.any(axis=1)
+    rows[m:m + n_j] |= bad_z.any(axis=0)  # Z's column k acts on junction k's rows
+    finite(rows)
     return M, Z
 
 
-def _undetermined(A: np.ndarray, node_ix: dict[str, int], branch: dict[str, int]) -> str:
-    """The node voltages and branch currents in the null space of the singular system A, by name."""
+def _undetermined(A: np.ndarray) -> set[int]:
+    """The rows of the singular system A in its null space: the unknowns it leaves free."""
     _, sv, vt = np.linalg.svd(A)
     null = vt[sv <= max(sv[-1], sv[0] * len(sv) * np.finfo(float).eps)]
-    free = set(np.flatnonzero(np.abs(null).max(axis=0) > 1e-9).tolist())
+    return set(np.flatnonzero(np.abs(null).max(axis=0) > 1e-9).tolist())
+
+
+def _check_finite(states: np.ndarray, times: np.ndarray, owners: tuple, names: list) -> None:
+    """A CircuitError unless every state of (steps, rows, variants), reached at `times`, is finite.
+
+    The error names the first step with a non-finite entry, one variant
+    that has it and that variant's non-finite rows.
+    """
+    bad = ~np.isfinite(states)
+    if bad.any():
+        i = int(bad.any(axis=(1, 2)).argmax())
+        v = int(bad[i].any(axis=0).argmax())
+        raise CircuitError(f"the state is not finite on the step to t = {times[i]:.4f} ps at "
+                           f"{_named(set(np.flatnonzero(bad[i, :, v]).tolist()), owners)}{_in_variant(names[v])}")
+
+
+def _named(rows: set[int], owners: tuple) -> str:
+    """What owns any of the state rows `rows`, by name: owners holds
+    (singular, plural, {name: its rows}) for each kind of owner."""
     parts = []
-    for one, many, ix in (("node", "nodes", node_ix), ("the current of", "the currents of", branch)):
-        names = [n for n, i in ix.items() if i in free]
+    for one, many, owned in owners:
+        names = [n for n, ix in owned.items() if not rows.isdisjoint(ix)]
         if names:
             parts.append(f"{one} {names[0]}" if len(names) == 1
                          else f"{many} {', '.join(names[:-1])} and {names[-1]}")

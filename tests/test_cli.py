@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fluxon import cli
+from fluxon.circuit import parse_netlist
 from fluxon.cli import DEFAULT_CONFIG, UserError, load_config, main
 from fluxon.train import RealMlp
 
@@ -36,6 +37,12 @@ def run_with_config(tmp_path, cfg, *argv):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return run("--config", str(path), "--out", str(tmp_path / "out"), *argv)
+
+
+def bundled_steps(cell):
+    """The steps of the bundled netlist's .tran grid."""
+    nl = parse_netlist(resources.files("fluxon.data").joinpath(f"netlists/{cell}.cir").read_text())
+    return round(nl.tran_stop / nl.tran_step)
 
 
 def assert_clean_error(capsys, message):
@@ -275,6 +282,20 @@ class TestSimulate:
                    "--netlist", str(cir)) == 2
         assert_clean_error(capsys, "error: a 1e-300 ps step to 5.0 ps makes 5e+300 steps, too many for one time grid")
 
+    @pytest.mark.parametrize("text,message", [
+        # the source's 1e300 A through 1e300 ohm overflows the node voltage
+        ("i1 0 1 dc 1e300\nr1 1 0 1e300", "error: the state is not finite on the step to t = 0.1000 ps at node 1"),
+        # the predictor's h^2/2 phi'' divides by the capacitance
+        ("b1 1 0 ic=1e-4 cap=1e-320", "error: the trapezoidal operator of a 0.1 ps step is not finite "
+                                      "in the rows of junction b1: a device value is out of range"),
+    ], ids=["state", "operator"])
+    def test_values_that_overflow_exit_2(self, tmp_path, capsys, text, message):
+        cir = tmp_path / "huge.cir"
+        cir.write_text(text + "\n.tran 0.1 5\n")
+        assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
+                   "--netlist", str(cir)) == 2
+        assert_clean_error(capsys, message)
+
     def test_a_step_that_slips_a_junction_twice_exits_2(self, tmp_path, capsys):
         cir = tmp_path / "fast.cir"
         cir.write_text("b1 3 0 ic=100u\nr1 3 0 1\nv3 3 0 pulse 1 0.5 1 0.5 9.56e3\n.tran 0.1 5\n")
@@ -305,8 +326,8 @@ class TestStageLogs:
         "argv,artifacts,logged",
         [
             (["simulate", "--mode", "circuit", "--netlist", "jtl"], ["waveform.csv", "pulses.csv"],
-             r"^transient: jtl: 6000 steps, 1\.\d{3} Newton updates per step, rho \d\.\d\de-0\d "
-             r"in \d+\.\d{3} s$"),
+             rf"^transient: jtl: {bundled_steps('jtl')} steps, 1\.\d{{3}} Newton updates per step, "
+             r"rho \d\.\d\de-0\d in \d+\.\d{3} s$"),
             (["power"], ["power_iris.json", "power_nw_a.json", "power_nw_b.json"],
              r"^power: 3 networks in \d+\.\d{3} s$"),
         ],
@@ -344,14 +365,9 @@ class TestPower:
 
 class TestMargins:
     def test_scan_logged(self, tmp_path, capsys, caplog):
-        from importlib import resources
-
-        text = resources.files("fluxon.data").joinpath("netlists/jtl.cir").read_text()
-        netlist = tmp_path / "jtl.cir"
-        netlist.write_text(text.replace(".tran 0.05 300", ".tran 0.05 150"))
         cfg = tmp_path / "margins.json"
         cfg.write_text(json.dumps({"margins": {
-            "netlist": str(netlist), "params": ["ib1.amp", "b2.ic"],
+            "netlist": "jtl", "params": ["ib1.amp", "b2.ic"],
             "junction": "b2", "count": 1, "resolution": 0.3,
         }}))
         out = tmp_path / "out"
@@ -365,14 +381,9 @@ class TestMargins:
 
 
     def test_scan_counts_logged_without_changing_outputs(self, tmp_path, capsys, caplog):
-        from importlib import resources
-
-        text = resources.files("fluxon.data").joinpath("netlists/jtl.cir").read_text()
-        netlist = tmp_path / "jtl.cir"
-        netlist.write_text(text.replace(".tran 0.05 300", ".tran 0.05 150"))
         cfg = tmp_path / "margins.json"
         cfg.write_text(json.dumps({"margins": {
-            "netlist": str(netlist), "params": ["vin.amp", "b2.ic"],
+            "netlist": "jtl", "params": ["vin.amp", "b2.ic"],
             "junction": "b2", "count": 1, "resolution": 0.1,
         }}))
         outputs = []
@@ -388,8 +399,9 @@ class TestMargins:
             "margins: vin.amp: 19 transients in 1 batches",
             "margins: b2.ic: 19 transients in 1 batches",
         ]
-        # then the steps the lean transients took, short of 19 full runs of 3000
-        assert all(line.endswith(" steps") and 0 < int(line.split()[-2]) < 19 * 3000 for line in lines)
+        # then the steps the lean transients took, short of 19 full runs
+        assert all(line.endswith(" steps") and 0 < int(line.split()[-2]) < 19 * bundled_steps("jtl")
+                   for line in lines)
 
     def test_default_scan_reports_the_connected_interval(self, tmp_path, capsys):
         # soma2 passes again at b2.ic -90% beyond a failing stretch from -80%
