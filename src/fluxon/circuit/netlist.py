@@ -376,8 +376,9 @@ def default_rn(ic: float) -> float:
 
 
 def critical_damping_cap(ic: float, rn: float) -> float:
-    """Shunt capacitance giving beta_c = 1: C = PHI0 / (2 pi Ic Rn^2)."""
-    return PHI0 / (2.0 * math.pi * ic * rn * rn)
+    """Shunt capacitance giving beta_c = 1: C = PHI0 / (2 pi Ic Rn^2), inf if that underflows."""
+    denominator = 2.0 * math.pi * ic * rn * rn
+    return PHI0 / denominator if denominator else math.inf
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -446,8 +447,12 @@ def _parse_device(head: str, body: list[str], lineno: int) -> Device:
         ic = kw["ic"]
         if not (ic > 0.0 and kw.get("rn", 1.0) > 0.0):  # the defaults divide by both
             raise NetlistError(f"junction {name}: need ic>0, rn>0, cap>=0", lineno)
-        rn = kw.get("rn", default_rn(ic))
-        cap = kw.get("cap", critical_damping_cap(ic, rn))
+        rn = kw["rn"] if "rn" in kw else default_rn(ic)
+        cap = kw["cap"] if "cap" in kw else critical_damping_cap(ic, rn)
+        for key, value in (("rn", rn), ("cap", cap)):
+            if key not in kw and not 0.0 < value < math.inf:
+                raise NetlistError(f"junction {name}: the default {key} is {value:g}, "
+                                   f"not finite and positive; give {key}=", lineno)
         return Junction(name, body[0], body[1], ic, rn, cap)
     if letter == "l":
         if len(body) < 3:

@@ -62,6 +62,7 @@ DEFAULT_CONFIG = {
 
 NETLISTS = {n: f"netlists/{n}.cir" for n in ("soma2", "soma3", "jtl", "sm1")}
 POWER_CONFIGS = {n: f"power/{n}.json" for n in ("iris", "nw_a", "nw_b")}
+CHECKED_POWER = ("iris", "nw_a", "nw_b")  # the power reports reproduce-paper's checklist reads
 
 
 class UserError(ValueError):
@@ -333,17 +334,23 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_power(cfg: dict, args) -> int:
-    out = Path(cfg["out_dir"])
-    names = args.network or cfg["power"]
-    t0 = time.perf_counter()
-    rows = []
+def _power_inputs(names: list[str]) -> list[powermod.PowerInputs]:
+    """The power configs of names, each read and checked before any report is written."""
+    inputs = []
     for name in names:
         text = read_input("power config", name, POWER_CONFIGS)
         try:
-            inputs = powermod.PowerInputs.from_json(text)
+            inputs.append(powermod.PowerInputs.from_json(text))
         except (KeyError, TypeError, ValueError) as exc:
             raise UserError(f"malformed power config {name}: {exc}") from None
+    return inputs
+
+
+def cmd_power(cfg: dict, args) -> int:
+    out = Path(cfg["out_dir"])
+    t0 = time.perf_counter()
+    rows = []
+    for inputs in _power_inputs(args.network or cfg["power"]):
         rep = powermod.total_power(inputs)
         _write(out / f"power_{rep.name}.json", rep.to_json())
         rows.append(rep)
@@ -445,9 +452,17 @@ def cmd_pso(cfg: dict, args) -> int:
 
 
 def cmd_reproduce(cfg: dict, args) -> int:
-    _ga_config(cfg)  # a bad ga section fails before any artifact is written
+    # a bad ga section, or a power list short of a network the checklist reads,
+    # fails before any artifact is written
+    _ga_config(cfg)
+    written = {inputs.name for inputs in _power_inputs(cfg["power"])}
+    for name in CHECKED_POWER:
+        if name not in written:
+            raise UserError(f"reproduce-paper checks power_{name}.json, which the power config does not write")
     for stage_args in args.stages:
+        t0 = time.perf_counter()
         stage_args.handler(cfg, stage_args)
+        log.info("reproduce-paper: %s stage in %.3f s", stage_args.command, time.perf_counter() - t0)
 
     out = Path(cfg["out_dir"])
     checks: list[tuple[str, bool, str]] = []
@@ -456,12 +471,9 @@ def cmd_reproduce(cfg: dict, args) -> int:
         checks.append((name, ok, detail))
         print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
 
-    reports = {}  # the power reports the rows read, as the power stage wrote them
-    for name in ("iris", "nw_a", "nw_b", "*-RSFQ", "*-eRSFQ", "*-AQFP"):
-        path = next(out.glob(f"power_{name}.json"), None)
-        if path is None:  # the config's power list leaves the network out
-            raise UserError(f"reproduce-paper checks power_{name}.json, which the power config does not write")
-        reports[name] = json.loads(path.read_text())
+    # the power reports the rows read, as the power stage wrote them
+    reports = {name: json.loads(next(out.glob(f"power_{name}.json")).read_text())
+               for name in (*CHECKED_POWER, "*-RSFQ", "*-eRSFQ", "*-AQFP")}
 
     iris = reports["iris"]
     e, dyn = iris["energy_per_pulse_j"], iris["dynamic_w"]

@@ -15,7 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -206,48 +206,85 @@ def mlp_loss(mlp: RealMlp, X: np.ndarray, T: np.ndarray) -> float:
     return 0.5 * float(np.mean((O - T) ** 2))
 
 
-def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
-    """_sigmoid's float operations, in _sigmoid's order, in z's own buffer."""
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    return np.reciprocal(z, out=z)
+def _views(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Views of flat shaped as the arrays in like, laid end to end in order."""
+    ends = np.cumsum([a.size for a in like])
+    return [flat[e - a.size:e].reshape(a.shape) for a, e in zip(like, ends)]
 
 
 def _loss_and_grads(
-    mlp: RealMlp, X: np.ndarray, T: np.ndarray, biases: bool
-) -> tuple[float, list[np.ndarray]]:
-    """mlp_loss and the gradients of w1, w2 (then b1, b2 if biases) from one forward pass.
+    layers: Sequence[np.ndarray], X: np.ndarray, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, Callable[[], float]]:
+    """The epoch function of one training run, and the arrays it works on.
 
-    biases=False skips the biases, which must then be zero: adding a
-    zero bias only turns -0.0 into +0.0, and the sigmoid maps both to 1/2.
-    The values are those of forward and mlp_loss, bit for bit.
+    layers is w1, w2, then b1, b2 if the biases train. Returns
+    (params, grads, epoch): params holds the negated layers in one flat
+    array, grads their gradients in the same layout, and epoch() writes
+    the gradients at params into grads and returns mlp_loss there.
+    Every array is allocated here, once. Without b1 and b2 the biases
+    must be zero: adding a zero bias only turns -0.0 into +0.0, and exp
+    maps both to 1.
+
+    The values are those of forward, mlp_loss and the plain backward
+    pass, bit for bit. Negation is exact and round-to-nearest is
+    symmetric in sign, so X @ (-w1).T + (-b1) is -(X @ w1.T + b1), whose
+    exp is the sigmoid's exp(-z) with no negation; -(w - g) is (-w) + g,
+    so the update adds the gradient. The backward pass meets -w2 once,
+    in d_o @ -w2, and cancels it by scaling with H - 1 = -(1 - H).
     """
-    z = X @ mlp.w1.T
-    if biases:
-        z += mlp.b1
-    H = _sigmoid_in_place(z)
-    z = H @ mlp.w2.T
-    if biases:
-        z += mlp.b2
-    O = _sigmoid_in_place(z)
-    E = O - T
-    loss = 0.5 * float((E * E).sum() / E.size)
-    d_o = E / E.size
-    d_o *= O
-    d_o *= 1.0 - O
-    d_h = d_o @ mlp.w2
-    d_h *= H
-    d_h *= 1.0 - H
-    grads = [d_h.T @ X, d_o.T @ H]
-    if biases:
-        grads += [d_h.sum(axis=0), d_o.sum(axis=0)]
-    return loss, grads
+    biases = len(layers) == 4
+    params = -np.concatenate([a.ravel() for a in layers])
+    grads = np.empty_like(params)
+    w1, w2, *b = _views(params, layers)
+    g1, g2, *gb = _views(grads, layers)
+    w1t, w2t = w1.T, w2.T
+    H, d_h, t_h = (np.empty((len(X), w1.shape[0])) for _ in range(3))
+    O, E, d_o, t_o = (np.empty((len(X), w2.shape[0])) for _ in range(4))
+    d_ht, d_ot, size = d_h.T, d_o.T, E.size
+    # np.dot makes the BLAS call that @ makes on these 2-D operands, with less dispatch
+    dot, add, subtract, multiply, divide = np.dot, np.add, np.subtract, np.multiply, np.divide
+    exp, reciprocal, reduce = np.exp, np.reciprocal, np.add.reduce
+
+    def epoch() -> float:
+        dot(X, w1t, H)
+        if biases:
+            add(H, b[0], H)
+        exp(H, H)
+        add(H, 1.0, H)
+        reciprocal(H, H)
+        dot(H, w2t, O)
+        if biases:
+            add(O, b[1], O)
+        exp(O, O)
+        add(O, 1.0, O)
+        reciprocal(O, O)
+        subtract(O, T, E)
+        multiply(E, E, t_o)
+        loss = 0.5 * float(reduce(t_o, None) / size)
+        divide(E, size, d_o)
+        multiply(d_o, O, d_o)
+        subtract(1.0, O, t_o)
+        multiply(d_o, t_o, d_o)
+        dot(d_o, w2, d_h)
+        multiply(d_h, H, d_h)
+        subtract(H, 1.0, t_h)
+        multiply(d_h, t_h, d_h)
+        dot(d_ht, X, g1)
+        dot(d_ot, H, g2)
+        if biases:
+            reduce(d_h, 0, None, gb[0])
+            reduce(d_o, 0, None, gb[1])
+        return loss
+
+    return params, grads, epoch
 
 
 def mlp_gradients(mlp: RealMlp, X: np.ndarray, T: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic full-batch gradients of mlp_loss."""
-    return dict(zip(("w1", "w2", "b1", "b2"), _loss_and_grads(mlp, X, T, True)[1]))
+    layers = (mlp.w1, mlp.w2, mlp.b1, mlp.b2)
+    _, grads, epoch = _loss_and_grads(layers, np.asarray(X, dtype=float), np.asarray(T, dtype=float))
+    epoch()
+    return dict(zip(("w1", "w2", "b1", "b2"), _views(grads, layers)))
 
 
 def one_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
@@ -286,17 +323,19 @@ def train_mlp(
         mlp.b1[:] = 0.0
         mlp.b2[:] = 0.0
     t0 = time.perf_counter()
-    params = (mlp.w1, mlp.w2, mlp.b1, mlp.b2)
-    loss, grads = _loss_and_grads(mlp, X, T, train_biases)
-    losses = [loss]
-    for epoch in range(epochs):
-        for p, g in zip(params, grads):
-            g *= learning_rate
-            p -= g
-        loss, grads = _loss_and_grads(mlp, X, T, train_biases)
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss {loss} at epoch {epoch + 1}")
+    layers = [mlp.w1, mlp.w2] + ([mlp.b1, mlp.b2] if train_biases else [])
+    params, grads, epoch = _loss_and_grads(layers, X, T)
+    multiply, add, isfinite = np.multiply, np.add, math.isfinite
+    losses = [epoch()]
+    for n in range(1, epochs + 1):
+        multiply(grads, learning_rate, grads)
+        add(params, grads, params)
+        loss = epoch()
+        if not isfinite(loss):
+            raise TrainingError(f"non-finite loss {loss} at epoch {n}")
         losses.append(loss)
+    for a, v in zip(layers, _views(params, layers)):
+        np.negative(v, a)
     dt = time.perf_counter() - t0
     log.info("mlp: %d epochs in %.3f s (%s epochs/s)", epochs, dt, f"{epochs / dt:,.0f}")
     return mlp, losses
@@ -335,55 +374,6 @@ class GaConfig:
                              f"{min(DEFAULT_T_MAX)}..{max(DEFAULT_T_MAX)}")
 
 
-def _decode(mlp: RealMlp, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer weights of a (P, n_neurons) block of scales: (P,H,I) and (P,O,H)."""
-    lo, hi = WEIGHT_RANGE
-    n_hidden = mlp.w1.shape[0]
-    w1 = np.clip(np.round(scales[:, :n_hidden, None] * mlp.w1), lo, hi)
-    w2 = np.clip(np.round(scales[:, n_hidden:, None] * mlp.w2), lo, hi)
-    return w1, w2
-
-
-def _population_fitness(
-    mlp: RealMlp,
-    scales: np.ndarray,
-    thresholds: np.ndarray,
-    X: np.ndarray,
-    want: np.ndarray,
-    counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accuracy, nonzero weight count and sum |w| of every candidate.
-
-    X holds the distinct (input, label) rows as columns, want their
-    one-hot labels as (n_out, rows) and counts how often each occurs.
-    Weights, inputs and thresholds are small integers, so the float
-    matmuls and comparisons are exact.
-    """
-    w1, w2 = _decode(mlp, scales)
-    P, n_hidden, n_in = w1.shape
-    H = (w1.reshape(-1, n_in) @ X).reshape(P, n_hidden, -1) >= thresholds[:, :n_hidden, None]
-    O = w2 @ H.astype(float) >= thresholds[:, n_hidden:, None]
-    acc = (np.all(O == want, axis=1) @ counts) / counts.sum()
-    nz = np.count_nonzero(w1, axis=(1, 2)) + np.count_nonzero(w2, axis=(1, 2))
-    mass = np.abs(w1).sum(axis=(1, 2)) + np.abs(w2).sum(axis=(1, 2))
-    return acc, nz, mass
-
-
-def _rank(acc: np.ndarray, nz: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-first order (accuracy desc, nz asc, mass asc, index asc) and dense rank.
-
-    Equal fitness shares a rank, so the first lowest rank among
-    tournament candidates is the first best of them.
-    """
-    order = np.lexsort((mass, nz, -acc))
-    keys = np.stack([acc, nz, mass])[:, order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
-    rank = np.empty(len(order), dtype=int)
-    rank[order] = np.cumsum(new)
-    return order, rank
-
-
 def ga_discretize(
     mlp: RealMlp,
     Xq: np.ndarray,
@@ -407,6 +397,15 @@ def ga_discretize(
     holds; scale-mutation masks; threshold-mutation masks; one normal
     per scale mutation; one threshold index per threshold mutation.
     The last two are consumed in row-major order of their masks.
+
+    Candidates are ranked by one int64 key, ((total - correct) * (K + 1)
+    + nz) * (m * K + 1) + sum |w|, for K weights of magnitude at most m
+    and `correct` of `total` training samples. nz <= K and sum |w| <=
+    m * K, so each field stays below its multiplier: a lower key is a
+    fitter candidate, exactly as the tuple (accuracy desc, nz asc, sum
+    |w| asc) orders them, and equal keys are equal tuples. A stable sort
+    of the keys then breaks ties by index, and the first lowest key among
+    tournament candidates is the first fittest of them.
     """
     Xq = np.asarray(Xq, dtype=int)
     labels = np.asarray(labels, dtype=int)
@@ -414,72 +413,114 @@ def ga_discretize(
         raise ValueError("empty training data")
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    n_hidden = mlp.w1.shape[0]
-    n_neurons = n_hidden + mlp.w2.shape[0]
+    (n_hidden, n_in), n_out = mlp.w1.shape, mlp.w2.shape[0]
+    n = n_hidden + n_out  # neurons
+    n_w1 = n_hidden * n_in
     thr_set = np.asarray(cfg.threshold_set, dtype=int)
     s_lo, s_hi = SCALE_BOUNDS
+    lo, hi = WEIGHT_RANGE
     P = cfg.population
     # Accuracy depends on the training set only through how often each
     # distinct (input, label) pair occurs.
     rows, counts = np.unique(np.column_stack([Xq, labels]), axis=0, return_counts=True)
     X = rows[:, :-1].T.astype(float)
-    want = np.zeros((mlp.w2.shape[0], len(rows)), dtype=bool)
-    want[rows[:, -1], np.arange(len(rows))] = True
+    want = np.zeros((n_out, 1, len(rows)), dtype=bool)
+    want[rows[:, -1], 0, np.arange(len(rows))] = True
+    total = int(counts.sum())
+    # The weights of w1 then w2 in one row, and the neuron whose scale each takes.
+    weights = np.concatenate([mlp.w1.ravel(), mlp.w2.ravel()])
+    neuron = np.repeat(np.arange(n), [n_in] * n_hidden + [n_hidden] * n_out)
+    # the multipliers of the fitness key
+    m_mass = max(-lo, hi) * weights.size + 1
+    m_nz = (weights.size + 1) * m_mass
+    ones, nz_cost = np.ones(weights.size), np.full(weights.size, float(m_mass))
+    h = np.empty((n_hidden, P, len(rows)))
+    o = np.empty((n_out, P, len(rows)))
+    hits = np.empty(o.shape, dtype=bool)
 
-    scales = np.exp(rng.uniform(math.log(s_lo), math.log(s_hi), size=(P, n_neurons)))
-    thresholds = rng.choice(thr_set, size=(P, n_neurons))
+    def decode(pop):
+        """clamp(round(s * w), lo, hi) of every weight: a (len(pop), K) block."""
+        w = pop[:, neuron]
+        w *= weights
+        np.rint(w, w)
+        return np.clip(w, lo, hi, out=w)
+
+    def score(pop):
+        """Accuracy and fitness key of every candidate.
+
+        Weights, inputs and thresholds are small integers, so the float
+        matmuls and comparisons are exact, as are the float sums of at
+        most K weights in the key. Neuron-major layouts keep the
+        threshold tests and the all-outputs test on long rows.
+        """
+        w = decode(pop)
+        thr = pop[:, n:].T[:, :, None]
+        np.matmul(w[:, :n_w1].reshape(P, n_hidden, n_in).transpose(1, 0, 2), X, out=h)
+        np.greater_equal(h, thr[:n_hidden], out=h)  # 1.0 where a hidden neuron fires
+        np.matmul(w[:, n_w1:].reshape(P, n_out, n_hidden), h.transpose(1, 0, 2),
+                  out=o.transpose(1, 0, 2))
+        np.greater_equal(o, thr[n_hidden:], out=hits)
+        np.equal(hits, want, out=hits)
+        correct = np.logical_and.reduce(hits, 0) @ counts
+        np.abs(w, w)
+        cost = w @ ones + np.sign(w) @ nz_cost  # m_mass * nz + sum |w|
+        return correct / total, (total - correct) * m_nz + cost.astype(np.int64)
+
+    # A candidate is one row: a scale per neuron, then a threshold per neuron.
+    pop = np.concatenate([
+        np.exp(rng.uniform(math.log(s_lo), math.log(s_hi), size=(P, n))),
+        rng.choice(thr_set, size=(P, n)),
+    ], axis=1)
     # Identity-scale candidates with uniform thresholds: if the MLP's
     # weights are already integers in range, generation 0 contains the
     # undistorted network for each available threshold.
     for i, t in enumerate(thr_set[:P]):
-        scales[i] = 1.0
-        thresholds[i] = t
+        pop[i, :n] = 1.0
+        pop[i, n:] = t
 
-    def score(scales, thresholds):
-        acc, nz, mass = _population_fitness(mlp, scales, thresholds, X, want, counts)
-        order, rank = _rank(acc, nz, mass)
-        i = order[0]
-        key = (float(acc[i]), -int(nz[i]), -int(mass[i]))
-        return order, rank, (scales[i], thresholds[i], key), float(np.mean(acc))
-
-    order, rank, best, mean_acc = score(scales, thresholds)
-    trace = [(0, best[2][0], mean_acc)]
+    acc, key = score(pop)
+    order = np.argsort(key, kind="stable")
+    i = order[0]
+    best = (key[i], acc[i], pop[i])
+    trace = [(0, float(acc[i]), float(np.mean(acc)))]
 
     n_children = P - cfg.elitism
+    child, pair = np.arange(n_children)[:, None], np.arange(2)
     for gen in range(1, cfg.generations + 1):
         cands = rng.integers(0, P, size=(n_children, 2, 3))
         cross = rng.random(n_children) < cfg.crossover_rate
-        cross = (rng.random((n_children, n_neurons)) < 0.5) & cross[:, None]
-        mut_s = rng.random((n_children, n_neurons)) < cfg.mutation_rate
-        mut_t = rng.random((n_children, n_neurons)) < cfg.mutation_rate
+        cross = (rng.random((n_children, n)) < 0.5) & cross[:, None]
+        mut_s = rng.random((n_children, n)) < cfg.mutation_rate
+        mut_t = rng.random((n_children, n)) < cfg.mutation_rate
         deltas = rng.normal(0.0, 0.35, np.count_nonzero(mut_s))
         resets = rng.integers(0, len(thr_set), np.count_nonzero(mut_t))
 
-        winner = np.argmin(rank[cands], axis=2)
-        pa, pb = np.take_along_axis(cands, winner[:, :, None], axis=2)[:, :, 0].T
-        child_s = np.where(cross, scales[pb], scales[pa])
-        child_t = np.where(cross, thresholds[pb], thresholds[pa])
-        child_s[mut_s] = np.clip(child_s[mut_s] * np.exp(deltas), s_lo, s_hi)
-        child_t[mut_t] = thr_set[resets]
-        elite = order[: cfg.elitism]
-        scales = np.concatenate([scales[elite], child_s])
-        thresholds = np.concatenate([thresholds[elite], child_t])
+        # the first fittest of each three candidates
+        pa, pb = cands[child, pair, key[cands].argmin(axis=2)].T
+        # A neuron's scale and threshold cross over together.
+        children = np.where(np.concatenate([cross, cross], axis=1), pop[pb], pop[pa])
+        scales, thresholds = children[:, :n], children[:, n:]
+        scales[mut_s] = np.clip(scales[mut_s] * np.exp(deltas), s_lo, s_hi)
+        thresholds[mut_t] = thr_set[resets]
+        pop = np.concatenate([pop[order[: cfg.elitism]], children])
 
-        order, rank, gen_best, mean_acc = score(scales, thresholds)
-        if gen_best[2] > best[2]:
-            best = gen_best
-        trace.append((gen, best[2][0], mean_acc))
+        acc, key = score(pop)
+        order = np.argsort(key, kind="stable")
+        i = order[0]
+        if key[i] < best[0]:
+            best = (key[i], acc[i], pop[i])
+        trace.append((gen, float(best[1]), float(np.mean(acc))))
 
-    w1, w2 = (w[0].astype(int) for w in _decode(mlp, best[0][None]))
+    w = decode(best[2][None])[0].astype(int)
+    thresholds = [int(t) for t in best[2][n:]]
     spec = NetworkSpec(
-        input_dim=mlp.w1.shape[1],
+        input_dim=n_in,
         layers=(
-            LayerSpec(w1, tuple(int(t) for t in best[1][:n_hidden]), "SM4"),
-            LayerSpec(w2, tuple(int(t) for t in best[1][n_hidden:]), "SM2"),
+            LayerSpec(w[:n_w1].reshape(n_hidden, n_in), tuple(thresholds[:n_hidden]), "SM4"),
+            LayerSpec(w[n_w1:].reshape(n_out, n_hidden), tuple(thresholds[n_hidden:]), "SM2"),
         ),
     )
-    log.info(
-        "ga: %d generations of %d in %.3f s",
-        cfg.generations, P, time.perf_counter() - t0,
-    )
+    dt = time.perf_counter() - t0
+    log.info("ga: %d generations of %d in %.3f s (%s generations/s)",
+             cfg.generations, P, dt, f"{cfg.generations / dt:,.0f}")
     return spec, trace

@@ -186,6 +186,23 @@ class TestReproducePaper:
         assert "error: reproduce-paper checks power_nw_a.json, which the power config does not write" in captured.err
         assert "internal error" not in captured.err and "[ok]" not in captured.out  # no partial checklist
 
+    @pytest.mark.parametrize("power,message", [
+        (["nope"], "error: power config not found: nope"),
+        (["iris"], "error: reproduce-paper checks power_nw_a.json, which the power config does not write"),
+    ], ids=["unknown", "short"])
+    def test_power_list_checked_before_any_stage(self, tmp_path, capsys, power, message):
+        assert run_with_config(tmp_path, {**FAST_CONFIG, "power": power}, "reproduce-paper") == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "internal error" not in captured.err
+        assert "trained mlp" not in captured.out
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_stage_wall_times_logged(self, tmp_path, fast_config, caplog):
+        with caplog.at_level("INFO", logger="fluxon.cli"):
+            run("--config", fast_config, "--out", str(tmp_path / "out"), "reproduce-paper")
+        stages = re.findall(r"reproduce-paper: (\w+) stage in \d+\.\d{3} s", caplog.text)
+        assert stages == ["train", "discretize", "simulate", "power"]
+
 
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -288,7 +305,10 @@ class TestSimulate:
         # the predictor's h^2/2 phi'' divides by the capacitance
         ("b1 1 0 ic=1e-4 cap=1e-320", "error: the trapezoidal operator of a 0.1 ps step is not finite "
                                       "in the rows of junction b1: a device value is out of range"),
-    ], ids=["state", "operator"])
+        # 2 pi ic rn^2 underflows to 0 in the default cap
+        ("b1 1 0 ic=1e-200 rn=1e-100", "error: line 1: junction b1: the default cap is inf, "
+                                       "not finite and positive; give cap="),
+    ], ids=["state", "operator", "default"])
     def test_values_that_overflow_exit_2(self, tmp_path, capsys, text, message):
         cir = tmp_path / "huge.cir"
         cir.write_text(text + "\n.tran 0.1 5\n")

@@ -63,6 +63,12 @@ class TestParse:
         assert j.cap == pytest.approx(PHI0 / (2 * math.pi * 100e-6 * 2.5**2))
         assert j.cap == pytest.approx(critical_damping_cap(j.ic, j.rn))
 
+    def test_given_cap_skips_the_default(self):
+        # the default cap of these ic and rn is out of range, and is not computed
+        nl = parse_netlist("b1 1 0 ic=1e-200 rn=1e-100 cap=1p")
+        (j,) = [d for d in nl.devices if isinstance(d, Junction)]
+        assert (j.ic, j.rn, j.cap) == (1e-200, 1e-100, 1e-12)
+
     def test_sm1_cell_parses(self):
         from importlib import resources
 
@@ -358,6 +364,8 @@ def test_random_tokens_raise_only_netlist_errors_with_a_line(text):
         ("r1 1 0 1\nb1 1 0 ic=0", 2),  # would divide by ic for the default rn
         ("b1 1 0 ic=100u rn=0", 1),  # would divide by rn for the default cap
         ("b1 1 0 ic=100u rn=2 cap=-1p", 1),
+        ("r1 1 0 1\nb1 1 0 ic=1e-200 rn=1e-100", 2),  # 2 pi ic rn^2 underflows: the default cap is inf
+        ("b1 1 0 ic=1e-320", 1),  # the default rn overflows to inf
         ("i1 0 1 pulse 1 -2 3 4 1m", 1),
         ("i1 0 1 ptrain 0 10 2.5 1 1m", 1),
         ("v1 1 0 sin 0 1m 0", 1),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ class TestGa:
             train_mlp(X.astype(float), one_hot([0, 1], 3), epochs=3, learning_rate=0.5, seed=0)
             ga_discretize(mlp, X, [0, 1], GaConfig(population=6, generations=2, seed=0))
         assert "mlp: 3 epochs in" in caplog.text
-        assert "ga: 2 generations of 6 in" in caplog.text
+        assert re.search(r"ga: 2 generations of 6 in \d+\.\d{3} s \([\d,]+ generations/s\)", caplog.text)
 
     def test_draws_do_not_grow_with_population(self, monkeypatch):
         # One Generator call per kind and generation, never one per child.
@@ -335,7 +336,8 @@ class TestGa:
 # The child-by-child GA and the two-forward training loop that the
 # batched code replaced. The GA reference draws the same blocks per
 # generation as ga_discretize and then breeds one child at a time; the
-# batched code must reproduce both references exactly.
+# training reference writes its backward pass out with the plain
+# formulas. The batched code must reproduce both references exactly.
 
 
 def _reference_ga_discretize(mlp, Xq, labels, cfg):
@@ -441,42 +443,55 @@ def _reference_train_mlp(X, T, *, epochs, learning_rate, seed, n_hidden=4, train
         mlp.b2[:] = 0.0
     losses = [mlp_loss(mlp, X, T)]
     for _ in range(epochs):
-        grads = mlp_gradients(mlp, X, T)
-        mlp.w1 -= learning_rate * grads["w1"]
-        mlp.w2 -= learning_rate * grads["w2"]
+        H, O = mlp.forward(X)
+        d_o = (O - T) / T.size * O * (1.0 - O)
+        d_h = d_o @ mlp.w2 * H * (1.0 - H)
+        mlp.w1 -= learning_rate * (d_h.T @ X)
+        mlp.w2 -= learning_rate * (d_o.T @ H)
         if train_biases:
-            mlp.b1 -= learning_rate * grads["b1"]
-            mlp.b2 -= learning_rate * grads["b2"]
+            mlp.b1 -= learning_rate * d_h.sum(axis=0)
+            mlp.b2 -= learning_rate * d_o.sum(axis=0)
         losses.append(mlp_loss(mlp, X, T))
     return mlp, losses
 
 
 @pytest.fixture(scope="module")
-def iris_mlp(iris_samples):
-    """The training partition and MLP of the default pipeline (seed 7)."""
+def iris_mlps(iris_samples):
+    """The default pipeline's training partition and its MLP (seed 7), by hidden width."""
     train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
     _, Xq = quantize_features(train)
     y = labels_of(train)
-    mlp, _ = train_mlp(Xq.astype(float), one_hot(y, 3), epochs=3000,
-                       learning_rate=0.5, seed=7, train_biases=False)
-    return mlp, Xq, y
+    return {
+        n_hidden: (train_mlp(Xq.astype(float), one_hot(y, 3), epochs=3000, learning_rate=0.5,
+                             seed=7, n_hidden=n_hidden, train_biases=False)[0], Xq, y)
+        for n_hidden in (3, 4, 6)
+    }
+
+
+@pytest.fixture(scope="module")
+def iris_mlp(iris_mlps):
+    """The training partition and 4-4-3 MLP of the default pipeline."""
+    return iris_mlps[4]
+
+
+GA_CASES = [
+    (0, 7, 15, 2),      # odd population
+    (1, 12, 10, 0),     # no elites
+    (2, 9, 6, 9),       # elites only: no children
+    (3, 30, 0, 2),      # generation 0 only
+    (4, 2, 8, 1),       # smallest population
+    (5, 41, 25, 3),
+    (6, 5, 4, 5),       # elitism == population: zero-size blocks
+]
 
 
 class TestLoopReferences:
-    @pytest.mark.parametrize(
-        "seed,population,generations,elitism",
-        [
-            (0, 7, 15, 2),      # odd population
-            (1, 12, 10, 0),     # no elites
-            (2, 9, 6, 9),       # elites only: no children
-            (3, 30, 0, 2),      # generation 0 only
-            (4, 2, 8, 1),       # smallest population
-            (5, 41, 25, 3),
-            (6, 5, 4, 5),       # elitism == population: zero-size blocks
-        ],
-    )
-    def test_ga_matches_reference(self, iris_mlp, seed, population, generations, elitism):
-        mlp, Xq, y = iris_mlp
+    @pytest.mark.parametrize("n_hidden,seed,population,generations,elitism", [
+        pytest.param(n_hidden, *case, id="-".join(map(str, case)) + ("" if n_hidden == 4 else f"-{n_hidden}hidden"))
+        for n_hidden in (4, 3, 6) for case in GA_CASES
+    ])
+    def test_ga_matches_reference(self, iris_mlps, n_hidden, seed, population, generations, elitism):
+        mlp, Xq, y = iris_mlps[n_hidden]
         cfg = GaConfig(population=population, generations=generations,
                        elitism=elitism, seed=seed)
         spec, trace = ga_discretize(mlp, Xq, y, cfg)
@@ -523,12 +538,13 @@ class TestLoopReferences:
         assert mlp.to_json() == ref_mlp.to_json()
         assert repr(losses) == repr(ref_losses)
 
-    def test_train_mlp_matches_reference_at_default_size(self, iris_samples):
-        # the pipeline's own schedule: 3000 epochs, seed 7, biases pinned
+    @pytest.mark.parametrize("train_biases", [False, True])
+    def test_train_mlp_matches_reference_at_default_size(self, iris_samples, train_biases):
+        # the pipeline's own schedule: 3000 epochs, seed 7
         train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
         _, Xq = quantize_features(train)
         T = one_hot(labels_of(train), 3)
-        kw = dict(epochs=3000, learning_rate=0.5, seed=7, train_biases=False)
+        kw = dict(epochs=3000, learning_rate=0.5, seed=7, train_biases=train_biases)
         mlp, losses = train_mlp(Xq.astype(float), T, **kw)
         ref_mlp, ref_losses = _reference_train_mlp(Xq.astype(float), T, **kw)
         assert mlp.to_json() == ref_mlp.to_json()

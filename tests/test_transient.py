@@ -982,12 +982,13 @@ class TestSolverProperties:
 @st.composite
 def random_netlists(draw):
     """Text of 2-10 devices drawn from R, L, B, K, I and V between ground and
-    2-4 nodes, with values from 1e-15 to 9.99e3 and a step from 0.05 ps to
+    2-4 nodes, with values from 1e-300 to 9.99e300 (about half of them from
+    1e-15 to 9.99e3, where the cells' values lie) and a step from 0.05 ps to
     MAX_STEP_PS: floating islands, loops of sources, coupled inductors,
     junctions past the Newton update's reach and drives that slip a
     junction many times a step all come up, and some texts do not parse."""
     nodes = [str(k) for k in range(draw(st.integers(2, 4)) + 1)]  # "0" is ground
-    value = st.builds("{:.3g}e{}".format, st.floats(1.0, 9.99), st.integers(-15, 3))
+    value = st.builds("{:.3g}e{}".format, st.floats(1.0, 9.99), st.one_of(st.integers(-15, 3), st.integers(-300, 300)))
     lines, inductors = [], []
     for k in range(draw(st.integers(2, 10))):
         kind = draw(st.sampled_from("rrlbbkiv"))
