@@ -40,6 +40,11 @@ from .optimize import PsoConfig, margin_objective, pso_minimize
 
 log = logging.getLogger("fluxon.cli")
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")  # the values FLUXON_LOG takes
+
+# The bundled power networks with the SOPS and SOPS-per-watt reproduce-paper's checklist reads
+POWER_TARGETS = {"iris": (1.2e10, 8.57e11), "nw_a": (4e12, 2.53e13), "nw_b": (1.6e16, 8e15)}
+
 DEFAULT_CONFIG = {
     "seed": 7,
     "dataset": None,  # bundled IRIS when null
@@ -55,14 +60,13 @@ DEFAULT_CONFIG = {
         "threshold_set": list(trainmod.DEFAULT_THRESHOLD_SET),
     },
     "pso": {"n_particles": 12, "n_iterations": 60},
-    "power": ["iris", "nw_a", "nw_b"],
+    "power": list(POWER_TARGETS),
     "margins": {"netlist": "soma2", "params": ["ib.amp", "b2.ic"], "resolution": 0.02,
                 "junction": "bout", "count": 1},
 }
 
 NETLISTS = {n: f"netlists/{n}.cir" for n in ("soma2", "soma3", "jtl", "sm1")}
-POWER_CONFIGS = {n: f"power/{n}.json" for n in ("iris", "nw_a", "nw_b")}
-CHECKED_POWER = ("iris", "nw_a", "nw_b")  # the power reports reproduce-paper's checklist reads
+POWER_CONFIGS = {n: f"power/{n}.json" for n in POWER_TARGETS}
 
 
 class UserError(ValueError):
@@ -233,16 +237,10 @@ def cmd_discretize(cfg: dict, args) -> int:
     m_test = snn.accuracy_metrics(spec, Xq_test, trainmod.labels_of(test_s))
     Xq_all = quantizer.apply(trainmod.features_of(samples))
     t0 = time.perf_counter()
-    match = sum(
-        int(
-            np.array_equal(
-                snn.evaluate_discrete(spec, xv)[-1],
-                snn.simulate_spiking(spec, xv).final_outputs,
-            )
-        )
-        for xv in Xq_all
-    )
-    _log_spiking(len(Xq_all), t0)
+    rows, counts = np.unique(Xq_all, axis=0, return_counts=True)  # each distinct input once
+    got = np.array([snn.simulate_spiking(spec, xv).final_outputs for xv in rows])
+    match = int(counts[(got == snn.evaluate_discrete(spec, rows)[-1]).all(axis=1)].sum())
+    _log_spiking(len(rows), t0)
     pct = 100.0 * match / len(samples)
     print(f"train accuracy {m_train['accuracy']:.4f}, test accuracy {m_test['accuracy']:.4f}")
     print(f"spiking/discrete match: {match}/{len(samples)} ({pct:.1f}%)")
@@ -264,6 +262,9 @@ def _parse_input_vector(text: str, dim: int) -> np.ndarray:
         raise UserError(f"malformed input vector {text!r}") from None
     if vec.shape != (dim,):
         raise UserError(f"input vector needs {dim} entries, got {len(vec)}")
+    for i, level in enumerate(vec.tolist(), 1):
+        if level not in (0, 1, 2):
+            raise UserError(f"input vector {text!r}: entry {i} is {level}, levels are 0, 1 and 2")
     return vec
 
 
@@ -295,23 +296,17 @@ def cmd_simulate(cfg: dict, args) -> int:
         # default: the quantized test partition, one row per unique vector
         _, _, test_s, quantizer, _ = _dataset(cfg)
         Xq = quantizer.apply(trainmod.features_of(test_s))
-        seen: dict[tuple, tuple] = {}
+        inputs, first = np.unique(Xq, axis=0, return_index=True)  # sorted, each with its first label
         t0 = time.perf_counter()
-        for xv, lab in zip(Xq, trainmod.labels_of(test_s)):
-            key = tuple(int(v) for v in xv)
-            if key not in seen:
-                rep = snn.simulate_spiking(spec, xv)
-                ref = snn.classify_outputs(snn.evaluate_discrete(spec, xv)[-1])
-                seen[key] = (rep.fired_class, ref, int(lab))
-        _log_spiking(len(seen), t0)
+        fired = [snn.simulate_spiking(spec, xv).fired_class for xv in inputs]
+        ref = [snn.classify_outputs(bits) for bits in snn.evaluate_discrete(spec, inputs)[-1]]
+        _log_spiking(len(inputs), t0)
         rows = ["input,spiking_class,discrete_class,label"]
-        for key in sorted(seen):
-            fired, ref, lab = seen[key]
-            rows.append(f"\"{list(key)}\",{fired},{ref},{lab}")
-            print(f"{list(key)} -> spiking {fired} discrete {ref} label {lab}")
+        for xv, f, r, lab in zip(inputs.tolist(), fired, ref, trainmod.labels_of(test_s)[first].tolist()):
+            rows.append(f"\"{xv}\",{f},{r},{lab}")
+            print(f"{xv} -> spiking {f} discrete {r} label {lab}")
         _write(out / "test_table.csv", "\n".join(rows) + "\n")
-        agree = all(f == r for f, r, _ in seen.values())
-        print(f"{len(seen)} unique test vectors; spiking == discrete: {agree}")
+        print(f"{len(inputs)} unique test vectors; spiking == discrete: {fired == ref}")
         return 0
     name = args.netlist or "soma2"
     netlist = parse_netlist(read_input("netlist", name, NETLISTS))
@@ -456,7 +451,7 @@ def cmd_reproduce(cfg: dict, args) -> int:
     # fails before any artifact is written
     _ga_config(cfg)
     written = {inputs.name for inputs in _power_inputs(cfg["power"])}
-    for name in CHECKED_POWER:
+    for name in POWER_TARGETS:
         if name not in written:
             raise UserError(f"reproduce-paper checks power_{name}.json, which the power config does not write")
     for stage_args in args.stages:
@@ -473,15 +468,14 @@ def cmd_reproduce(cfg: dict, args) -> int:
 
     # the power reports the rows read, as the power stage wrote them
     reports = {name: json.loads(next(out.glob(f"power_{name}.json")).read_text())
-               for name in (*CHECKED_POWER, "*-RSFQ", "*-eRSFQ", "*-AQFP")}
+               for name in (*POWER_TARGETS, "*-RSFQ", "*-eRSFQ", "*-AQFP")}
 
     iris = reports["iris"]
     e, dyn = iris["energy_per_pulse_j"], iris["dynamic_w"]
     check("energy per pulse @109uA", abs(e - 2.254e-19) / 2.254e-19 < 0.005, f"{e:.4g} J (target 2.254e-19)")
     check("worst-case dynamic power, 88 cells @1GHz", abs(dyn - 1.98e-8) / 1.98e-8 < 0.01, f"{dyn:.4g} W (target 1.98e-08)")
 
-    targets = {"iris": (1.2e10, 8.57e11), "nw_a": (4e12, 2.53e13), "nw_b": (1.6e16, 8e15)}
-    for name, (sops_t, spw_t) in targets.items():
+    for name, (sops_t, spw_t) in POWER_TARGETS.items():
         sops, spw = map(reports[name].get, ("sops", "sops_per_watt"))
         ok = abs(sops - sops_t) / sops_t < 0.01 and abs(spw - spw_t) / spw_t < 0.01
         check(f"{name} SOPS / SOPS-per-watt", ok, f"{sops:.3g} / {spw:.3g}")
@@ -541,7 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("FLUXON_LOG", "WARNING").upper())
+    level = os.environ.get("FLUXON_LOG", "WARNING")
+    if level.upper() not in LOG_LEVELS:
+        print(f"error: FLUXON_LOG must be one of {', '.join(LOG_LEVELS)}, got {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.out)

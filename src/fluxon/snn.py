@@ -154,25 +154,31 @@ class NetworkSpec:
         )
 
 
-def _check_input(spec: NetworkSpec, x: Sequence[int]) -> list[int]:
+def _check_input(spec: NetworkSpec, x, batch: bool) -> np.ndarray:
+    """`x` as an array of one input, or of one input per row when `batch`,
+    every level checked in row order."""
     xv = np.asarray(x)
-    if xv.shape != (spec.input_dim,):
+    if xv.shape[-1:] != (spec.input_dim,) or xv.ndim > 1 + batch:
         raise ValueError(f"input shape {xv.shape} != ({spec.input_dim},)")
-    levels = xv.tolist()
+    levels = xv.ravel().tolist()
     if not {0, 1, 2}.issuperset(levels):
         bad = next(v for v in levels if v not in (0, 1, 2))
         if isinstance(bad, float) and not bad.is_integer():
             raise ValueError(f"input level {bad!r} is not an integer")
         raise ValueError("first-layer inputs must lie in {0, 1, 2}")
-    return levels
+    return xv
 
 
-def evaluate_discrete(spec: NetworkSpec, x: Sequence[int]) -> list[np.ndarray]:
-    """Binary output vector of every layer under the threshold rule u >= theta."""
-    acts = _check_input(spec, x)
+def evaluate_discrete(spec: NetworkSpec, x: np.ndarray | Sequence[int]) -> list[np.ndarray]:
+    """Binary output vector of every layer under the threshold rule u >= theta.
+
+    `x` is one input of shape (input_dim,) or one input per row of an
+    (N, input_dim) array; each layer's outputs then have one row per input.
+    """
+    acts = _check_input(spec, x, batch=True)
     outputs = []
     for layer in spec.layers:
-        acts = (layer.weights @ acts >= layer.theta).astype(int)
+        acts = (acts @ layer.weights.T >= layer.theta).astype(int)
         outputs.append(acts)
     return outputs
 
@@ -244,7 +250,7 @@ def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
     synaptic total is quantized to a pulse burst, integrated by its
     soma, and squeezed to at most one latched pulse per clock.
     """
-    acts = _check_input(spec, x)
+    acts = _check_input(spec, x, batch=False).tolist()
     clock = spec.clock_ps
     events: list[PulseEvent] = []
     for k, level in enumerate(acts):
@@ -269,19 +275,13 @@ def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
 
 
 def accuracy_metrics(spec: NetworkSpec, inputs: np.ndarray, labels: Sequence[int]) -> dict:
-    """Accuracy with ambiguous / silent outputs counted as errors."""
-    n_none = n_amb = n_correct = 0
-    for xv, label in zip(np.asarray(inputs, dtype=int), labels):
-        got = classify_outputs(evaluate_discrete(spec, xv)[-1])
-        if got is None:
-            n_none += 1
-        elif got == AMBIGUOUS:
-            n_amb += 1
-        elif got == int(label):
-            n_correct += 1
+    """Accuracy with ambiguous / silent outputs counted as errors; `inputs` holds one input per row."""
+    bits = evaluate_discrete(spec, inputs)[-1]
+    on = bits.sum(axis=1)
     n = len(labels)
+    n_correct = int(np.count_nonzero((on == 1) & (bits.argmax(axis=1) == np.asarray(labels, dtype=int))))
     return {
         "accuracy": n_correct / n if n else 0.0,
-        "n_none": n_none,
-        "n_ambiguous": n_amb,
+        "n_none": int(np.count_nonzero(on == 0)),
+        "n_ambiguous": int(np.count_nonzero(on > 1)),
     }

@@ -212,6 +212,15 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: fluxon ")
 
 
+@pytest.mark.parametrize("level", ["verbose", "warn", "10"])
+def test_bad_log_level_is_a_user_error(tmp_path, monkeypatch, capsys, level):
+    monkeypatch.setenv("FLUXON_LOG", level)
+    assert run("--out", str(tmp_path / "out"), "power") == 2
+    assert_clean_error(capsys, "error: FLUXON_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL, "
+                               f"got {level!r}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_internal_failure_exits_1(tmp_path, monkeypatch, capsys):
     def broken(cfg, args):
         raise RuntimeError("boom")
@@ -258,7 +267,7 @@ class TestSimulate:
         run("--config", fast_config, "--out", str(out), "train")
         with caplog.at_level("INFO", logger="fluxon.cli"):
             run("--config", fast_config, "--out", str(out), "discretize")
-            assert "spiking: 150 inputs in" in caplog.text
+            assert "spiking: 24 inputs in" in caplog.text  # the 150 samples' distinct inputs
             caplog.clear()
             run("--config", fast_config, "--out", str(out), "simulate", "--input", "1,0,2,1")
             assert "spiking: 1 inputs in" in caplog.text
@@ -274,6 +283,10 @@ class TestSimulate:
         run("--config", fast_config, "--out", str(out), "discretize")
         assert run("--config", fast_config, "--out", str(out),
                    "simulate", "--mode", "behavioral", "--input", "a,b") == 2
+        for vec, entry in (("1,2,3,1", "entry 3 is 3"), ("1,2,-1,0", "entry 3 is -1")):
+            capsys.readouterr()
+            assert run("--config", fast_config, "--out", str(out), "simulate", "--input", vec) == 2
+            assert_clean_error(capsys, f"error: input vector {vec!r}: {entry}, levels are 0, 1 and 2")
 
     def test_circuit_mode_jtl(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -53,13 +53,30 @@ class TestDiscrete:
 
     def test_dimension_mismatch(self):
         spec = small_spec([[1, 1, 1, 1]], (1,), [[1]], (1,))
-        with pytest.raises(ValueError):
-            evaluate_discrete(spec, (1, 1))
+        for x in ((1, 1), np.zeros((2, 3), dtype=int), np.zeros((1, 2, 4), dtype=int), 1):
+            with pytest.raises(ValueError, match=r"input shape \(.*\) != \(4,\)"):
+                evaluate_discrete(spec, x)
 
     def test_input_alphabet(self):
         spec = small_spec([[1, 1, 1, 1]], (1,), [[1]], (1,))
         with pytest.raises(ValueError):
             evaluate_discrete(spec, (3, 0, 0, 0))
+        # a bad level in any row of a batch is the single input's error
+        for bad, match in ((3, "must lie in"), (1.5, "input level 1.5 is not an integer")):
+            with pytest.raises(ValueError, match=match):
+                evaluate_discrete(spec, np.array([[0, 1, 2, 0], [0, 0, bad, 0]]))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (4, 16, 3)])
+    def test_batch_equals_per_row(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        inputs = all_ternary_inputs()
+        for _ in range(6):
+            spec = random_spec(rng, shape)
+            batch = evaluate_discrete(spec, inputs)
+            assert [b.shape for b in batch] == [(len(inputs), layer.n_neurons) for layer in spec.layers]
+            for x, *rows in zip(inputs, *batch):
+                for got, want in zip(rows, evaluate_discrete(spec, x)):
+                    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 class TestClassify:
@@ -247,7 +264,7 @@ class TestAgainstReference:
                 simulate_spiking(spec, [2] * 17)
             assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("x", [(3, 0, 0, 0), (0, -1, 0, 0), (1, 1)])
+    @pytest.mark.parametrize("x", [(3, 0, 0, 0), (0, -1, 0, 0), (1, 1), [(1, 0, 2, 0), (0, 1, 0, 2)]])
     def test_bad_input_raises_every_call(self, x):
         spec = small_spec([[1, 1, 1, 1]], (1,), [[1]], (1,))
         with pytest.raises(ValueError) as want:
@@ -355,7 +372,44 @@ class TestSpecValidation:
         assert set(doc) == {"input_dim", "clock_ps", "layers"}
 
 
+def reference_accuracy_metrics(spec: NetworkSpec, inputs, labels) -> dict:
+    """accuracy_metrics as a loop over the samples, one classified input
+    at a time. The oracle for the batched accuracy_metrics."""
+    n_none = n_amb = n_correct = 0
+    for xv, label in zip(np.asarray(inputs, dtype=int), labels):
+        got = classify_outputs(evaluate_discrete(spec, xv)[-1])
+        if got is None:
+            n_none += 1
+        elif got == AMBIGUOUS:
+            n_amb += 1
+        elif got == int(label):
+            n_correct += 1
+    n = len(labels)
+    return {"accuracy": n_correct / n if n else 0.0, "n_none": n_none, "n_ambiguous": n_amb}
+
+
 def test_accuracy_metrics_counts_misses():
     spec = small_spec(np.zeros((4, 4), dtype=int), (1,) * 4, np.zeros((3, 4), dtype=int), (1,) * 3)
     m = accuracy_metrics(spec, np.zeros((5, 4), dtype=int), [0] * 5)
     assert m == {"accuracy": 0.0, "n_none": 5, "n_ambiguous": 0}
+    with pytest.raises(ValueError, match="input level 1.9 is not an integer"):  # not run as level 1
+        accuracy_metrics(spec, [[0, 0, 0, 0], [1.9, 0, 0, 0]], [0, 0])
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 3), (4, 16, 3)])
+def test_accuracy_metrics_matches_the_per_sample_loop(shape):
+    rng = np.random.default_rng(sum(shape) + 2)
+    inputs = all_ternary_inputs()
+    outcomes, accuracies = set(), []
+    for _ in range(8):
+        spec = random_spec(rng, shape)
+        bits = evaluate_discrete(spec, inputs)[-1]
+        # half the labels name the lowest fired bit, so single-bit outputs score
+        labels = np.where(rng.random(len(inputs)) < 0.5, bits.argmax(axis=1), rng.integers(0, 3, len(inputs)))
+        got = accuracy_metrics(spec, inputs, labels)
+        assert got == reference_accuracy_metrics(spec, inputs, labels)
+        assert [type(v) for v in got.values()] == [float, int, int]  # as JSON writes them
+        assert accuracy_metrics(spec, inputs[:0], labels[:0]) == reference_accuracy_metrics(spec, inputs[:0], [])
+        outcomes.update(map(classify_outputs, bits))
+        accuracies.append(got["accuracy"])
+    assert {None, AMBIGUOUS} < outcomes and max(accuracies) > 0  # silent, ambiguous and correct outputs
