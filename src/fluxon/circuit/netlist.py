@@ -14,7 +14,9 @@ Grammar (line oriented, case-insensitive, '*' starts a comment):
     .tran <step> <stop>
     .print v(<node>) | phi(<junction>) ...
 
-Element values carry SI unit suffixes f, p, n, u, m, k. Time-valued
+Element values carry the SPICE suffixes f, p, n, u, m, k, meg, g, t
+(meg, 1e6, is read before m); letters after one name a unit and are
+ignored, so `0.4pF` is 0.4e-12 and `1megohm` 1e6. Time-valued
 fields (waveform delays/widths/periods and .tran settings) are read as
 picoseconds when bare; a suffixed time such as `100p` is taken as
 seconds and converted, so `100p` and `100` both mean 100 ps.
@@ -48,9 +50,10 @@ class NetlistError(ValueError):
 
 
 _NUMBER_RE = re.compile(
-    r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)([fpnumk]?)([a-z]*)$"
+    r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)(meg|[fpnumkgt]?)([a-z]*)$"
 )
-_SUFFIX = {"f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "": 1.0}
+_SUFFIX = {"f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "meg": 1e6, "g": 1e9,
+           "t": 1e12, "": 1.0}
 
 
 def parse_value(token: str, lineno: int | None = None) -> float:
@@ -67,9 +70,7 @@ def parse_time_ps(token: str, lineno: int | None = None) -> float:
     if not m:
         raise NetlistError(f"bad time value {token!r}", lineno)
     base = float(m.group(1))
-    if m.group(2):
-        return base * _SUFFIX[m.group(2)] * 1e12
-    return base
+    return base * _SUFFIX[m.group(2)] * 1e12 if m.group(2) else base
 
 
 # --- waveforms ------------------------------------------------------------
@@ -320,57 +321,6 @@ class Netlist:
         return replace(self, devices=devices)
 
 
-def _parse_source(kind: str, name: str, toks: list[str], lineno: int) -> Device:
-    if len(toks) < 3:
-        raise NetlistError(f"source {name}: missing nodes/waveform", lineno)
-    np_, nm = toks[0], toks[1]
-    shape, args = toks[2], toks[3:]
-    if shape == "dc":
-        if len(args) != 1:
-            raise NetlistError(f"source {name}: dc takes one value", lineno)
-        wf: Waveform = Dc(parse_value(args[0], lineno))
-    elif shape == "pulse":
-        if len(args) != 5:
-            raise NetlistError(f"source {name}: pulse takes 5 values", lineno)
-        wf = Pulse(
-            *(parse_time_ps(a, lineno) for a in args[:4]),
-            parse_value(args[4], lineno),
-        )
-    elif shape == "ptrain":
-        if len(args) != 5 or not args[2].isdecimal():
-            raise NetlistError(f"source {name}: ptrain takes 5 values, the third a count", lineno)
-        wf = PulseTrain(
-            parse_time_ps(args[0], lineno),
-            parse_time_ps(args[1], lineno),
-            int(args[2]),
-            parse_time_ps(args[3], lineno),
-            parse_value(args[4], lineno),
-        )
-    elif shape == "sin":
-        if len(args) not in (3, 4):
-            raise NetlistError(f"source {name}: sin takes 3 or 4 values", lineno)
-        wf = Sine(
-            parse_value(args[0], lineno),
-            parse_value(args[1], lineno),
-            parse_time_ps(args[2], lineno),
-            parse_time_ps(args[3], lineno) if len(args) == 4 else 0.0,
-        )
-    else:
-        raise NetlistError(f"source {name}: unknown waveform {shape!r}", lineno)
-    cls = CurrentSource if kind == "i" else VoltageSource
-    return cls(name, np_, nm, wf)
-
-
-def _keyword_args(toks: list[str], lineno: int) -> dict[str, float]:
-    out = {}
-    for tok in toks:
-        if "=" not in tok:
-            raise NetlistError(f"expected key=value, got {tok!r}", lineno)
-        key, val = tok.split("=", 1)
-        out[key] = parse_value(val, lineno)
-    return out
-
-
 def default_rn(ic: float) -> float:
     return DEFAULT_ICRN_PRODUCT / ic
 
@@ -379,6 +329,71 @@ def critical_damping_cap(ic: float, rn: float) -> float:
     """Shunt capacitance giving beta_c = 1: C = PHI0 / (2 pi Ic Rn^2), inf if that underflows."""
     denominator = 2.0 * math.pi * ic * rn * rn
     return PHI0 / denominator if denominator else math.inf
+
+
+def _count(token: str, lineno: int) -> int:
+    if not token.isdecimal():
+        raise NetlistError(f"bad count {token!r}", lineno)
+    return int(token)
+
+
+def _junction(name: str, np_: str, nm: str, **kw: float) -> Junction:
+    """A junction from its key= fields; an omitted rn or cap is derived, and only then."""
+    ic = kw.get("ic", 0.0)
+    if not (ic > 0.0 and kw.get("rn", 1.0) > 0.0):  # the defaults divide by both
+        raise NetlistError(f"junction {name}: need ic>0, rn>0, cap>=0")
+    rn = kw["rn"] if "rn" in kw else default_rn(ic)
+    cap = kw["cap"] if "cap" in kw else critical_damping_cap(ic, rn)
+    for key, value in (("rn", rn), ("cap", cap)):
+        if key not in kw and not 0.0 < value < math.inf:
+            raise NetlistError(f"junction {name}: the default {key} is {value:g}, "
+                               f"not finite and positive; give {key}=")
+    return Junction(name, np_, nm, ic, rn, cap)
+
+
+# The dialect, one row per device letter, waveform shape and .tran: the record
+# a line builds, the kind of each positional field (n a node or device name,
+# v a value, t a time, c a count, w a waveform: a shape, then that shape's
+# own fields to the end of the line), how many trailing fields may be
+# omitted, and the key= fields that may follow them.
+_DEVICES = {
+    "b": (_junction, "nn", 0, ("ic", "rn", "cap")),
+    "l": (Inductor, "nnv", 0, ("ic",)),
+    "r": (Resistor, "nnv", 0, ()),
+    "k": (Mutual, "nnv", 0, ()),
+    "i": (CurrentSource, "nnw", 0, ()),
+    "v": (VoltageSource, "nnw", 0, ()),
+}
+_WAVEFORMS = {
+    "dc": (Dc, "v", 0, ()),
+    "pulse": (Pulse, "ttttv", 0, ()),
+    "ptrain": (PulseTrain, "ttctv", 0, ()),
+    "sin": (Sine, "vvtt", 1, ()),
+}
+_TRAN = (lambda step, stop: (step, stop), "tt", 0, ())
+_FIELD = {"n": lambda token, lineno: token, "v": parse_value, "t": parse_time_ps, "c": _count,
+          "w": lambda waveform, lineno: waveform}  # a waveform is read as its own row
+
+
+def _read(row: tuple, label: str, toks: list[str], lineno: int, *head: str):
+    """Build the record of a table row from the tokens of its fields, after `head`."""
+    cls, kinds, optional, keys = row
+    fields, tail = toks[:len(kinds)], toks[len(kinds):]
+    if kinds[-1] == "w" and len(fields) == len(kinds):  # the shape's own fields end the line
+        shape = fields[-1]
+        if shape not in _WAVEFORMS:
+            raise NetlistError(f"{label}: unknown waveform {shape!r}", lineno)
+        fields[-1], tail = _read(_WAVEFORMS[shape], f"{label} {shape}", tail, lineno), []
+    if len(fields) < len(kinds) - optional or (tail and not keys):
+        count = f"{len(kinds) - optional} or {len(kinds)}" if optional else len(kinds)
+        raise NetlistError(f"{label}: takes {count} field{'s' * (len(kinds) > 1)}, got {len(toks)}", lineno)
+    kw = {}
+    for tok in tail:  # a repeated key keeps its last value
+        key, eq, value = tok.partition("=")
+        if not eq or key not in keys:
+            raise NetlistError(f"{label}: expected {'/'.join(keys)}=<value>, got {tok!r}", lineno)
+        kw[key] = parse_value(value, lineno)
+    return cls(*head, *[_FIELD[kind](tok, lineno) for kind, tok in zip(kinds, fields)], **kw)
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -400,13 +415,10 @@ def parse_netlist(text: str) -> Netlist:
 
         if head.startswith("."):
             if head == ".tran":
-                if len(toks) != 3:
-                    raise NetlistError(".tran takes <step> <stop>", lineno)
                 if tran_line is not None:
                     raise NetlistError(f"repeated .tran; the first is on line {tran_line}", lineno)
                 tran_line = lineno
-                tran_step = parse_time_ps(toks[1], lineno)
-                tran_stop = parse_time_ps(toks[2], lineno)
+                tran_step, tran_stop = _read(_TRAN, head, toks[1:], lineno)
                 if not (0.0 < tran_step < math.inf and 0.0 < tran_stop < math.inf):
                     raise NetlistError(".tran step and stop must be positive and finite", lineno)
             elif head == ".print":
@@ -422,8 +434,10 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistError(f"unknown directive {head!r}", lineno)
             continue
 
+        if head[0] not in _DEVICES:
+            raise NetlistError(f"unknown device letter {head[0]!r} in {head!r}", lineno)
         try:
-            device = _parse_device(head, toks[1:], lineno)
+            device = _read(_DEVICES[head[0]], head, toks[1:], lineno, head)
         except NetlistError as exc:  # a device record's own check knows no line
             raise (exc if exc.lineno else NetlistError(str(exc), lineno)) from None
         lines[device.name] = lineno  # a duplicate name keeps its last line
@@ -433,42 +447,3 @@ def parse_netlist(text: str) -> Netlist:
         return Netlist(tuple(devices), tran_step, tran_stop, tuple(prints), title)
     except NetlistError as exc:  # checks of the whole netlist
         raise NetlistError(str(exc), lines[exc.device]) from None
-
-
-def _parse_device(head: str, body: list[str], lineno: int) -> Device:
-    letter, name = head[0], head
-    if letter == "b":
-        if len(body) < 3:
-            raise NetlistError(f"junction {name}: missing fields", lineno)
-        kw = _keyword_args(body[2:], lineno)
-        unknown = set(kw) - {"ic", "rn", "cap"}
-        if unknown or "ic" not in kw:
-            raise NetlistError(f"junction {name}: needs ic=, allows rn=/cap=", lineno)
-        ic = kw["ic"]
-        if not (ic > 0.0 and kw.get("rn", 1.0) > 0.0):  # the defaults divide by both
-            raise NetlistError(f"junction {name}: need ic>0, rn>0, cap>=0", lineno)
-        rn = kw["rn"] if "rn" in kw else default_rn(ic)
-        cap = kw["cap"] if "cap" in kw else critical_damping_cap(ic, rn)
-        for key, value in (("rn", rn), ("cap", cap)):
-            if key not in kw and not 0.0 < value < math.inf:
-                raise NetlistError(f"junction {name}: the default {key} is {value:g}, "
-                                   f"not finite and positive; give {key}=", lineno)
-        return Junction(name, body[0], body[1], ic, rn, cap)
-    if letter == "l":
-        if len(body) < 3:
-            raise NetlistError(f"inductor {name}: missing fields", lineno)
-        extra = _keyword_args(body[3:], lineno) if len(body) > 3 else {}
-        if set(extra) - {"ic"}:
-            raise NetlistError(f"inductor {name}: only ic= allowed", lineno)
-        return Inductor(name, body[0], body[1], parse_value(body[2], lineno), extra.get("ic", 0.0))
-    if letter == "r":
-        if len(body) != 3:
-            raise NetlistError(f"resistor {name}: takes n+ n- value", lineno)
-        return Resistor(name, body[0], body[1], parse_value(body[2], lineno))
-    if letter == "k":
-        if len(body) != 3:
-            raise NetlistError(f"mutual {name}: takes La Lb M", lineno)
-        return Mutual(name, body[0], body[1], parse_value(body[2], lineno))
-    if letter in ("i", "v"):
-        return _parse_source(letter, name, body, lineno)
-    raise NetlistError(f"unknown device letter {letter!r} in {name!r}", lineno)

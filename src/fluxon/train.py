@@ -92,6 +92,8 @@ def split_dataset(
     else:
         order = rng.permutation(len(samples))
         n_train = round(len(samples) * train_fraction)
+        if n_train == 0 or n_train == len(samples):
+            raise ValueError(f"fraction {train_fraction} empties one side of the split")
         train = [samples[i] for i in order[:n_train]]
         test = [samples[i] for i in order[n_train:]]
     return train, test

@@ -71,6 +71,24 @@ class TestTrain:
         assert run_with_config(tmp_path, {"split": {"train_fraction": 1.5}}, "train") == 2
         assert_clean_error(capsys, "bad split config: train_fraction must lie in (0,1)")
 
+    @pytest.mark.parametrize("fraction", [0.999, 0.001])
+    def test_plain_split_that_empties_a_side_exits_2(self, tmp_path, fast_config, capsys, fraction):
+        for stage in ("train", "discretize"):  # the artifacts the later stages read
+            assert run("--config", fast_config, "--out", str(tmp_path / "out"), stage) == 0
+        cfg = {**FAST_CONFIG, "split": {"train_fraction": fraction, "stratified": False}}
+        for command in ("train", "discretize", "simulate", "reproduce-paper"):
+            capsys.readouterr()
+            assert run_with_config(tmp_path, cfg, command) == 2, command
+            assert_clean_error(capsys, f"bad split config: fraction {fraction} empties one side of the split")
+
+    def test_config_file_errors_exit_2(self, tmp_path, capsys):
+        assert run("--config", str(tmp_path / "nosuch.json"), "--out", str(tmp_path / "o"), "train") == 2
+        assert_clean_error(capsys, f"error: config not found: {tmp_path / 'nosuch.json'}")
+        (tmp_path / "c.json").write_text('{"seed": 3,')
+        assert run("--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o"), "train") == 2
+        assert_clean_error(capsys, f"error: malformed config {tmp_path / 'c.json'}: Expecting")
+        assert not (tmp_path / "o").exists()
+
     def test_seeded_rerun_byte_identical(self, tmp_path, fast_config):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run("--config", fast_config, "--out", str(out_a), "--seed", "5", "train")
@@ -283,6 +301,9 @@ class TestSimulate:
         run("--config", fast_config, "--out", str(out), "discretize")
         assert run("--config", fast_config, "--out", str(out),
                    "simulate", "--mode", "behavioral", "--input", "a,b") == 2
+        assert_clean_error(capsys, "error: malformed input vector 'a,b'")
+        assert run("--config", fast_config, "--out", str(out), "simulate", "--input", "1,2") == 2
+        assert_clean_error(capsys, "error: input vector needs 4 entries, got 2")
         for vec, entry in (("1,2,3,1", "entry 3 is 3"), ("1,2,-1,0", "entry 3 is -1")):
             capsys.readouterr()
             assert run("--config", fast_config, "--out", str(out), "simulate", "--input", vec) == 2
@@ -627,6 +648,9 @@ SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_o
     ({}, {"p.json": {**SOPS_NULL, "sops_rated": True}}, ["power", "--network", "{tmp}/p.json"],
      "malformed power config {tmp}/p.json: sops_rated must be a number, got true"),
     ({"split": {"seed": -1}}, {}, ["train"], "bad split config: seed must be >= 0, got -1"),
+    ({"dataset": "{tmp}/iris.csv"}, {"iris.csv": "\n  \n"}, ["train"], "error: dataset is empty"),
+    ({"dataset": "{tmp}/iris.csv"}, {"iris.csv": "5.1,3.5,1.4,0.2,Iris-setosa\n5.1,abc,1.4,0.2,Iris-setosa\n"},
+     ["train"], "line 2: bad feature value"),
 ])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
     for name, doc in files.items():

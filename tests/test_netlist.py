@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,14 @@ from fluxon.circuit import (
     PulseTrain,
     Resistor,
     Sine,
+    VoltageSource,
     critical_damping_cap,
     default_rn,
     parse_netlist,
     parse_value,
 )
+from fluxon.circuit import netlist
+from fluxon.circuit.netlist import parse_time_ps
 from fluxon.core import PHI0
 
 
@@ -37,6 +42,13 @@ class TestValues:
             ("5f", 5e-15),
             ("1e3", 1000.0),
             ("30.12pH", 30.12e-12),
+            ("1meg", 1e6),  # SPICE's mega, read before milli
+            ("3MEG", 3e6),
+            ("2.2megohm", 2.2e6),
+            ("2mohm", 2e-3),
+            ("1g", 1e9),
+            ("1t", 1e12),
+            ("4.7GHz", 4.7e9),
         ],
     )
     def test_suffixes(self, token, value):
@@ -87,6 +99,10 @@ class TestParse:
         (r,) = [d for d in nl.devices if isinstance(d, Resistor)]
         assert (r.np_, r.nm, r.r) == ("a", "b", 2.5)
         assert nl.tran_step == 0.05 and nl.tran_stop == 100.0
+
+    def test_spice_suffixes_scale_element_values(self):
+        nl = parse_netlist("r1 1 0 1meg\nr2 1 0 2g\nr3 1 0 3t\nr4 1 0 4m")
+        assert [nl.device(f"r{k}").r for k in range(1, 5)] == [1e6, 2e9, 3e12, 4e-3]
 
     def test_tran_accepts_suffixed_seconds(self):
         nl = parse_netlist("r1 1 0 1\n.tran 0.05p 100p")
@@ -332,6 +348,7 @@ _LINES = [
 _TOKENS = [
     "0", "1", "l1", "l9", "b1", "x1", "dc", "pulse", "-1", "1e999", "5e-324", "100u", "abc",
     "ic=0", "ic=-1", "ic=1e999", "rn=0", "cap=-1p", "ic=", "q=1", "v()", "*", ".op",
+    "sin", "ptrain", "2.5", "3p", "1meg", "rn=1", "cap=2p",
 ]
 
 
@@ -396,12 +413,16 @@ def valid_netlists(draw):
         lines.append(f"l{k} {k} {k + 1} {draw(_value)}p ic={draw(_value)}u")
         lines.append(f"r{k} {k + 1} 0 {draw(_value)}")
     lines.append(f"k1 l1 l{n} {draw(st.floats(0.0, 0.9)):.3f}f" if n > 1 else "r0 1 0 5")
+
+    def p():  # a time in ps, bare or in seconds
+        return draw(st.sampled_from(["", "p"]))
+
     lines += [
         f"i1 0 1 dc {draw(_value)}u",
-        f"i2 0 {n} pulse 5 {draw(_value)} 3 2 {draw(_value)}u",
-        f"i3 0 {n + 1} ptrain 10 20 {draw(st.integers(0, 4))} 5 {draw(_value)}u",
-        f"v1 {n + 1} 0 sin 0 {draw(_value)}u 50",
-        ".tran 0.05 100",
+        f"i2 0 {n} pulse 5{p()} {draw(_value)}{p()} 3{p()} 2{p()} {draw(_value)}u",
+        f"i3 0 {n + 1} ptrain 10{p()} 20{p()} {draw(st.integers(0, 4))} 5{p()} {draw(_value)}u",
+        f"v1 {n + 1} 0 sin 0 {draw(_value)}u 50{p()}{draw(st.sampled_from(['', ' 7', ' 7p']))}",
+        f".tran 0.05{p()} 100{p()}",
     ]
     return "\n".join(draw(st.permutations(lines)))
 
@@ -428,3 +449,202 @@ def test_valid_netlists_round_trip_through_selectors(text, factor):
             ]
             assert nl.resolve_selector(sel)[2] == nominal  # the original is untouched
             assert changed.with_param(sel, nominal) == nl
+
+
+# --- the dialect table against the hand-written branches it replaced ------
+# The reference is the parser as it was before its table: one branch per
+# device letter and per waveform shape, each with its own arity check and
+# field conversions. It reads numbers through the module's own parse_value
+# and parse_time_ps, so both parsers share the number grammar.
+
+
+def reference_parse_source(kind, name, toks, lineno):
+    if len(toks) < 3:
+        raise NetlistError(f"source {name}: missing nodes/waveform", lineno)
+    np_, nm = toks[0], toks[1]
+    shape, args = toks[2], toks[3:]
+    if shape == "dc":
+        if len(args) != 1:
+            raise NetlistError(f"source {name}: dc takes one value", lineno)
+        wf = Dc(parse_value(args[0], lineno))
+    elif shape == "pulse":
+        if len(args) != 5:
+            raise NetlistError(f"source {name}: pulse takes 5 values", lineno)
+        wf = Pulse(*(parse_time_ps(a, lineno) for a in args[:4]), parse_value(args[4], lineno))
+    elif shape == "ptrain":
+        if len(args) != 5 or not args[2].isdecimal():
+            raise NetlistError(f"source {name}: ptrain takes 5 values, the third a count", lineno)
+        wf = PulseTrain(parse_time_ps(args[0], lineno), parse_time_ps(args[1], lineno), int(args[2]),
+                        parse_time_ps(args[3], lineno), parse_value(args[4], lineno))
+    elif shape == "sin":
+        if len(args) not in (3, 4):
+            raise NetlistError(f"source {name}: sin takes 3 or 4 values", lineno)
+        wf = Sine(parse_value(args[0], lineno), parse_value(args[1], lineno), parse_time_ps(args[2], lineno),
+                  parse_time_ps(args[3], lineno) if len(args) == 4 else 0.0)
+    else:
+        raise NetlistError(f"source {name}: unknown waveform {shape!r}", lineno)
+    return (CurrentSource if kind == "i" else VoltageSource)(name, np_, nm, wf)
+
+
+def reference_keyword_args(toks, lineno):
+    out = {}
+    for tok in toks:
+        if "=" not in tok:
+            raise NetlistError(f"expected key=value, got {tok!r}", lineno)
+        key, val = tok.split("=", 1)
+        out[key] = parse_value(val, lineno)
+    return out
+
+
+def reference_parse_device(head, body, lineno):
+    letter, name = head[0], head
+    if letter == "b":
+        if len(body) < 3:
+            raise NetlistError(f"junction {name}: missing fields", lineno)
+        kw = reference_keyword_args(body[2:], lineno)
+        if set(kw) - {"ic", "rn", "cap"} or "ic" not in kw:
+            raise NetlistError(f"junction {name}: needs ic=, allows rn=/cap=", lineno)
+        ic = kw["ic"]
+        if not (ic > 0.0 and kw.get("rn", 1.0) > 0.0):
+            raise NetlistError(f"junction {name}: need ic>0, rn>0, cap>=0", lineno)
+        rn = kw["rn"] if "rn" in kw else default_rn(ic)
+        cap = kw["cap"] if "cap" in kw else critical_damping_cap(ic, rn)
+        for key, value in (("rn", rn), ("cap", cap)):
+            if key not in kw and not 0.0 < value < math.inf:
+                raise NetlistError(f"junction {name}: the default {key} is {value:g}", lineno)
+        return Junction(name, body[0], body[1], ic, rn, cap)
+    if letter == "l":
+        if len(body) < 3:
+            raise NetlistError(f"inductor {name}: missing fields", lineno)
+        extra = reference_keyword_args(body[3:], lineno) if len(body) > 3 else {}
+        if set(extra) - {"ic"}:
+            raise NetlistError(f"inductor {name}: only ic= allowed", lineno)
+        return Inductor(name, body[0], body[1], parse_value(body[2], lineno), extra.get("ic", 0.0))
+    if letter == "r":
+        if len(body) != 3:
+            raise NetlistError(f"resistor {name}: takes n+ n- value", lineno)
+        return Resistor(name, body[0], body[1], parse_value(body[2], lineno))
+    if letter == "k":
+        if len(body) != 3:
+            raise NetlistError(f"mutual {name}: takes La Lb M", lineno)
+        return Mutual(name, body[0], body[1], parse_value(body[2], lineno))
+    if letter in ("i", "v"):
+        return reference_parse_source(letter, name, body, lineno)
+    raise NetlistError(f"unknown device letter {letter!r} in {name!r}", lineno)
+
+
+def reference_parse_netlist(text):
+    devices, lines, prints = [], {}, []
+    tran_step = tran_stop = tran_line = None
+    title = ""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("*", 1)[0].strip().lower()
+        if not line:
+            if raw.strip().startswith("*") and lineno == 1:
+                title = raw.strip().lstrip("*").strip()
+            continue
+        toks = line.split()
+        head = toks[0]
+        if head.startswith("."):
+            if head == ".tran":
+                if len(toks) != 3:
+                    raise NetlistError(".tran takes <step> <stop>", lineno)
+                if tran_line is not None:
+                    raise NetlistError(f"repeated .tran; the first is on line {tran_line}", lineno)
+                tran_line = lineno
+                tran_step = parse_time_ps(toks[1], lineno)
+                tran_stop = parse_time_ps(toks[2], lineno)
+                if not (0.0 < tran_step < math.inf and 0.0 < tran_stop < math.inf):
+                    raise NetlistError(".tran step and stop must be positive and finite", lineno)
+            elif head == ".print":
+                for req in toks[1:]:
+                    m = re.match(r"^(v|phi)\((.+)\)$", req)
+                    if not m:
+                        raise NetlistError(f"bad print request {req!r}", lineno)
+                    prints.append((m.group(1), m.group(2)))
+                    lines.setdefault(prints[-1], lineno)
+            elif head == ".end":
+                break
+            else:
+                raise NetlistError(f"unknown directive {head!r}", lineno)
+            continue
+        try:
+            device = reference_parse_device(head, toks[1:], lineno)
+        except NetlistError as exc:
+            raise (exc if exc.lineno else NetlistError(str(exc), lineno)) from None
+        lines[device.name] = lineno
+        devices.append(device)
+    try:
+        return Netlist(tuple(devices), tran_step, tran_stop, tuple(prints), title)
+    except NetlistError as exc:
+        raise NetlistError(str(exc), lines[exc.device]) from None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_netlists() | valid_netlists())
+def test_table_parses_as_the_reference_branches(text):
+    try:
+        want = reference_parse_netlist(text)
+    except NetlistError as exc:
+        with pytest.raises(NetlistError) as got:
+            parse_netlist(text)
+        assert got.value.lineno == exc.lineno, (str(got.value), str(exc))
+    else:
+        got = parse_netlist(text)
+        assert got == want and repr(got) == repr(want)  # repr tells a count of 3 from 3.0
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("r2 1 0", "r2: takes 3 fields, got 2"),  # too few for a device
+        ("r2 1 0 1 2", "r2: takes 3 fields, got 4"),  # too many for a device
+        ("r2 1 0 1 ic=1", "r2: takes 3 fields, got 4"),  # a resistor takes no key= field
+        ("i1 0 1", "i1: takes 3 fields, got 2"),  # a source without its waveform
+        ("i1 0 1 pulse 1 2 3 4", "i1 pulse: takes 5 fields, got 4"),  # too few for a shape
+        ("i1 0 1 sin 0 1m 10 0 5", "i1 sin: takes 3 or 4 fields, got 5"),  # too many for a shape
+        ("i1 0 1 dc", "i1 dc: takes 1 field, got 0"),
+        ("i1 0 1 dc 1m ic=1", "i1 dc: takes 1 field, got 2"),  # a waveform takes no key= field
+        ("i1 0 1 ptrain 0 10 2e0 1 1m", "bad count '2e0'"),
+        ("i1 0 1 ptrain 0 10 -1 1 1m", "bad count '-1'"),
+        ("i1 0 1 ptrain 0 10 1k 1 1m", "bad count '1k'"),
+        ("l1 1 0 2p rn=1", "l1: expected ic=<value>, got 'rn=1'"),  # a key= the device does not allow
+        ("b1 1 0 ic=100u q=1", "b1: expected ic/rn/cap=<value>, got 'q=1'"),
+        ("b1 1 0 100u", "b1: expected ic/rn/cap=<value>, got '100u'"),
+        ("b1 1 0 rn=2", "junction b1: need ic>0"),  # ic= is required
+        ("b1 1", "b1: takes 2 fields, got 1"),
+        ("i1 0 1 square 1 2", "i1: unknown waveform 'square'"),
+        ("i1 0 1 b 1 2", "i1: unknown waveform 'b'"),  # a device letter is no shape
+        ("q1 1 0 5", "unknown device letter 'q' in 'q1'"),
+        (".tran 0.1", ".tran: takes 2 fields, got 1"),
+    ],
+)
+def test_table_errors_name_their_line(text, message):
+    with pytest.raises(NetlistError, match=f"^line 2: {re.escape(message)}") as exc:
+        parse_netlist(f"r1 1 0 1\n{text}\nl9 1 0 1p")
+    assert exc.value.lineno == 2
+
+
+def test_optional_fields_may_be_omitted():
+    nl = parse_netlist("v1 1 0 sin 0 1m 10\nv2 2 0 sin 0 1m 10 2.5\nl1 1 0 2p\nr1 2 0 1")
+    assert nl.device("v1").waveform == Sine(0.0, 1e-3, 10.0, 0.0)
+    assert nl.device("v2").waveform == Sine(0.0, 1e-3, 10.0, 2.5)
+    assert nl.device("l1").ic == 0.0
+
+
+def test_readme_dialect_names_the_table():
+    """The README's dialect block documents exactly the parser's device letters, shapes and suffixes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Netlist dialect", 1)[1].split("```")[1]
+    letters, shapes = set(), set()
+    for line in block.splitlines():
+        m = re.match(r"^([A-Z/]+)<name>\s+(.*)$", line)
+        if m:
+            kinds = set(m.group(1).lower().split("/"))
+            letters |= kinds
+            if kinds <= {"i", "v"}:
+                shapes.add(m.group(2).split()[2])
+    assert letters == set(netlist._DEVICES)
+    assert shapes == set(netlist._WAVEFORMS)
+    suffixes = re.search(r"<number>\[([a-z|]+)\]", block).group(1).split("|")
+    assert set(suffixes) == set(netlist._SUFFIX) - {""}

@@ -344,6 +344,16 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="layer synapse must be SM2 or SM4"):
                 LayerSpec(np.ones((1, 4), dtype=int), (1,), kind)
 
+    def test_layer_weights_are_a_matrix(self):
+        for weights in (np.ones(4, dtype=int), np.ones((1, 1, 4), dtype=int)):
+            with pytest.raises(ValueError, match="layer weights must be a 2-D matrix"):
+                LayerSpec(weights, (1,), "SM4")
+
+    def test_one_threshold_per_neuron(self):
+        for thresholds in ((1,), (1, 2, 5)):
+            with pytest.raises(ValueError, match="one threshold per neuron required"):
+                LayerSpec(np.ones((2, 4), dtype=int), thresholds, "SM4")
+
     def test_layer0_needs_sm4(self):
         with pytest.raises(ValueError):
             NetworkSpec(4, (LayerSpec(np.ones((2, 4), dtype=int), (1, 1), "SM2"),))

@@ -37,6 +37,15 @@ class TestLoadIris:
     def test_empty(self):
         assert load_iris("") == []
 
+    def test_blank_lines_are_skipped(self):
+        rows = "5.1,3.5,1.4,0.2,Iris-setosa\n\n  \n6.3,3.3,6.0,2.5,Iris-virginica\n\n"
+        assert load_iris(rows) == load_iris("5.1,3.5,1.4,0.2,Iris-setosa\n6.3,3.3,6.0,2.5,Iris-virginica")
+        assert [s.label for s in load_iris(rows)] == [0, 2]
+
+    def test_non_numeric_feature(self):
+        with pytest.raises(DataError, match="line 2: bad feature value"):
+            load_iris("5.1,3.5,1.4,0.2,Iris-setosa\n5.1,abc,1.4,0.2,Iris-setosa")
+
     def test_unknown_class(self):
         with pytest.raises(DataError, match="line 1"):
             load_iris("1,2,3,4,Iris-unknown")
@@ -74,8 +83,10 @@ class TestSplit:
         assert len(train) == 75 and len(test) == 75
 
     def test_degenerate_fraction(self, iris_samples):
-        with pytest.raises(ValueError):
-            split_dataset(iris_samples, 0.999, 0)
+        for fraction in (0.999, 0.001):
+            for stratified in (True, False):  # the plain split checks both sides too
+                with pytest.raises(ValueError, match=f"fraction {fraction} empties one side of "):
+                    split_dataset(iris_samples, fraction, 0, stratified)
 
 
 class TestQuantizer:
