@@ -14,12 +14,14 @@ Grammar (line oriented, case-insensitive, '*' starts a comment):
     .tran <step> <stop>
     .print v(<node>) | phi(<junction>) ...
 
-Element values carry the SPICE suffixes f, p, n, u, m, k, meg, g, t
-(meg, 1e6, is read before m); letters after one name a unit and are
-ignored, so `0.4pF` is 0.4e-12 and `1megohm` 1e6. Time-valued
-fields (waveform delays/widths/periods and .tran settings) are read as
-picoseconds when bare; a suffixed time such as `100p` is taken as
-seconds and converted, so `100p` and `100` both mean 100 ps.
+Element values carry the SPICE suffixes f, p, n, u, m, k, meg, g, t and
+mil (meg, 1e6, and mil, 25.4e-6, are read before m); letters after one
+name a unit and are ignored, so `0.4pF` is 0.4e-12 and `1megohm` 1e6.
+Time-valued fields (waveform delays/widths/periods and .tran settings)
+are read as picoseconds when bare; a suffixed time such as `100p` is
+taken as seconds and converted, so `100p` and `100` both mean 100 ps.
+A device or node name may not hold ',' or '"', since the CSV artifacts
+write names unquoted, and a key= field may not repeat.
 
 When `rn=` is omitted the junction's normal resistance derives from a
 fixed IcRn product of 0.25 mV; when `cap=` is omitted
@@ -50,10 +52,10 @@ class NetlistError(ValueError):
 
 
 _NUMBER_RE = re.compile(
-    r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)(meg|[fpnumkgt]?)([a-z]*)$"
+    r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)(meg|mil|[fpnumkgt]?)([a-z]*)$"
 )
 _SUFFIX = {"f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "meg": 1e6, "g": 1e9,
-           "t": 1e12, "": 1.0}
+           "t": 1e12, "mil": 25.4e-6, "": 1.0}
 
 
 def parse_value(token: str, lineno: int | None = None) -> float:
@@ -331,6 +333,13 @@ def critical_damping_cap(ic: float, rn: float) -> float:
     return PHI0 / denominator if denominator else math.inf
 
 
+def _name(token: str, lineno: int) -> str:
+    """A device or node name: it heads a waveform column or fills an event-log cell, unquoted."""
+    if "," in token or '"' in token:
+        raise NetlistError(f"name {token!r} may not hold ',' or '\"'", lineno)
+    return token
+
+
 def _count(token: str, lineno: int) -> int:
     if not token.isdecimal():
         raise NetlistError(f"bad count {token!r}", lineno)
@@ -371,7 +380,7 @@ _WAVEFORMS = {
     "sin": (Sine, "vvtt", 1, ()),
 }
 _TRAN = (lambda step, stop: (step, stop), "tt", 0, ())
-_FIELD = {"n": lambda token, lineno: token, "v": parse_value, "t": parse_time_ps, "c": _count,
+_FIELD = {"n": _name, "v": parse_value, "t": parse_time_ps, "c": _count,
           "w": lambda waveform, lineno: waveform}  # a waveform is read as its own row
 
 
@@ -388,10 +397,12 @@ def _read(row: tuple, label: str, toks: list[str], lineno: int, *head: str):
         count = f"{len(kinds) - optional} or {len(kinds)}" if optional else len(kinds)
         raise NetlistError(f"{label}: takes {count} field{'s' * (len(kinds) > 1)}, got {len(toks)}", lineno)
     kw = {}
-    for tok in tail:  # a repeated key keeps its last value
+    for tok in tail:
         key, eq, value = tok.partition("=")
         if not eq or key not in keys:
             raise NetlistError(f"{label}: expected {'/'.join(keys)}=<value>, got {tok!r}", lineno)
+        if key in kw:
+            raise NetlistError(f"{label}: {key}= is given twice", lineno)
         kw[key] = parse_value(value, lineno)
     return cls(*head, *[_FIELD[kind](tok, lineno) for kind, tok in zip(kinds, fields)], **kw)
 
@@ -437,7 +448,7 @@ def parse_netlist(text: str) -> Netlist:
         if head[0] not in _DEVICES:
             raise NetlistError(f"unknown device letter {head[0]!r} in {head!r}", lineno)
         try:
-            device = _read(_DEVICES[head[0]], head, toks[1:], lineno, head)
+            device = _read(_DEVICES[head[0]], head, toks[1:], lineno, _name(head, lineno))
         except NetlistError as exc:  # a device record's own check knows no line
             raise (exc if exc.lineno else NetlistError(str(exc), lineno)) from None
         lines[device.name] = lineno  # a duplicate name keeps its last line

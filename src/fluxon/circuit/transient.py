@@ -138,7 +138,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import PHI0
+from ..core import PHI0, csv_text
 from .netlist import (
     CurrentSource,
     Device,
@@ -696,6 +696,5 @@ def write_waveform_csv(fh, traces: TraceSet, netlist: Netlist) -> None:
             cols.append((f"v({name})", traces.node_voltage[name]))
         else:
             cols.append((f"phi({name})", traces.junction_phase[name]))
-    fh.write(",".join(["time_ps"] + [c[0] for c in cols]) + "\n")
     rows = np.column_stack([traces.time_ps] + [c[1] for c in cols]).tolist()
-    fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    fh.write(csv_text(["time_ps"] + [c[0] for c in cols], rows))

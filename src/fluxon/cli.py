@@ -35,7 +35,7 @@ from .circuit import (
     run_transient,
     write_waveform_csv,
 )
-from .core import SpikeTrain, write_event_log
+from .core import SpikeTrain, csv_text, json_text, write_event_log
 from .optimize import PsoConfig, margin_objective, pso_minimize
 
 log = logging.getLogger("fluxon.cli")
@@ -193,10 +193,7 @@ def cmd_train(cfg: dict, args) -> int:
         raise UserError(f"bad train config: {exc}") from None
     _write(out / "mlp.json", mlp.to_json())
     _write(out / "quantizer.json", quantizer.to_json())
-    _write(
-        out / "train_log.csv",
-        "epoch,loss\n" + "".join(f"{i},{repr(l)}\n" for i, l in enumerate(losses)),
-    )
+    _write(out / "train_log.csv", csv_text(("epoch", "loss"), enumerate(losses)))
     print(f"trained mlp: initial loss {losses[0]:.6f}, final loss {losses[-1]:.6f}")
     print(f"artifacts: {out/'mlp.json'}, {out/'quantizer.json'}, {out/'train_log.csv'}")
     return 0
@@ -226,11 +223,7 @@ def cmd_discretize(cfg: dict, args) -> int:
     y_train = trainmod.labels_of(train_s)
     spec, trace = trainmod.ga_discretize(mlp, Xq_train, y_train, ga_cfg)
     _write(out / "network.json", spec.to_json())
-    _write(
-        out / "ga_log.csv",
-        "generation,best_fitness,mean_fitness\n"
-        + "".join(f"{g},{repr(b)},{repr(m)}\n" for g, b, m in trace),
-    )
+    _write(out / "ga_log.csv", csv_text(("generation", "best_fitness", "mean_fitness"), trace))
 
     Xq_test = quantizer.apply(trainmod.features_of(test_s))
     m_train = snn.accuracy_metrics(spec, Xq_train, y_train)
@@ -244,14 +237,7 @@ def cmd_discretize(cfg: dict, args) -> int:
     pct = 100.0 * match / len(samples)
     print(f"train accuracy {m_train['accuracy']:.4f}, test accuracy {m_test['accuracy']:.4f}")
     print(f"spiking/discrete match: {match}/{len(samples)} ({pct:.1f}%)")
-    _write(
-        out / "metrics.json",
-        json.dumps(
-            {"train": m_train, "test": m_test, "spiking_match_pct": pct},
-            indent=2,
-            sort_keys=True,
-        ),
-    )
+    _write(out / "metrics.json", json_text({"train": m_train, "test": m_test, "spiking_match_pct": pct}))
     return 0
 
 
@@ -279,18 +265,9 @@ def cmd_simulate(cfg: dict, args) -> int:
             _log_spiking(1, t0)
             with open(out / "events.csv", "w") as fh:
                 write_event_log(fh, report.event_log)
-            _write(
-                out / "sim_report.json",
-                json.dumps(
-                    {
-                        "input": vec.tolist(),
-                        "outputs": [o.tolist() for o in report.outputs],
-                        "fired_class": report.fired_class,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                ),
-            )
+            outputs = [o.tolist() for o in report.outputs]
+            _write(out / "sim_report.json",
+                   json_text({"input": vec.tolist(), "outputs": outputs, "fired_class": report.fired_class}))
             print(f"input {vec.tolist()} -> fired_class {report.fired_class}")
             return 0
         # default: the quantized test partition, one row per unique vector
@@ -301,11 +278,11 @@ def cmd_simulate(cfg: dict, args) -> int:
         fired = [snn.simulate_spiking(spec, xv).fired_class for xv in inputs]
         ref = [snn.classify_outputs(bits) for bits in snn.evaluate_discrete(spec, inputs)[-1]]
         _log_spiking(len(inputs), t0)
-        rows = ["input,spiking_class,discrete_class,label"]
-        for xv, f, r, lab in zip(inputs.tolist(), fired, ref, trainmod.labels_of(test_s)[first].tolist()):
-            rows.append(f"\"{xv}\",{f},{r},{lab}")
+        rows = list(zip(inputs.tolist(), fired, ref, trainmod.labels_of(test_s)[first].tolist()))
+        for xv, f, r, lab in rows:
             print(f"{xv} -> spiking {f} discrete {r} label {lab}")
-        _write(out / "test_table.csv", "\n".join(rows) + "\n")
+        quoted = ((f'"{xv}"', *rest) for xv, *rest in rows)  # the vector's commas stay in one cell
+        _write(out / "test_table.csv", csv_text(("input", "spiking_class", "discrete_class", "label"), quoted))
         print(f"{len(inputs)} unique test vectors; spiking == discrete: {fired == ref}")
         return 0
     name = args.netlist or "soma2"
@@ -403,11 +380,10 @@ def cmd_margins(cfg: dict, args) -> int:
         except ValueError as exc:  # margin_scan checks the resolution before any transient
             raise UserError(f"bad margins config: {exc}") from None
         log.info("margins: %s in %.3f s", sel, time.perf_counter() - t0)
-    rows = ["param,low_pct,high_pct"]
-    for sel, (low, high) in zip(params, results):
-        rows.append(f"{sel},{low * 100:.1f},{high * 100:.1f}")
-        print(f"{sel}: -{low * 100:.1f}% / +{high * 100:.1f}%")
-    _write(out / "margins.csv", "\n".join(rows) + "\n")
+    rows = [(sel, f"{low * 100:.1f}", f"{high * 100:.1f}") for sel, (low, high) in zip(params, results)]
+    for sel, low, high in rows:
+        print(f"{sel}: -{low}% / +{high}%")
+    _write(out / "margins.csv", csv_text(("param", "low_pct", "high_pct"), rows))
     return 0
 
 
@@ -433,15 +409,8 @@ def cmd_pso(cfg: dict, args) -> int:
     best_x, best_f, trace = pso_minimize(obj, pso_cfg)
     n_evals = pso_cfg.n_particles * pso_cfg.n_iterations
     log.info("pso: %d evaluations in %.3f s", n_evals, time.perf_counter() - t0)
-    _write(
-        out / "pso_trace.csv",
-        "iteration,best_score,mean_score\n"
-        + "".join(f"{i},{repr(b)},{repr(m)}\n" for i, b, m in trace),
-    )
-    _write(
-        out / "pso_best.json",
-        json.dumps({"best_vector": list(best_x), "best_score": best_f}, indent=2, sort_keys=True),
-    )
+    _write(out / "pso_trace.csv", csv_text(("iteration", "best_score", "mean_score"), trace))
+    _write(out / "pso_best.json", json_text({"best_vector": list(best_x), "best_score": best_f}))
     print(f"pso best score {best_f:.6g} at {np.round(best_x, 6).tolist()}")
     return 0
 

@@ -1,16 +1,20 @@
-"""Shared event-level domain types used across the toolkit.
+"""Shared event-level domain types used across the toolkit, and the
+artifact format.
 
 Times are picoseconds as float64 throughout. Node identifiers are plain
 strings, hierarchical with '/' separators (e.g. "hidden/2/soma"). All
 types here are immutable values and safe to share between workers.
+
+Every JSON and CSV file the program writes is rendered by `json_text`
+or `csv_text`, so its bytes are laid out in one place.
 """
 
 from __future__ import annotations
 
-import csv
+import json
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 PHI0 = 2.068e-15   # magnetic flux quantum, Wb (fixed physical constant)
 DUP_TOL_PS = 1e-3  # events on one node closer than 1 fs collapse into one
@@ -68,9 +72,23 @@ def sorted_events(events: Iterable[PulseEvent]) -> list[PulseEvent]:
     return sorted(events, key=operator.attrgetter("time", "node"))
 
 
+def json_text(doc) -> str:
+    """A JSON artifact: two-space indent, sorted keys, no final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV artifact: the header line, then one line per row, each ended by LF.
+
+    Each cell is written with `str`, so a float is its shortest round-trip
+    repr. No cell is quoted: the names the program accepts hold no ',' or
+    '"', and a caller whose cell holds one passes it quoted. The lines are
+    joined column by column, which is the fastest form for long tables.
+    """
+    cells = [map(str, column) for column in zip(*rows)]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
+
+
 def write_event_log(fh: IO[str], events: Iterable[PulseEvent]) -> None:
     """Write the event-log CSV: header `time_ps,node`, rows sorted by time."""
-    w = csv.writer(fh)
-    w.writerow(["time_ps", "node"])
-    for ev in sorted_events(events):
-        w.writerow([repr(ev.time), ev.node])
+    fh.write(csv_text(("time_ps", "node"), ((ev.time, ev.node) for ev in sorted_events(events))))

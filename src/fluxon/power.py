@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, asdict
 from enum import Enum
 
-from .core import PHI0
+from .core import PHI0, json_text
 
 DEFAULT_COOLING_W_PER_W = 400.0
 AQFP_POWER_DIVISOR = 10.0  # adiabatic switching's saving over RSFQ
@@ -90,7 +90,7 @@ class PowerReport:
     sops_worst_case: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json_text(asdict(self))
 
 
 def total_power(inputs: PowerInputs) -> PowerReport:

@@ -5,8 +5,10 @@ layer with per-neuron pulse-count thresholds, and it is valid when its
 cells exist: every threshold has a soma cell (a key of
 behavioral.DEFAULT_T_MAX, 1..6), every weight lies in WEIGHT_RANGE, the
 range the SM2 and SM4 synapses realize, and the clock period is
-positive and finite. A value that is not an integer, such as a
-threshold of 1.7, is rejected, not truncated. Two engines evaluate it:
+finite and long enough for the BQ to emit every layer's largest
+threshold in pulses BQ_PULSE_SPACING_PS apart. A value that is not an
+integer, such as a threshold of 1.7, is rejected, not truncated. Two
+engines evaluate it:
 
 * evaluate_discrete -- per neuron u = sum(x_k * w_k), output 1 iff
   u >= theta. This is the offline reference.
@@ -28,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .behavioral import (
+    BQ_PULSE_SPACING_PS,
     DEFAULT_T_MAX,
     SYNAPSE_KINDS,
     SynapseConfig,
@@ -36,7 +39,7 @@ from .behavioral import (
     soma_for_threshold,
     synapse_contribution,
 )
-from .core import PulseEvent, sorted_events
+from .core import PulseEvent, json_text, sorted_events
 
 AMBIGUOUS = "ambiguous"
 
@@ -115,6 +118,11 @@ class NetworkSpec:
             # 2-input synapse; downstream layers see latched binaries.
             if i == 0 and layer.synapse != "SM4":
                 raise ValueError("layer 0 consumes inputs 0..2 and requires SM4 synapses")
+            # bq_quantize emits at most clock_ps // BQ_PULSE_SPACING_PS pulses a clock
+            need = BQ_PULSE_SPACING_PS * max(layer.thresholds, default=0)
+            if self.clock_ps < need:
+                raise ValueError(f"layer {i} has threshold {max(layer.thresholds)}, which needs clock_ps "
+                                 f">= {need:g}, got {self.clock_ps}")
             fan_in = layer.n_neurons
 
     @property
@@ -122,19 +130,9 @@ class NetworkSpec:
         return self.layers[-1].n_neurons
 
     def to_json(self) -> str:
-        doc = {
-            "input_dim": self.input_dim,
-            "clock_ps": self.clock_ps,
-            "layers": [
-                {
-                    "weights": layer.weights.tolist(),
-                    "thresholds": list(layer.thresholds),
-                    "synapse": layer.synapse,
-                }
-                for layer in self.layers
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        layers = [{"weights": layer.weights.tolist(), "thresholds": list(layer.thresholds),
+                   "synapse": layer.synapse} for layer in self.layers]
+        return json_text({"input_dim": self.input_dim, "clock_ps": self.clock_ps, "layers": layers})
 
     @staticmethod
     def from_json(text: str) -> "NetworkSpec":

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .behavioral import DEFAULT_T_MAX
+from .core import json_text
 from .snn import WEIGHT_RANGE, LayerSpec, NetworkSpec
 
 log = logging.getLogger("fluxon.train")
@@ -75,27 +76,20 @@ def split_dataset(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must lie in (0,1), got {train_fraction}")
     rng = np.random.default_rng(seed)
+    if stratified:  # one group per label, in label order
+        groups = {f"class {lab}": [s for s in samples if s.label == lab]
+                  for lab in sorted({s.label for s in samples})}
+    else:
+        groups = {"the split": list(samples)}
     train: list[Sample] = []
     test: list[Sample] = []
-    if stratified:
-        labels = sorted({s.label for s in samples})
-        for lab in labels:
-            group = [s for s in samples if s.label == lab]
-            order = rng.permutation(len(group))
-            n_train = round(len(group) * train_fraction)
-            if n_train == 0 or n_train == len(group):
-                raise ValueError(
-                    f"fraction {train_fraction} empties one side of class {lab}"
-                )
-            train.extend(group[i] for i in order[:n_train])
-            test.extend(group[i] for i in order[n_train:])
-    else:
-        order = rng.permutation(len(samples))
-        n_train = round(len(samples) * train_fraction)
-        if n_train == 0 or n_train == len(samples):
-            raise ValueError(f"fraction {train_fraction} empties one side of the split")
-        train = [samples[i] for i in order[:n_train]]
-        test = [samples[i] for i in order[n_train:]]
+    for what, group in groups.items():
+        order = rng.permutation(len(group))
+        n_train = round(len(group) * train_fraction)
+        if n_train == 0 or n_train == len(group):
+            raise ValueError(f"fraction {train_fraction} empties one side of {what}")
+        train.extend(group[i] for i in order[:n_train])
+        test.extend(group[i] for i in order[n_train:])
     return train, test
 
 
@@ -115,7 +109,7 @@ class FeatureQuantizer:
         return ((X >= lo).astype(int) + (X >= hi).astype(int))
 
     def to_json(self) -> str:
-        return json.dumps({"cuts": self.cuts.tolist()}, indent=2, sort_keys=True)
+        return json_text({"cuts": self.cuts.tolist()})
 
     @staticmethod
     def from_json(text: str) -> "FeatureQuantizer":
@@ -181,13 +175,7 @@ class RealMlp:
         return H, O
 
     def to_json(self) -> str:
-        doc = {
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2.tolist(),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json_text({k: getattr(self, k).tolist() for k in ("w1", "b1", "w2", "b2")})
 
     @staticmethod
     def from_json(text: str) -> "RealMlp":

@@ -367,6 +367,15 @@ class TestSimulate:
         assert err.startswith("error: line 3: .tran step and stop must be positive and finite")
         assert "internal error" not in err
 
+    def test_comma_name_exits_2_before_any_artifact(self, tmp_path, capsys):
+        cir = tmp_path / "comma.cir"
+        cir.write_text("i1 0 a,b pulse 10 5 10 5 300u\nr1 a,b 0 2\nb1,x a,b 0 ic=100u\n.tran 0.1 60\n"
+                       ".print v(a,b) phi(b1,x)\n")
+        assert run("--out", str(tmp_path / "out"), "simulate", "--mode", "circuit",
+                   "--netlist", str(cir)) == 2
+        assert_clean_error(capsys, "error: line 1: name 'a,b' may not hold")
+        assert not list((tmp_path / "out").iterdir())
+
     def test_unknown_phase_print_exits_2(self, tmp_path, capsys):
         cir = tmp_path / "bzz.cir"
         cir.write_text("b1 1 0 ic=100u\ni1 0 1 dc 50u\n.tran 0.1 1\n.print phi(bzz)\n")
@@ -651,6 +660,8 @@ SOPS_NULL = {"name": "x", "n_cells": 1, "ic_a": 1e-4, "clock_hz": 1e9, "static_o
     ({"dataset": "{tmp}/iris.csv"}, {"iris.csv": "\n  \n"}, ["train"], "error: dataset is empty"),
     ({"dataset": "{tmp}/iris.csv"}, {"iris.csv": "5.1,3.5,1.4,0.2,Iris-setosa\n5.1,abc,1.4,0.2,Iris-setosa\n"},
      ["train"], "line 2: bad feature value"),
+    ({}, {"out/network.json": network_with(clock_ps=99)}, SIMULATE,  # the BQ emits at most 99 // 20 = 4 pulses
+     BAD_NET + "layer 0 has threshold 5, which needs clock_ps >= 100, got 99"),
 ])
 def test_malformed_input_exits_2_naming_the_key(tmp_path, capsys, cfg, files, argv, message):
     for name, doc in files.items():
@@ -673,3 +684,19 @@ def test_negative_seed_exits_2_before_any_stage(tmp_path, capsys, command, where
     assert run("--config", str(cfg), "--out", str(out), *seed, *command) == 2
     assert_clean_error(capsys, "error: bad config: seed must be >= 0, got -1")
     assert not out.exists()
+
+
+def test_no_artifact_holds_a_carriage_return(tmp_path, fast_config):
+    """Every file the writing commands leave ends its lines with LF alone."""
+    out = tmp_path / "out"
+    assert run("--config", fast_config, "--out", str(out), "reproduce-paper") in (0, 1)
+    assert run("--config", fast_config, "--out", str(out), "simulate", "--input", "1,2,0,1") == 0
+    assert run("--out", str(out), "margins") == 0
+    assert run_with_config(tmp_path, SMALL_SWARM, "pso") == 0
+    for cell in cli.NETLISTS:
+        assert run("--out", str(tmp_path / cell), "simulate", "--mode", "circuit", "--netlist", cell) == 0
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.name != "config.json")
+    names = {p.name for p in files}
+    assert {"events.csv", "pulses.csv", "waveform.csv", "test_table.csv", "margins.csv", "pso_trace.csv",
+            "pso_best.json", "sim_report.json", "metrics.json", "train_log.csv"} <= names
+    assert [p.name for p in files if b"\r" in p.read_bytes()] == []

@@ -6,6 +6,8 @@ from fluxon.core import (
     PHI0,
     PulseEvent,
     SpikeTrain,
+    csv_text,
+    json_text,
     write_event_log,
 )
 
@@ -30,4 +32,14 @@ def test_event_log_roundtrip():
     write_event_log(buf, events)
     # rows sorted by time, ties broken by node name
     assert buf.getvalue().splitlines() == ["time_ps,node", "1.5,a/0", "1.5,b", "3.25,a/1"]
+    assert "\r" not in buf.getvalue()
 
+
+def test_csv_text_writes_cells_with_str_and_ends_lines_with_lf():
+    rows = [(0, 0.1 + 0.2, "a/0"), (1, 1e-300, "b"), (2, float("inf"), None)]
+    assert csv_text(("i", "x", "node"), iter(rows)) == "i,x,node\n0,0.30000000000000004,a/0\n1,1e-300,b\n2,inf,None\n"
+    assert csv_text(["time_ps", "node"], []) == "time_ps,node\n"
+
+
+def test_json_text_indents_two_and_sorts_keys():
+    assert json_text({"b": [1, 2.5], "a": None}) == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}'

@@ -49,6 +49,9 @@ class TestValues:
             ("1g", 1e9),
             ("1t", 1e12),
             ("4.7GHz", 4.7e9),
+            ("5mil", 127e-6),  # SPICE's thousandth of an inch, read before milli
+            ("2MIL", 50.8e-6),
+            ("1mils", 25.4e-6),
         ],
     )
     def test_suffixes(self, token, value):
@@ -348,7 +351,7 @@ _LINES = [
 _TOKENS = [
     "0", "1", "l1", "l9", "b1", "x1", "dc", "pulse", "-1", "1e999", "5e-324", "100u", "abc",
     "ic=0", "ic=-1", "ic=1e999", "rn=0", "cap=-1p", "ic=", "q=1", "v()", "*", ".op",
-    "sin", "ptrain", "2.5", "3p", "1meg", "rn=1", "cap=2p",
+    "sin", "ptrain", "2.5", "3p", "1meg", "rn=1", "cap=2p", "ic=1u", "5mil", "a,b", 'b"1',
 ]
 
 
@@ -455,7 +458,10 @@ def test_valid_netlists_round_trip_through_selectors(text, factor):
 # The reference is the parser as it was before its table: one branch per
 # device letter and per waveform shape, each with its own arity check and
 # field conversions. It reads numbers through the module's own parse_value
-# and parse_time_ps, so both parsers share the number grammar.
+# and parse_time_ps, so both parsers share the number grammar. It also
+# takes the two rules the dialect gained after the table: a name holds no
+# ',' or '"', and a key= may not repeat. The fuzz draws both, so the two
+# parsers are compared on them rather than the draws being filtered.
 
 
 def reference_parse_source(kind, name, toks, lineno):
@@ -492,12 +498,17 @@ def reference_keyword_args(toks, lineno):
         if "=" not in tok:
             raise NetlistError(f"expected key=value, got {tok!r}", lineno)
         key, val = tok.split("=", 1)
+        if key in out:
+            raise NetlistError(f"repeated {key}=", lineno)
         out[key] = parse_value(val, lineno)
     return out
 
 
 def reference_parse_device(head, body, lineno):
     letter, name = head[0], head
+    for tok in (head, *body[:2]):  # the device name and its two nodes or inductors
+        if "," in tok or '"' in tok:
+            raise NetlistError(f"name {tok!r} holds ',' or '\"'", lineno)
     if letter == "b":
         if len(body) < 3:
             raise NetlistError(f"junction {name}: missing fields", lineno)
@@ -617,12 +628,26 @@ def test_table_parses_as_the_reference_branches(text):
         ("i1 0 1 b 1 2", "i1: unknown waveform 'b'"),  # a device letter is no shape
         ("q1 1 0 5", "unknown device letter 'q' in 'q1'"),
         (".tran 0.1", ".tran: takes 2 fields, got 1"),
+        ("b1 1 0 ic=100u ic=50u", "b1: ic= is given twice"),  # not a 50 uA junction
+        ("l1 1 0 2p ic=1u ic=1u", "l1: ic= is given twice"),
+        ("r2,x 1 0 1", "name 'r2,x' may not hold ',' or '\"'"),  # a waveform header or event-log cell
+        ("r2 1 a,b 1", "name 'a,b' may not hold"),
+        ('b1 a"b 0 ic=100u', "name 'a\"b' may not hold"),
+        ("k1 r1 l,9 1p", "name 'l,9' may not hold"),
     ],
 )
 def test_table_errors_name_their_line(text, message):
     with pytest.raises(NetlistError, match=f"^line 2: {re.escape(message)}") as exc:
         parse_netlist(f"r1 1 0 1\n{text}\nl9 1 0 1p")
     assert exc.value.lineno == 2
+
+
+def test_comma_names_fail_before_any_artifact():
+    # this netlist ran, and its waveform.csv header `time_ps,v(a,b),phi(b1,x)` read as 5 columns
+    text = "i1 0 a,b pulse 10 5 10 5 300u\nr1 a,b 0 2\nb1,x a,b 0 ic=100u\n.tran 0.1 60\n.print v(a,b) phi(b1,x)"
+    with pytest.raises(NetlistError, match="^line 1: name 'a,b' may not hold") as exc:
+        parse_netlist(text)
+    assert exc.value.lineno == 1
 
 
 def test_optional_fields_may_be_omitted():

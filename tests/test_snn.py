@@ -7,6 +7,7 @@ import pytest
 
 from conftest import all_ternary_inputs, random_spec
 from fluxon.behavioral import (
+    BQ_PULSE_SPACING_PS,
     DEFAULT_T_MAX,
     SynapseConfig,
     bq_quantize,
@@ -334,6 +335,28 @@ class TestSpecValidation:
         layer = LayerSpec(np.ones((1, 4), dtype=int), (1,), "SM4")
         with pytest.raises(ValueError, match="clock_ps must be positive and finite"):
             NetworkSpec(4, (layer,), clock_ps=clock)
+
+    @pytest.mark.parametrize("clock", [119.0, 100.0, 60.0])
+    def test_clock_must_carry_the_largest_threshold_in_bq_pulses(self, clock):
+        # bq_quantize emits at most clock // 20 pulses: at 119 ps a threshold of 6 could never fire
+        layer = LayerSpec(np.full((1, 4), 2), (6,), "SM4")
+        with pytest.raises(ValueError, match=f"^layer 0 has threshold 6, which needs clock_ps >= 120, got {clock}$"):
+            NetworkSpec(4, (layer,), clock_ps=clock)
+        hidden = LayerSpec(np.full((2, 4), 2), (1, 2), "SM4")
+        with pytest.raises(ValueError, match="^layer 1 has threshold 6, "):
+            NetworkSpec(4, (hidden, LayerSpec(np.ones((1, 2), dtype=int), (6,), "SM2")), clock_ps=clock)
+
+    def test_shortest_clock_keeps_spiking_equal_to_discrete(self):
+        # one neuron of weights [2, 2, 2, 2] over every input and threshold, at the shortest clock each allows
+        for theta in DEFAULT_T_MAX:
+            spec = NetworkSpec(4, (LayerSpec(np.full((1, 4), 2), (theta,), "SM4"),),
+                               clock_ps=BQ_PULSE_SPACING_PS * theta)
+            for x in all_ternary_inputs():
+                assert np.array_equal(simulate_spiking(spec, x).final_outputs, evaluate_discrete(spec, x)[-1])
+
+    def test_soma_windows_span_the_bq_spacing(self):
+        # a soma cell must see two BQ pulses one spacing apart inside its window
+        assert min(DEFAULT_T_MAX.values()) >= BQ_PULSE_SPACING_PS
 
     def test_needs_a_layer(self):
         with pytest.raises(ValueError, match="layers must hold at least one layer"):

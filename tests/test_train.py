@@ -65,6 +65,25 @@ class TestLoadIris:
             assert sum(1 for s in iris_samples if s.label == lab) == 50
 
 
+def reference_split(samples, train_fraction, seed, stratified):
+    """The two branches the one loop of split_dataset replaced, fraction checks left out."""
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    if stratified:
+        for lab in sorted({s.label for s in samples}):
+            group = [s for s in samples if s.label == lab]
+            order = rng.permutation(len(group))
+            n_train = round(len(group) * train_fraction)
+            train.extend(group[i] for i in order[:n_train])
+            test.extend(group[i] for i in order[n_train:])
+    else:
+        order = rng.permutation(len(samples))
+        n_train = round(len(samples) * train_fraction)
+        train = [samples[i] for i in order[:n_train]]
+        test = [samples[i] for i in order[n_train:]]
+    return train, test
+
+
 class TestSplit:
     def test_stratified_ratios(self, iris_samples):
         train, test = split_dataset(iris_samples, 0.8, 0)
@@ -82,10 +101,17 @@ class TestSplit:
         train, test = split_dataset(iris_samples, 0.5, 1, stratified=False)
         assert len(train) == 75 and len(test) == 75
 
+    @pytest.mark.parametrize("stratified", [True, False])
+    @pytest.mark.parametrize("fraction,seed", [(0.8, 11), (0.5, 1), (0.3, 42)])
+    def test_one_loop_draws_as_the_two_branches(self, iris_samples, stratified, fraction, seed):
+        want = reference_split(iris_samples, fraction, seed, stratified)
+        assert split_dataset(iris_samples, fraction, seed, stratified) == want
+
     def test_degenerate_fraction(self, iris_samples):
         for fraction in (0.999, 0.001):
             for stratified in (True, False):  # the plain split checks both sides too
-                with pytest.raises(ValueError, match=f"fraction {fraction} empties one side of "):
+                where = "class 0" if stratified else "the split"
+                with pytest.raises(ValueError, match=f"^fraction {fraction} empties one side of {where}$"):
                     split_dataset(iris_samples, fraction, 0, stratified)
 
 
