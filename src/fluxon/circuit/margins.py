@@ -57,6 +57,15 @@ class MarginError(ValueError):
     pass
 
 
+def margin_nominal(netlist: Netlist, param: str) -> float:
+    """Nominal value of `param`; a bad selector raises KeyError and a zero
+    nominal, which has no relative margins, MarginError."""
+    nominal = netlist.resolve_selector(param)[2]
+    if nominal == 0:
+        raise MarginError(f"{param} is 0 at nominal, so it has no relative margins")
+    return nominal
+
+
 def margin_scan(
     netlist: Netlist,
     param: str,
@@ -70,7 +79,7 @@ def margin_scan(
     """
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution {resolution} must be positive and finite")
-    _, _, nominal = netlist.resolve_selector(param)
+    nominal = margin_nominal(netlist, param)
     passed: dict[float, bool] = {}  # signed fraction -> pass_test result
     batches = steps = 0
 

@@ -14,7 +14,7 @@ Grammar (line oriented, case-insensitive, '*' starts a comment):
     .tran <step> <stop>
     .print v(<node>) | phi(<junction>) ...
 
-Element values carry the SPICE suffixes f, p, n, u, m, k, meg, g, t and
+Element values carry the SPICE suffixes a, f, p, n, u, m, k, meg, g, t and
 mil (meg, 1e6, and mil, 25.4e-6, are read before m); letters after one
 name a unit and are ignored, so `0.4pF` is 0.4e-12 and `1megohm` 1e6.
 Time-valued fields (waveform delays/widths/periods and .tran settings)
@@ -52,27 +52,30 @@ class NetlistError(ValueError):
 
 
 _NUMBER_RE = re.compile(
-    r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)(meg|mil|[fpnumkgt]?)([a-z]*)$"
+    r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)(meg|mil|[afpnumkgt]?)([a-z]*)$"
 )
-_SUFFIX = {"f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "meg": 1e6, "g": 1e9,
-           "t": 1e12, "mil": 25.4e-6, "": 1.0}
+_SUFFIX = {"a": 1e-18, "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "meg": 1e6,
+           "g": 1e9, "t": 1e12, "mil": 25.4e-6, "": 1.0}
+
+
+def _number(token: str, what: str, lineno: int | None) -> tuple[float, str]:
+    """The mantissa and SPICE suffix of a numeric token."""
+    m = _NUMBER_RE.match(token.strip().lower())
+    if not m:
+        raise NetlistError(f"bad {what} value {token!r}", lineno)
+    return float(m.group(1)), m.group(2)
 
 
 def parse_value(token: str, lineno: int | None = None) -> float:
     """Parse `109u`, `30.12p`, `6.1`, or `0.4pF` into an SI float."""
-    m = _NUMBER_RE.match(token.strip().lower())
-    if not m:
-        raise NetlistError(f"bad numeric value {token!r}", lineno)
-    return float(m.group(1)) * _SUFFIX[m.group(2)]
+    base, suffix = _number(token, "numeric", lineno)
+    return base * _SUFFIX[suffix]
 
 
 def parse_time_ps(token: str, lineno: int | None = None) -> float:
     """Times are picoseconds when bare; suffixed values are seconds."""
-    m = _NUMBER_RE.match(token.strip().lower())
-    if not m:
-        raise NetlistError(f"bad time value {token!r}", lineno)
-    base = float(m.group(1))
-    return base * _SUFFIX[m.group(2)] * 1e12 if m.group(2) else base
+    base, suffix = _number(token, "time", lineno)
+    return base * _SUFFIX[suffix] * 1e12 if suffix else base
 
 
 # --- waveforms ------------------------------------------------------------

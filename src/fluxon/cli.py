@@ -30,6 +30,7 @@ from .circuit import (
     MarginError,
     NetlistError,
     detect_pulses_in,
+    margin_nominal,
     margin_scan,
     parse_netlist,
     run_transient,
@@ -211,6 +212,14 @@ def _log_spiking(n: int, t0: float) -> None:
     log.info("spiking: %d inputs in %.3f s (%.1f µs/input)", n, dt, 1e6 * dt / max(n, 1))
 
 
+def _both_engines(spec: snn.NetworkSpec, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Final-layer bits of each input row from the logged spiking pass, then from the discrete evaluator."""
+    t0 = time.perf_counter()
+    spiking = np.array([snn.simulate_spiking(spec, xv).final_outputs for xv in inputs])
+    _log_spiking(len(inputs), t0)
+    return spiking, snn.evaluate_discrete(spec, inputs)[-1]
+
+
 def cmd_discretize(cfg: dict, args) -> int:
     ga_cfg = _ga_config(cfg)
     out = Path(cfg["out_dir"])
@@ -229,11 +238,9 @@ def cmd_discretize(cfg: dict, args) -> int:
     m_train = snn.accuracy_metrics(spec, Xq_train, y_train)
     m_test = snn.accuracy_metrics(spec, Xq_test, trainmod.labels_of(test_s))
     Xq_all = quantizer.apply(trainmod.features_of(samples))
-    t0 = time.perf_counter()
     rows, counts = np.unique(Xq_all, axis=0, return_counts=True)  # each distinct input once
-    got = np.array([snn.simulate_spiking(spec, xv).final_outputs for xv in rows])
-    match = int(counts[(got == snn.evaluate_discrete(spec, rows)[-1]).all(axis=1)].sum())
-    _log_spiking(len(rows), t0)
+    spiking, discrete = _both_engines(spec, rows)
+    match = int(counts[(spiking == discrete).all(axis=1)].sum())
     pct = 100.0 * match / len(samples)
     print(f"train accuracy {m_train['accuracy']:.4f}, test accuracy {m_test['accuracy']:.4f}")
     print(f"spiking/discrete match: {match}/{len(samples)} ({pct:.1f}%)")
@@ -274,10 +281,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         _, _, test_s, quantizer, _ = _dataset(cfg)
         Xq = quantizer.apply(trainmod.features_of(test_s))
         inputs, first = np.unique(Xq, axis=0, return_index=True)  # sorted, each with its first label
-        t0 = time.perf_counter()
-        fired = [snn.simulate_spiking(spec, xv).fired_class for xv in inputs]
-        ref = [snn.classify_outputs(bits) for bits in snn.evaluate_discrete(spec, inputs)[-1]]
-        _log_spiking(len(inputs), t0)
+        fired, ref = ([snn.classify_outputs(bits) for bits in eng] for eng in _both_engines(spec, inputs))
         rows = list(zip(inputs.tolist(), fired, ref, trainmod.labels_of(test_s)[first].tolist()))
         for xv, f, r, lab in rows:
             print(f"{xv} -> spiking {f} discrete {r} label {lab}")
@@ -357,11 +361,9 @@ def _margins_setup(cfg: dict, args):
     netlist = parse_netlist(read_input("netlist", name, NETLISTS))
     for sel in params:
         try:
-            _, _, nominal = netlist.resolve_selector(sel)
+            margin_nominal(netlist, sel)
         except KeyError as exc:
             raise UserError(exc.args[0]) from None
-        if nominal == 0:
-            raise UserError(f"{sel} is 0 at nominal, so it has no relative margins")
     if junction not in {d.name for d in netlist.devices if isinstance(d, Junction)}:
         raise UserError(f"bad margins config: junction {junction!r} is not a junction of {name}")
     return netlist, params, lambda traces: len(detect_pulses_in(traces, junction)) == count
@@ -394,7 +396,7 @@ def cmd_pso(cfg: dict, args) -> int:
     params = params if args.params else params[:1]  # the first of margins.params
     if len(params) != 1:
         raise UserError(f"pso tunes exactly one parameter, got {len(params)}: {params}")
-    _, _, nominal = netlist.resolve_selector(params[0])
+    nominal = margin_nominal(netlist, params[0])
     obj = margin_objective(netlist, params, pass_test, resolution=0.05)
     try:
         pso_cfg = PsoConfig(

@@ -82,25 +82,21 @@ def pso_minimize(
 
     x = lo + rng.random((cfg.n_particles, len(cfg.bounds))) * span
     v = (rng.random(x.shape) - 0.5) * 2.0 * vmax
-    scores = evaluate(x)
-    pbest = x.copy()
-    pbest_scores = scores.copy()
-    g = int(np.argmin(scores))
-    gbest, gbest_score = x[g].copy(), float(scores[g])
-    trace = [(0, gbest_score, float(np.mean(scores)))]
-
-    for it in range(1, cfg.n_iterations):
-        r1 = rng.random(x.shape)
-        r2 = rng.random(x.shape)
-        v = INERTIA * v + ACCELERATION * r1 * (pbest - x) + ACCELERATION * r2 * (gbest - x)
-        v = np.clip(v, -vmax, vmax)
-        x, v = _reflect(x + v, v, lo, hi)
+    pbest, pbest_scores = x.copy(), np.full(cfg.n_particles, np.inf)
+    gbest, gbest_score, trace = None, np.inf, []
+    for it in range(cfg.n_iterations):  # iteration 0 evaluates the initial swarm
+        if it > 0:
+            r1 = rng.random(x.shape)
+            r2 = rng.random(x.shape)
+            v = INERTIA * v + ACCELERATION * r1 * (pbest - x) + ACCELERATION * r2 * (gbest - x)
+            v = np.clip(v, -vmax, vmax)
+            x, v = _reflect(x + v, v, lo, hi)
         scores = evaluate(x)
         improved = scores < pbest_scores
         pbest[improved] = x[improved]
         pbest_scores[improved] = scores[improved]
         g = int(np.argmin(pbest_scores))
-        if pbest_scores[g] < gbest_score:
+        if gbest is None or pbest_scores[g] < gbest_score:
             gbest, gbest_score = pbest[g].copy(), float(pbest_scores[g])
         trace.append((it, gbest_score, float(np.mean(scores))))
 

@@ -93,24 +93,20 @@ class PowerReport:
         return json_text(asdict(self))
 
 
+def _report(name: str, energy: float, dyn: float, static: float, cooling: float, sops: float,
+            divisor: float = 1.0, worst_case: float = 0.0) -> PowerReport:
+    """The power chain: on-chip = dynamic + static, total = on-chip * cooling / divisor, SOPS per total W."""
+    on_chip = dyn + static
+    total = on_chip * cooling / divisor
+    spw = sops / total if total > 0 else 0.0
+    return PowerReport(name, energy, dyn, static, on_chip, total, sops, spw, worst_case)
+
+
 def total_power(inputs: PowerInputs) -> PowerReport:
     """Full report: on-chip = dynamic + static, total = on-chip * cooling."""
-    e = energy_per_pulse(inputs.ic)
-    dyn = dynamic_power(inputs.n_switching_cells, inputs.ic, inputs.clock)
-    on_chip = dyn + inputs.static_on_chip
-    total = on_chip * inputs.cooling_overhead
-    sops = inputs.sops_rated
-    return PowerReport(
-        name=inputs.name,
-        energy_per_pulse_j=e,
-        dynamic_w=dyn,
-        static_on_chip_w=inputs.static_on_chip,
-        on_chip_w=on_chip,
-        total_w=total,
-        sops=sops,
-        sops_per_watt=sops / total if total > 0 else 0.0,
-        sops_worst_case=inputs.n_switching_cells * inputs.clock,
-    )
+    n, ic, clock = inputs.n_switching_cells, inputs.ic, inputs.clock
+    return _report(inputs.name, energy_per_pulse(ic), dynamic_power(n, ic, clock), inputs.static_on_chip,
+                   inputs.cooling_overhead, inputs.sops_rated, worst_case=n * clock)
 
 
 def scale_projection(
@@ -133,22 +129,7 @@ def scale_projection(
     if cores < 1 or neurons_per_core < 1:
         raise ValueError("counts must be positive")
     tech = Technology(technology)
-    static = cores * per_core_static_w
-    dyn = cores * (per_core_power_w - per_core_static_w)
-    if tech in (Technology.ERSFQ, Technology.AQFP):
-        static = 0.0
-    on_chip = dyn + static
-    total = on_chip * cooling_overhead
-    if tech is Technology.AQFP:
-        total /= AQFP_POWER_DIVISOR
-    sops = cores * per_core_sops
-    return PowerReport(
-        name=f"{cores}x{neurons_per_core}-{tech.value}",
-        energy_per_pulse_j=0.0,
-        dynamic_w=dyn,
-        static_on_chip_w=static,
-        on_chip_w=on_chip,
-        total_w=total,
-        sops=sops,
-        sops_per_watt=sops / total if total > 0 else 0.0,
-    )
+    static = 0.0 if tech in (Technology.ERSFQ, Technology.AQFP) else cores * per_core_static_w
+    divisor = AQFP_POWER_DIVISOR if tech is Technology.AQFP else 1.0
+    return _report(f"{cores}x{neurons_per_core}-{tech.value}", 0.0, cores * (per_core_power_w - per_core_static_w),
+                   static, cooling_overhead, cores * per_core_sops, divisor)

@@ -468,36 +468,32 @@ def ga_discretize(
         pop[i, :n] = 1.0
         pop[i, n:] = t
 
-    acc, key = score(pop)
-    order = np.argsort(key, kind="stable")
-    i = order[0]
-    best = (key[i], acc[i], pop[i])
-    trace = [(0, float(acc[i]), float(np.mean(acc)))]
-
     n_children = P - cfg.elitism
     child, pair = np.arange(n_children)[:, None], np.arange(2)
-    for gen in range(1, cfg.generations + 1):
-        cands = rng.integers(0, P, size=(n_children, 2, 3))
-        cross = rng.random(n_children) < cfg.crossover_rate
-        cross = (rng.random((n_children, n)) < 0.5) & cross[:, None]
-        mut_s = rng.random((n_children, n)) < cfg.mutation_rate
-        mut_t = rng.random((n_children, n)) < cfg.mutation_rate
-        deltas = rng.normal(0.0, 0.35, np.count_nonzero(mut_s))
-        resets = rng.integers(0, len(thr_set), np.count_nonzero(mut_t))
+    best, trace = None, []
+    for gen in range(cfg.generations + 1):  # generation 0 is the initial population
+        if gen > 0:
+            cands = rng.integers(0, P, size=(n_children, 2, 3))
+            cross = rng.random(n_children) < cfg.crossover_rate
+            cross = (rng.random((n_children, n)) < 0.5) & cross[:, None]
+            mut_s = rng.random((n_children, n)) < cfg.mutation_rate
+            mut_t = rng.random((n_children, n)) < cfg.mutation_rate
+            deltas = rng.normal(0.0, 0.35, np.count_nonzero(mut_s))
+            resets = rng.integers(0, len(thr_set), np.count_nonzero(mut_t))
 
-        # the first fittest of each three candidates
-        pa, pb = cands[child, pair, key[cands].argmin(axis=2)].T
-        # A neuron's scale and threshold cross over together.
-        children = np.where(np.concatenate([cross, cross], axis=1), pop[pb], pop[pa])
-        scales, thresholds = children[:, :n], children[:, n:]
-        scales[mut_s] = np.clip(scales[mut_s] * np.exp(deltas), s_lo, s_hi)
-        thresholds[mut_t] = thr_set[resets]
-        pop = np.concatenate([pop[order[: cfg.elitism]], children])
+            # the first fittest of each three candidates
+            pa, pb = cands[child, pair, key[cands].argmin(axis=2)].T
+            # A neuron's scale and threshold cross over together.
+            children = np.where(np.concatenate([cross, cross], axis=1), pop[pb], pop[pa])
+            scales, thresholds = children[:, :n], children[:, n:]
+            scales[mut_s] = np.clip(scales[mut_s] * np.exp(deltas), s_lo, s_hi)
+            thresholds[mut_t] = thr_set[resets]
+            pop = np.concatenate([pop[order[: cfg.elitism]], children])
 
         acc, key = score(pop)
         order = np.argsort(key, kind="stable")
         i = order[0]
-        if key[i] < best[0]:
+        if best is None or key[i] < best[0]:
             best = (key[i], acc[i], pop[i])
         trace.append((gen, float(best[1]), float(np.mean(acc))))
 

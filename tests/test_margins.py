@@ -207,3 +207,18 @@ def test_island_beyond_the_first_failure_is_not_margin(divider, param):
     low, high = margin_scan(divider, param, pass_test, resolution=0.01)
     assert low == pytest.approx(0.45, abs=0.01) and low < 0.45
     assert high == 0.9
+
+
+def test_zero_nominal_raises_before_any_transient(monkeypatch):
+    # soma2's loop inductor has no ic; scaling 0 leaves every variant the nominal circuit
+    soma2 = parse_netlist(resources.files("fluxon.data").joinpath("netlists/soma2.cir").read_text())
+
+    def no_transient(*args, **kwargs):
+        raise AssertionError("a zero nominal ran a transient")
+
+    monkeypatch.setattr(margins, "run_transients", no_transient)
+    with pytest.raises(MarginError, match=r"^lloop\.ic is 0 at nominal, so it has no relative margins$"):
+        margin_scan(soma2, "lloop.ic", lambda tr: True)
+    assert margins.margin_nominal(soma2, "b2.ic") == soma2.resolve_selector("b2.ic")[2]
+    with pytest.raises(KeyError):
+        margins.margin_nominal(soma2, "b2.name")

@@ -61,6 +61,18 @@ class TestValues:
         with pytest.raises(NetlistError):
             parse_value("abc")
 
+    def test_atto(self):
+        # SPICE reads `a` as atto; the suffix is matched before a unit, so `100ua` stays micro
+        assert parse_value("2a") == 2e-18
+        assert parse_value("100ua") == parse_value("100u")
+        assert parse_time_ps("3a") == pytest.approx(3e-6, rel=1e-12)
+
+    def test_both_readers_name_their_kind(self):
+        with pytest.raises(NetlistError, match="^line 4: bad numeric value '1.2.3'"):
+            parse_value("1.2.3", 4)
+        with pytest.raises(NetlistError, match="^line 5: bad time value '1.2.3'"):
+            parse_time_ps("1.2.3", 5)
+
 
 class TestParse:
     def test_junction_with_fields(self):

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fluxon.optimize import NOMINAL_FAIL_PENALTY, PsoConfig, _reflect, margin_objective, pso_minimize
+from fluxon.optimize import (
+    ACCELERATION,
+    INERTIA,
+    NOMINAL_FAIL_PENALTY,
+    VMAX_FRACTION,
+    PsoConfig,
+    _reflect,
+    margin_objective,
+    pso_minimize,
+)
 
 
 def sphere(x):
@@ -110,6 +119,69 @@ def test_one_pass_reflect_matches_the_loop(swarm):
     got_x, got_v = _reflect(x, v, lo, hi)
     want_x, want_v = reference_reflect(x, v, lo, hi)
     assert np.array_equal(got_x, want_x) and np.array_equal(got_v, want_v)
+
+
+def reference_pso_minimize(obj, cfg):
+    """The former swarm loop: the initial swarm scored and ranked before the loop."""
+
+    def evaluate(block):
+        scores = np.asarray([obj(p) for p in block], dtype=float)
+        return np.where(np.isnan(scores), np.inf, scores)
+
+    rng = np.random.default_rng(cfg.seed)
+    lo = np.asarray([b[0] for b in cfg.bounds])
+    hi = np.asarray([b[1] for b in cfg.bounds])
+    span = hi - lo
+    vmax = VMAX_FRACTION * span
+    x = lo + rng.random((cfg.n_particles, len(cfg.bounds))) * span
+    v = (rng.random(x.shape) - 0.5) * 2.0 * vmax
+    scores = evaluate(x)
+    pbest = x.copy()
+    pbest_scores = scores.copy()
+    g = int(np.argmin(scores))
+    gbest, gbest_score = x[g].copy(), float(scores[g])
+    trace = [(0, gbest_score, float(np.mean(scores)))]
+    for it in range(1, cfg.n_iterations):
+        r1 = rng.random(x.shape)
+        r2 = rng.random(x.shape)
+        v = INERTIA * v + ACCELERATION * r1 * (pbest - x) + ACCELERATION * r2 * (gbest - x)
+        v = np.clip(v, -vmax, vmax)
+        x, v = _reflect(x + v, v, lo, hi)
+        scores = evaluate(x)
+        improved = scores < pbest_scores
+        pbest[improved] = x[improved]
+        pbest_scores[improved] = scores[improved]
+        g = int(np.argmin(pbest_scores))
+        if pbest_scores[g] < gbest_score:
+            gbest, gbest_score = pbest[g].copy(), float(pbest_scores[g])
+        trace.append((it, gbest_score, float(np.mean(scores))))
+    return gbest, gbest_score, trace
+
+
+def nan_first_swarm(n_particles):
+    """An objective NaN on its first n_particles calls, the whole initial swarm, then the sphere."""
+    calls = []
+
+    def obj(x):
+        calls.append(None)
+        return float("nan") if len(calls) <= n_particles else sphere(x)
+
+    return obj
+
+
+@pytest.mark.parametrize("make_obj,n_particles,n_iterations", [
+    pytest.param(lambda n: sphere, 9, 25, id="sphere"),
+    # no first best: gbest starts as the first particle at +inf
+    pytest.param(nan_first_swarm, 7, 20, id="nan-first-swarm"),
+    pytest.param(lambda n: sphere, 10, 1, id="one-iteration"),
+])
+def test_pso_matches_reference(make_obj, n_particles, n_iterations):
+    cfg = PsoConfig(bounds=((-4.0, 3.0), (-1.0, 5.0), (0.5, 2.0)),
+                    n_particles=n_particles, n_iterations=n_iterations, seed=13)
+    got_x, got_score, got_trace = pso_minimize(make_obj(n_particles), cfg)
+    want_x, want_score, want_trace = reference_pso_minimize(make_obj(n_particles), cfg)
+    assert np.array_equal(got_x, want_x) and got_score == want_score and got_trace == want_trace
+    assert len(got_trace) == n_iterations
 
 
 @pytest.fixture(scope="module")

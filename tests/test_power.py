@@ -125,3 +125,35 @@ class TestScaleProjection:
 def test_energy_is_flux_quantum_times_current():
     for ic in (1e-6, 109e-6, 243e-6):
         assert energy_per_pulse(ic) == ic * PHI0
+
+
+# The six reports `fluxon power` writes by default, pinned bit for bit: a
+# reordered power chain moves their last bits, which rel=0.01 cannot see.
+POWER_REPORTS = {
+    "iris": dict(energy_per_pulse_j=2.2541200000000004e-19, dynamic_w=1.9836256000000002e-08,
+                 static_on_chip_w=3.4980163743999995e-05, on_chip_w=3.5e-05, total_w=0.013999999999999999,
+                 sops=12000000000.0, sops_per_watt=857142857142.8572, sops_worst_case=88000000000.0),
+    "nw_a": dict(energy_per_pulse_j=2.2541200000000004e-19, dynamic_w=1.19919184e-07,
+                 static_on_chip_w=0.000394880080816, on_chip_w=0.000395, total_w=0.158,
+                 sops=4000000000000.0, sops_per_watt=25316455696202.53, sops_worst_case=532000000000.0),
+    "nw_b": dict(energy_per_pulse_j=2.2541200000000004e-19, dynamic_w=0.0005700000006360001,
+                 static_on_chip_w=0.004429999999364, on_chip_w=0.005, total_w=2.0,
+                 sops=1.6e16, sops_per_watt=8e15, sops_worst_case=2528703000000000.0),
+    "256x256-RSFQ": dict(energy_per_pulse_j=0.0, dynamic_w=0.14592000000000005, static_on_chip_w=1.13408,
+                         on_chip_w=1.28, total_w=512.0, sops=4.096e18, sops_per_watt=8e15,
+                         sops_worst_case=0.0),
+    "256x256-eRSFQ": dict(energy_per_pulse_j=0.0, dynamic_w=0.14592000000000005, static_on_chip_w=0.0,
+                          on_chip_w=0.14592000000000005, total_w=58.36800000000002, sops=4.096e18,
+                          sops_per_watt=7.01754385964912e16, sops_worst_case=0.0),
+    "256x256-AQFP": dict(energy_per_pulse_j=0.0, dynamic_w=0.14592000000000005, static_on_chip_w=0.0,
+                         on_chip_w=0.14592000000000005, total_w=5.836800000000002, sops=4.096e18,
+                         sops_per_watt=7.01754385964912e17, sops_worst_case=0.0),
+}
+
+
+def test_power_command_reports_are_pinned_exactly(tmp_path):
+    from fluxon.cli import main
+
+    assert main(["--out", str(tmp_path), "power"]) == 0
+    got = {p.name: json.loads(p.read_text()) for p in tmp_path.glob("power_*.json")}
+    assert got == {f"power_{name}.json": {"name": name, **fields} for name, fields in POWER_REPORTS.items()}
