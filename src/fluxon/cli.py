@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 internal failure, 2 user/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -45,6 +46,15 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")  # the values FLU
 
 # The bundled power networks with the SOPS and SOPS-per-watt reproduce-paper's checklist reads
 POWER_TARGETS = {"iris": (1.2e10, 8.57e11), "nw_a": (4e12, 2.53e13), "nw_b": (1.6e16, 8e15)}
+# The SOPS-per-watt order of the multi-core projection it reads for each technology
+PROJECTION_TARGETS = {"RSFQ": 1e15, "eRSFQ": 1e16, "AQFP": 1e17}
+
+
+def _record_defaults(record) -> dict:
+    """The defaults of a config record's fields but `seed`, tuples as JSON lists."""
+    fields = (f for f in dataclasses.fields(record) if f.default is not dataclasses.MISSING and f.name != "seed")
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in fields}
+
 
 DEFAULT_CONFIG = {
     "seed": 7,
@@ -52,15 +62,8 @@ DEFAULT_CONFIG = {
     "out_dir": "out",
     "split": {"train_fraction": 0.8, "seed": 11, "stratified": True},
     "train": {"epochs": 3000, "learning_rate": 0.5, "train_biases": False},
-    "ga": {
-        "population": 100,
-        "generations": 200,
-        "mutation_rate": 0.15,
-        "crossover_rate": 0.7,
-        "elitism": 2,
-        "threshold_set": list(trainmod.DEFAULT_THRESHOLD_SET),
-    },
-    "pso": {"n_particles": 12, "n_iterations": 60},
+    "ga": _record_defaults(trainmod.GaConfig),
+    "pso": _record_defaults(PsoConfig),
     "power": list(POWER_TARGETS),
     "margins": {"netlist": "soma2", "params": ["ib.amp", "b2.ic"], "resolution": 0.02,
                 "junction": "bout", "count": 1},
@@ -143,11 +146,6 @@ def load_config(path: str | None, seed: int | None, out_dir: str | None) -> dict
     return cfg
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _read_artifact(path: Path, stage: str, parse):
     """`parse` of an artifact an earlier stage wrote; a missing or malformed one is a UserError."""
     if not path.exists():
@@ -184,7 +182,7 @@ def cmd_train(cfg: dict, args) -> int:
     try:
         mlp, losses = trainmod.train_mlp(
             Xq_train.astype(float),
-            trainmod.one_hot(y, 3),
+            trainmod.one_hot(y, len(trainmod.CLASS_NAMES)),
             epochs=tc["epochs"],
             learning_rate=tc["learning_rate"],
             seed=cfg["seed"],
@@ -192,9 +190,9 @@ def cmd_train(cfg: dict, args) -> int:
         )
     except ValueError as exc:
         raise UserError(f"bad train config: {exc}") from None
-    _write(out / "mlp.json", mlp.to_json())
-    _write(out / "quantizer.json", quantizer.to_json())
-    _write(out / "train_log.csv", csv_text(("epoch", "loss"), enumerate(losses)))
+    (out / "mlp.json").write_text(mlp.to_json())
+    (out / "quantizer.json").write_text(quantizer.to_json())
+    (out / "train_log.csv").write_text(csv_text(("epoch", "loss"), enumerate(losses)))
     print(f"trained mlp: initial loss {losses[0]:.6f}, final loss {losses[-1]:.6f}")
     print(f"artifacts: {out/'mlp.json'}, {out/'quantizer.json'}, {out/'train_log.csv'}")
     return 0
@@ -231,8 +229,8 @@ def cmd_discretize(cfg: dict, args) -> int:
                         f"{mlp.w2.shape[0]} outputs, the dataset has {n_in} and {n_out}")
     y_train = trainmod.labels_of(train_s)
     spec, trace = trainmod.ga_discretize(mlp, Xq_train, y_train, ga_cfg)
-    _write(out / "network.json", spec.to_json())
-    _write(out / "ga_log.csv", csv_text(("generation", "best_fitness", "mean_fitness"), trace))
+    (out / "network.json").write_text(spec.to_json())
+    (out / "ga_log.csv").write_text(csv_text(("generation", "best_fitness", "mean_fitness"), trace))
 
     Xq_test = quantizer.apply(trainmod.features_of(test_s))
     m_train = snn.accuracy_metrics(spec, Xq_train, y_train)
@@ -244,7 +242,7 @@ def cmd_discretize(cfg: dict, args) -> int:
     pct = 100.0 * match / len(samples)
     print(f"train accuracy {m_train['accuracy']:.4f}, test accuracy {m_test['accuracy']:.4f}")
     print(f"spiking/discrete match: {match}/{len(samples)} ({pct:.1f}%)")
-    _write(out / "metrics.json", json_text({"train": m_train, "test": m_test, "spiking_match_pct": pct}))
+    (out / "metrics.json").write_text(json_text({"train": m_train, "test": m_test, "spiking_match_pct": pct}))
     return 0
 
 
@@ -273,20 +271,22 @@ def cmd_simulate(cfg: dict, args) -> int:
             with open(out / "events.csv", "w") as fh:
                 write_event_log(fh, report.event_log)
             outputs = [o.tolist() for o in report.outputs]
-            _write(out / "sim_report.json",
-                   json_text({"input": vec.tolist(), "outputs": outputs, "fired_class": report.fired_class}))
+            (out / "sim_report.json").write_text(
+                json_text({"input": vec.tolist(), "outputs": outputs, "fired_class": report.fired_class}))
             print(f"input {vec.tolist()} -> fired_class {report.fired_class}")
             return 0
         # default: the quantized test partition, one row per unique vector
         _, _, test_s, quantizer, _ = _dataset(cfg)
         Xq = quantizer.apply(trainmod.features_of(test_s))
+        if Xq.shape[1] != spec.input_dim:
+            raise UserError(f"bad {out / 'network.json'}: {spec.input_dim} inputs, the dataset has {Xq.shape[1]}")
         inputs, first = np.unique(Xq, axis=0, return_index=True)  # sorted, each with its first label
         fired, ref = ([snn.classify_outputs(bits) for bits in eng] for eng in _both_engines(spec, inputs))
         rows = list(zip(inputs.tolist(), fired, ref, trainmod.labels_of(test_s)[first].tolist()))
         for xv, f, r, lab in rows:
             print(f"{xv} -> spiking {f} discrete {r} label {lab}")
         quoted = ((f'"{xv}"', *rest) for xv, *rest in rows)  # the vector's commas stay in one cell
-        _write(out / "test_table.csv", csv_text(("input", "spiking_class", "discrete_class", "label"), quoted))
+        (out / "test_table.csv").write_text(csv_text(("input", "spiking_class", "discrete_class", "label"), quoted))
         print(f"{len(inputs)} unique test vectors; spiking == discrete: {fired == ref}")
         return 0
     name = args.netlist or "soma2"
@@ -297,7 +297,6 @@ def cmd_simulate(cfg: dict, args) -> int:
     log.info("transient: %s: %d steps, %.3f Newton updates per step, rho %.2e in %.3f s", name,
              steps, traces.newton_iterations / max(steps, 1), traces.newton_rho,
              time.perf_counter() - t0)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "waveform.csv", "w") as fh:
         write_waveform_csv(fh, traces, netlist)
     events = [ev for j in traces.pulses for ev in detect_pulses_in(traces, j).events()]
@@ -328,7 +327,7 @@ def cmd_power(cfg: dict, args) -> int:
     rows = []
     for inputs in _power_inputs(args.network or cfg["power"]):
         rep = powermod.total_power(inputs)
-        _write(out / f"power_{rep.name}.json", rep.to_json())
+        (out / f"power_{rep.name}.json").write_text(rep.to_json())
         rows.append(rep)
     print(f"{'name':8} {'dynamic_w':>12} {'on_chip_w':>12} {'total_w':>10} {'sops':>10} {'sops_per_w':>11} {'worst_sops':>11}")
     for r in rows:
@@ -337,12 +336,12 @@ def cmd_power(cfg: dict, args) -> int:
             f"{r.sops:10.4g} {r.sops_per_watt:11.4g} {r.sops_worst_case:11.4g}"
         )
     proj = json.loads(bundled_text("power/nw_d.json"))  # the multi-core scaling projection
-    for tech in ("RSFQ", "eRSFQ", "AQFP"):
+    for tech in powermod.TECHNOLOGIES:
         rep = powermod.scale_projection(
             proj["cores"], proj["neurons_per_core"], proj["per_core_power_w"], proj["per_core_sops"],
             tech, per_core_static_w=proj["per_core_static_w"], cooling_overhead=proj["cooling"],
         )
-        _write(out / f"power_{rep.name}.json", rep.to_json())
+        (out / f"power_{rep.name}.json").write_text(rep.to_json())
         print(f"{rep.name}: sops={rep.sops:.3g} total_w={rep.total_w:.4g} sops/W={rep.sops_per_watt:.3g}")
     log.info("power: %d networks in %.3f s", len(rows), time.perf_counter() - t0)
     return 0
@@ -385,25 +384,23 @@ def cmd_margins(cfg: dict, args) -> int:
     rows = [(sel, f"{low * 100:.1f}", f"{high * 100:.1f}") for sel, (low, high) in zip(params, results)]
     for sel, low, high in rows:
         print(f"{sel}: -{low}% / +{high}%")
-    _write(out / "margins.csv", csv_text(("param", "low_pct", "high_pct"), rows))
+    (out / "margins.csv").write_text(csv_text(("param", "low_pct", "high_pct"), rows))
     return 0
 
 
 def cmd_pso(cfg: dict, args) -> int:
     out = Path(cfg["out_dir"])
-    pc = cfg["pso"]
     netlist, params, pass_test = _margins_setup(cfg, args)
     params = params if args.params else params[:1]  # the first of margins.params
     if len(params) != 1:
         raise UserError(f"pso tunes exactly one parameter, got {len(params)}: {params}")
     nominal = margin_nominal(netlist, params[0])
-    obj = margin_objective(netlist, params, pass_test, resolution=0.05)
+    obj = margin_objective(netlist, params, pass_test)
     try:
         pso_cfg = PsoConfig(
             bounds=(tuple(sorted((nominal * 0.8, nominal * 1.2))),),  # a negative nominal flips the pair
-            n_particles=pc["n_particles"],
-            n_iterations=pc["n_iterations"],
             seed=cfg["seed"],
+            **cfg["pso"],
         )
     except (TypeError, ValueError) as exc:
         raise UserError(f"bad pso config: {exc}") from None
@@ -411,8 +408,8 @@ def cmd_pso(cfg: dict, args) -> int:
     best_x, best_f, trace = pso_minimize(obj, pso_cfg)
     n_evals = pso_cfg.n_particles * pso_cfg.n_iterations
     log.info("pso: %d evaluations in %.3f s", n_evals, time.perf_counter() - t0)
-    _write(out / "pso_trace.csv", csv_text(("iteration", "best_score", "mean_score"), trace))
-    _write(out / "pso_best.json", json_text({"best_vector": list(best_x), "best_score": best_f}))
+    (out / "pso_trace.csv").write_text(csv_text(("iteration", "best_score", "mean_score"), trace))
+    (out / "pso_best.json").write_text(json_text({"best_vector": list(best_x), "best_score": best_f}))
     print(f"pso best score {best_f:.6g} at {np.round(best_x, 6).tolist()}")
     return 0
 
@@ -439,7 +436,7 @@ def cmd_reproduce(cfg: dict, args) -> int:
 
     # the power reports the rows read, as the power stage wrote them
     reports = {name: json.loads(next(out.glob(f"power_{name}.json")).read_text())
-               for name in (*POWER_TARGETS, "*-RSFQ", "*-eRSFQ", "*-AQFP")}
+               for name in (*POWER_TARGETS, *(f"*-{tech}" for tech in PROJECTION_TARGETS))}
 
     iris = reports["iris"]
     e, dyn = iris["energy_per_pulse_j"], iris["dynamic_w"]
@@ -450,7 +447,7 @@ def cmd_reproduce(cfg: dict, args) -> int:
         sops, spw = map(reports[name].get, ("sops", "sops_per_watt"))
         ok = abs(sops - sops_t) / sops_t < 0.01 and abs(spw - spw_t) / spw_t < 0.01
         check(f"{name} SOPS / SOPS-per-watt", ok, f"{sops:.3g} / {spw:.3g}")
-    for tech, spw_t in (("RSFQ", 1e15), ("eRSFQ", 1e16), ("AQFP", 1e17)):
+    for tech, spw_t in PROJECTION_TARGETS.items():
         sops, spw = map(reports[f"*-{tech}"].get, ("sops", "sops_per_watt"))
         ok = 1e17 <= sops <= 1e19 and 0.1 <= spw / spw_t <= 10.0
         check(f"multi-core {tech} projection", ok, f"{sops:.2g} SOPS, {spw:.2g} SOPS/W (~{spw_t:.0g})")

@@ -34,8 +34,8 @@ VMAX_FRACTION = 0.2  # velocity clamp, as a fraction of each dimension's range
 @dataclass(frozen=True)
 class PsoConfig:
     bounds: tuple[tuple[float, float], ...]
-    n_particles: int = 30
-    n_iterations: int = 100
+    n_particles: int = 12
+    n_iterations: int = 60
     seed: int = 0
 
     def __post_init__(self):

@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from enum import Enum
 
 from .core import PHI0, json_text
 
 DEFAULT_COOLING_W_PER_W = 400.0
 AQFP_POWER_DIVISOR = 10.0  # adiabatic switching's saving over RSFQ
 
-
-class Technology(str, Enum):
-    RSFQ = "RSFQ"
-    ERSFQ = "eRSFQ"
-    AQFP = "AQFP"
+# Per projection technology: (keeps per-core static power, wall-plug divisor). eRSFQ's
+# energy-efficient bias and AQFP's adiabatic switching draw no static power; AQFP also divides.
+TECHNOLOGIES = {"RSFQ": (True, 1.0), "eRSFQ": (False, 1.0), "AQFP": (False, AQFP_POWER_DIVISOR)}
 
 
 def energy_per_pulse(ic: float) -> float:
@@ -114,22 +111,20 @@ def scale_projection(
     neurons_per_core: int,
     per_core_power_w: float,
     per_core_sops: float,
-    technology: Technology | str = Technology.RSFQ,
+    technology: str = "RSFQ",
     *,
     per_core_static_w: float = 0.0,
     cooling_overhead: float = DEFAULT_COOLING_W_PER_W,
 ) -> PowerReport:
-    """Linear multi-core projection with technology efficiency factors.
+    """Linear multi-core projection with the efficiency factors TECHNOLOGIES gives `technology`.
 
-    SOPS and on-chip power scale linearly with the core count. The
-    energy-efficient bias variant (eRSFQ) has no static power, and the
-    adiabatic variant (AQFP) also divides total power by
-    AQFP_POWER_DIVISOR.
+    SOPS and on-chip power scale linearly with the core count.
     """
     if cores < 1 or neurons_per_core < 1:
         raise ValueError("counts must be positive")
-    tech = Technology(technology)
-    static = 0.0 if tech in (Technology.ERSFQ, Technology.AQFP) else cores * per_core_static_w
-    divisor = AQFP_POWER_DIVISOR if tech is Technology.AQFP else 1.0
-    return _report(f"{cores}x{neurons_per_core}-{tech.value}", 0.0, cores * (per_core_power_w - per_core_static_w),
+    if technology not in TECHNOLOGIES:
+        raise ValueError(f"unknown technology {technology!r}; known: {', '.join(TECHNOLOGIES)}")
+    keeps_static, divisor = TECHNOLOGIES[technology]
+    static = cores * per_core_static_w if keeps_static else 0.0
+    return _report(f"{cores}x{neurons_per_core}-{technology}", 0.0, cores * (per_core_power_w - per_core_static_w),
                    static, cooling_overhead, cores * per_core_sops, divisor)

@@ -4,11 +4,12 @@ A NetworkSpec is a feed-forward stack of at least one integer-weight
 layer with per-neuron pulse-count thresholds, and it is valid when its
 cells exist: every threshold has a soma cell (a key of
 behavioral.DEFAULT_T_MAX, 1..6), every weight lies in WEIGHT_RANGE, the
-range the SM2 and SM4 synapses realize, and the clock period is
-finite and long enough for the BQ to emit every layer's largest
-threshold in pulses BQ_PULSE_SPACING_PS apart. A value that is not an
-integer, such as a threshold of 1.7, is rejected, not truncated. Two
-engines evaluate it:
+range the SM2 and SM4 synapses realize, no neuron can reach a synaptic
+total beyond the BQ's +-BQ_SANE_BOUND, and the clock period is finite
+and long enough for the BQ to emit every layer's largest threshold in
+pulses BQ_PULSE_SPACING_PS apart. A value that is not an integer, such
+as a threshold of 1.7, is rejected, not truncated. Two engines
+evaluate it:
 
 * evaluate_discrete -- per neuron u = sum(x_k * w_k), output 1 iff
   u >= theta. This is the offline reference.
@@ -31,6 +32,7 @@ import numpy as np
 
 from .behavioral import (
     BQ_PULSE_SPACING_PS,
+    BQ_SANE_BOUND,
     DEFAULT_T_MAX,
     SYNAPSE_KINDS,
     SynapseConfig,
@@ -123,6 +125,12 @@ class NetworkSpec:
             if self.clock_ps < need:
                 raise ValueError(f"layer {i} has threshold {max(layer.thresholds)}, which needs clock_ps "
                                  f">= {need:g}, got {self.clock_ps}")
+            level = 2 if i == 0 else 1  # the largest input level of the layer
+            for j, row in enumerate(layer.weights.tolist()):
+                total = level * max(sum(w for w in row if w > 0), sum(w for w in row if w < 0), key=abs)
+                if abs(total) > BQ_SANE_BOUND:
+                    raise ValueError(f"layer {i} neuron {j} can reach synaptic total {total}, "
+                                     f"beyond the BQ's bound +-{BQ_SANE_BOUND}")
             fan_in = layer.n_neurons
 
     @property

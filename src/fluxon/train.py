@@ -316,14 +316,15 @@ def train_mlp(
     layers = [mlp.w1, mlp.w2] + ([mlp.b1, mlp.b2] if train_biases else [])
     params, grads, epoch = _loss_and_grads(layers, X, T)
     multiply, add, isfinite = np.multiply, np.add, math.isfinite
-    losses = [epoch()]
-    for n in range(1, epochs + 1):
-        multiply(grads, learning_rate, grads)
-        add(params, grads, params)
-        loss = epoch()
-        if not isfinite(loss):
-            raise TrainingError(f"non-finite loss {loss} at epoch {n}")
-        losses.append(loss)
+    with np.errstate(over="ignore"):  # exp(-z) overflows to inf as the sigmoid saturates to 0
+        losses = [epoch()]
+        for n in range(1, epochs + 1):
+            multiply(grads, learning_rate, grads)
+            add(params, grads, params)
+            loss = epoch()
+            if not isfinite(loss):
+                raise TrainingError(f"non-finite loss {loss} at epoch {n}")
+            losses.append(loss)
     for a, v in zip(layers, _views(params, layers)):
         np.negative(v, a)
     dt = time.perf_counter() - t0
@@ -334,7 +335,6 @@ def train_mlp(
 # --- genetic discretization ----------------------------------------------
 
 SCALE_BOUNDS = (0.05, 20.0)  # the per-neuron weight scales the GA searches
-DEFAULT_THRESHOLD_SET = (1, 2, 5)  # the soma thresholds the GA searches by default
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,7 @@ class GaConfig:
     crossover_rate: float = 0.7
     elitism: int = 2
     seed: int = 0
-    threshold_set: tuple[int, ...] = DEFAULT_THRESHOLD_SET
+    threshold_set: tuple[int, ...] = (1, 2, 5)  # the soma thresholds the GA searches
 
     def __post_init__(self):
         if self.population < 2:

@@ -280,6 +280,13 @@ class TestSimulate:
             assert_clean_error(capsys, f"error: bad {tmp_path}/out/network.json: thresholds [{threshold}] "
                                        "have no soma cell; the cells cover 1..6")
 
+    def test_network_narrower_than_the_dataset_exits_2(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        narrow = network_with({"weights": [[1, 1, -1]] * 4}, input_dim=3)
+        (tmp_path / "out" / "network.json").write_text(json.dumps(narrow))
+        assert run("--out", str(tmp_path / "out"), "simulate") == 2
+        assert_clean_error(capsys, f"error: bad {tmp_path}/out/network.json: 3 inputs, the dataset has 4")
+
     def test_spiking_pass_logged(self, tmp_path, fast_config, capsys, caplog):
         out = tmp_path / "out"
         run("--config", fast_config, "--out", str(out), "train")
@@ -424,6 +431,11 @@ class TestPower:
 
     def test_unknown_config_exits_2(self, tmp_path):
         assert run("--out", str(tmp_path / "o"), "power", "--network", "/missing.json") == 2
+
+    def test_projections_in_technology_order(self, tmp_path, capsys):
+        assert run("--out", str(tmp_path / "out"), "power") == 0
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if ": sops=" in line]
+        assert [name.rsplit("-", 1)[1] for name in names] == ["RSFQ", "eRSFQ", "AQFP"] == list(cli.PROJECTION_TARGETS)
 
 
 class TestMargins:
@@ -572,6 +584,13 @@ def test_config_values_must_have_their_defaults_kind(tmp_path_factory, data):
         load({key: value} if section is None else {section: {key: value}})
     where = "bad config: " if section is None else f"bad {section} config: "
     assert str(err.value).startswith(where) and key in str(err.value)
+
+
+def test_ga_and_pso_sections_are_their_records_defaults():
+    # literals, so a changed GaConfig or PsoConfig default shows up as a CLI change
+    assert DEFAULT_CONFIG["ga"] == {"population": 100, "generations": 200, "mutation_rate": 0.15,
+                                    "crossover_rate": 0.7, "elitism": 2, "threshold_set": [1, 2, 5]}
+    assert DEFAULT_CONFIG["pso"] == {"n_particles": 12, "n_iterations": 60}
 
 
 SMALL_SWARM = {"pso": {"n_particles": 2, "n_iterations": 1}}

@@ -6,7 +6,6 @@ import pytest
 from fluxon.core import PHI0
 from fluxon.power import (
     PowerInputs,
-    Technology,
     dynamic_power,
     energy_per_pulse,
     scale_projection,
@@ -98,7 +97,7 @@ class TestScaleProjection:
         )
 
     def test_multicore_order_of_magnitude(self):
-        rep = self.proj(Technology.RSFQ)
+        rep = self.proj("RSFQ")
         assert 1e17 <= rep.sops <= 1e19
         assert 0.1 <= rep.sops_per_watt / 1e15 <= 10.0
 
@@ -116,6 +115,10 @@ class TestScaleProjection:
         assert rep.sops == 1.6e16
         assert rep.on_chip_w == pytest.approx(5e-3)
         assert rep.total_w == pytest.approx(2.0)
+
+    def test_unknown_technology_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="^unknown technology 'XYZ'; known: RSFQ, eRSFQ, AQFP$"):
+            self.proj("XYZ")
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):

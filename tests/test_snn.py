@@ -21,6 +21,7 @@ from fluxon.snn import (
     LayerSpec,
     NetworkSpec,
     SimReport,
+    _neuron_response,
     accuracy_metrics,
     classify_outputs,
     evaluate_discrete,
@@ -256,14 +257,11 @@ class TestAgainstReference:
         assert report.fired_class is None
 
     def test_total_beyond_bq_bound_raises_every_call(self):
-        # 17 synapses of weight 2 at level 2: total 68 > 64
-        spec = NetworkSpec(17, (LayerSpec(np.full((1, 17), 2), (1,), "SM4"),))
-        with pytest.raises(ValueError, match="outside sane bound") as want:
-            reference_simulate_spiking(spec, [2] * 17)
+        # 17 synapses of weight 2 at level 2 total 68 > 64; NetworkSpec rejects such a
+        # network, so the cached response is asked for the total directly
         for _ in range(2):
-            with pytest.raises(ValueError) as got:
-                simulate_spiking(spec, [2] * 17)
-            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError, match=r"^synaptic total 68 outside sane bound \+-64$"):
+                _neuron_response(68, 1, 0, 0, 1000.0)
 
     @pytest.mark.parametrize("x", [(3, 0, 0, 0), (0, -1, 0, 0), (1, 1), [(1, 0, 2, 0), (0, 1, 0, 2)]])
     def test_bad_input_raises_every_call(self, x):
@@ -357,6 +355,25 @@ class TestSpecValidation:
     def test_soma_windows_span_the_bq_spacing(self):
         # a soma cell must see two BQ pulses one spacing apart inside its window
         assert min(DEFAULT_T_MAX.values()) >= BQ_PULSE_SPACING_PS
+
+    @pytest.mark.parametrize("layers,message", [
+        # layer 0 reads levels up to 2: 17 weights of 2 reach 68, of -2 reach -68
+        ([np.full((1, 17), 2)], "layer 0 neuron 0 can reach synaptic total 68, "),
+        ([np.vstack([np.full(17, 1), np.full(17, -2)])], "layer 0 neuron 1 can reach synaptic total -68, "),
+        # later layers read bits: 33 weights of 2 reach 66
+        ([np.ones((33, 17), dtype=int), np.full((1, 33), 2)], "layer 1 neuron 0 can reach synaptic total 66, "),
+    ])
+    def test_total_beyond_bq_bound_rejected(self, layers, message):
+        specs = tuple(LayerSpec(w, (1,) * len(w), "SM4" if i == 0 else "SM2") for i, w in enumerate(layers))
+        with pytest.raises(ValueError, match=f"^{message}beyond the BQ's bound \\+-64$"):
+            NetworkSpec(17, specs)
+
+    def test_totals_at_the_bq_bound_keep_spiking_equal_to_discrete(self):
+        # 16 weights of 2 at level 2, then 32 of 2 on bits: both reach exactly 64
+        spec = NetworkSpec(16, (LayerSpec(np.full((32, 16), 2), (1,) * 32, "SM4"),
+                                LayerSpec(np.full((1, 32), 2), (1,), "SM2")))
+        for x in ([2] * 16, [0] * 16):
+            assert np.array_equal(simulate_spiking(spec, x).final_outputs, evaluate_discrete(spec, x)[-1])
 
     def test_needs_a_layer(self):
         with pytest.raises(ValueError, match="layers must hold at least one layer"):

@@ -221,6 +221,14 @@ class TestMlp:
         with pytest.raises(TrainingError, match="epoch 1"):
             train_mlp(X, T, epochs=5, learning_rate=0.5, seed=0, n_hidden=2)
 
+    def test_saturating_sigmoid_trains_without_warnings(self, iris_samples):
+        # a step of 1e6 saturates the sigmoid: exp(-z) overflows to inf and the unit reads 0
+        train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
+        _, Xq = quantize_features(train)
+        _, losses = train_mlp(Xq.astype(float), one_hot(labels_of(train), 3), epochs=50,
+                              learning_rate=1e6, seed=7, train_biases=False)
+        assert all(map(math.isfinite, losses))
+
     @pytest.mark.parametrize("train_biases", [False, True])
     def test_last_loss_is_mlp_loss_of_returned_net(self, iris_samples, train_biases):
         train, _ = split_dataset(iris_samples, 0.8, ECHO_SPLIT_SEED)
