@@ -20,15 +20,19 @@ bracket's passing end, and BOUND itself on a side that passes at every
 grid point. A default soma2 scan (resolution 0.02) runs 23 or 27
 transients in 2 batches.
 
-pass_test sees a lean run (`run_transients(record=False)`): its node
-voltages and the junction pulses it stamped as it stepped, which
-detect_pulses_in reads, but no junction phase, junction voltage or
-inductor current trace. A probe thus holds a few print rows instead of
-every junction's waveforms, so batches can be wide. A lean run ends at
-the end of its first quiet chunk, by the rule the transient module
-states, so its pulses are those of the full run but
-node_voltage[name][-1] is the value at that quiet end, not at the
-netlist's stop time. The scan logs its transients, batches and the
+pass_test sees a lean run (`run_transients(record=False,
+ftol=PROBE_FTOL)`): its node voltages and the junction pulses it
+stamped as it stepped, which detect_pulses_in reads, but no junction
+phase, junction voltage or inductor current trace. A probe thus holds a
+few print rows instead of every junction's waveforms, so batches can be
+wide. It solves each step to PROBE_FTOL (1e-6 rad) rather than
+NEWTON_FTOL (1e-11 rad): at the bundled step a step then takes one
+Newton update instead of 1.2 to 1.5, and a pulse moves by at most the
+bound derived beside PROBE_FTOL, 0.0083 ps on the bundled cells. A lean
+run ends at the end of its first quiet chunk, by the rule the transient
+module states, so its pulses are those of the full run at that
+tolerance but node_voltage[name][-1] is the value at that quiet end,
+not at the netlist's stop time. The scan logs its transients, batches and the
 steps its transients took.
 
 run_transients advances the variants of a junction ic or source
@@ -45,7 +49,7 @@ import math
 from typing import Callable
 
 from .netlist import Netlist
-from .transient import TraceSet, run_transients
+from .transient import PROBE_FTOL, TraceSet, run_transients
 
 log = logging.getLogger("fluxon.margins")
 
@@ -97,7 +101,7 @@ def margin_scan(
     while fractions:
         batches += 1
         variants = [netlist.with_param(param, nominal * (1.0 + f)) for f in fractions]
-        for f, traces in zip(fractions, run_transients(variants, record=False)):
+        for f, traces in zip(fractions, run_transients(variants, record=False, ftol=PROBE_FTOL)):
             passed[f] = bool(pass_test(traces))
             steps += len(traces.time_ps) - 1
         if not passed[0.0]:

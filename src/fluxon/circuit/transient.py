@@ -35,14 +35,17 @@ c = Ic cos(p) taken once per step at the predictor, an update is the
 second-order Neumann series dp = f - g + Zp (c g), g = Zp (c f). A
 variant whose rho reaches 1/2 is a CircuitError naming it, the junction
 and the step. Each of at most NEWTON_MAX_ITER passes evaluates f and
-updates once, except that from the second pass on max|f| <= NEWTON_FTOL
+updates once, except that from the second pass on max|f| <= ftol, the
+run's tolerance (NEWTON_FTOL unless run_transients is given another),
 ends the step instead; its state is then M u_prev - Z c with the
 supercurrents c of that residual. A pass forms the whole product Z c,
 whose phase rows give f and which the step then subtracts as it is, so
 the check and the state update share one product. A converged step
 thus costs one update: from the second-order predictor all but a few
 steps of the bundled cells converge in one at 0.1 ps, and at their
-0.4 ps step they take 1.17 to 1.50 updates a step. A netlist without
+0.4 ps step they take 1.17 to 1.50 updates a step at NEWTON_FTOL and
+one at PROBE_FTOL, the looser tolerance margin probes solve to, whose
+bound on the pulse times is derived where it is set. A netlist without
 junctions skips Newton. A singular A is a CircuitError naming
 the node voltages and branch currents in its null space: the nodes of
 an island with no path to ground, the currents of voltage sources in
@@ -61,7 +64,7 @@ a (dim, variants) array, one loop serves the group, and numpy's per-call
 overhead, which dominates a step of these small circuits, is paid once
 per step for the whole group; `run_transient` is a batch of one, a
 (dim, 1) state. Newton runs under a per-variant mask: a variant whose
-residual has met NEWTON_FTOL updates by zero while the others iterate,
+residual has met the tolerance updates by zero while the others iterate,
 so each variant stops on its own test, follows the updates of its solo
 run and keeps its own counters. Assembly order is fixed by netlist
 order and the arithmetic is pure float64, so identical inputs give
@@ -161,6 +164,18 @@ DEFAULT_STEP_PS = 0.05
 MAX_STEP_PS = 0.4
 NEWTON_MAX_ITER = 50
 NEWTON_FTOL = 1e-11  # radians, on the junction phase residual
+# The tolerance margin probes solve to, from the pulse-time budget. A step
+# accepted at residual delta lies within delta / (1 - rho) <= 2 delta of its
+# root, since rho < 1/2; over the N steps before a crossing these errors add
+# up to at most 2 N delta (unless the dynamics amplifies them, which a test
+# rules out on the bundled cells), and shift the crossing by at most
+# 2 N delta / (dphi/dt there). The bundled cells' stimuli cross by 227 ps
+# (N <= 566 steps of 0.4 ps) at dphi/dt >= 0.136 rad/ps (soma2's b1), so
+# 1e-6 rad moves a pulse by at most 2 * 566 * 1e-6 / 0.136 = 0.0083 ps: it
+# fits in the 0.0116 ps the 0.05 ps test budget leaves beside the 0.0384 ps
+# the 0.4 ps step takes. Every step of those runs then takes one update
+# (1.29-1.52 at NEWTON_FTOL), and no pulse moved by more than 3e-7 ps.
+PROBE_FTOL = 1e-6  # radians
 QUIET_VOLTAGE = 1e-6  # volts: a quiet chunk keeps every junction's |V| below this
 QUIET_CURRENT = 1e-8  # amperes per ps: ... and every inductor current's rate of change below this
 QUIET_PHASE = 0.5  # radians: ... and every junction at least this far short of its next target
@@ -222,6 +237,7 @@ class TraceSet:
     phase residual of any accepted step, and newton_rho is the largest
     ||Zp diag(Ic)||_inf of the run's step operators, the distance of the
     junction Jacobian from the identity that bounds each update's error.
+    newton_ftol is the residual tolerance the run solved to.
     """
 
     time_ps: np.ndarray
@@ -234,6 +250,7 @@ class TraceSet:
     newton_max_per_step: int = 0
     newton_residual: float = 0.0
     newton_rho: float = 0.0
+    newton_ftol: float = 0.0
 
 
 def run_transient(
@@ -259,6 +276,7 @@ def run_transients(
     stop: float | None = None,
     step: float | None = None,
     record: bool = True,
+    ftol: float | None = None,
 ) -> list[TraceSet]:
     """run_transient of every netlist, advancing same-topology variants in lockstep.
 
@@ -278,10 +296,16 @@ def run_transients(
     samples, its junction voltages stay under QUIET_VOLTAGE, its
     inductor currents move at less than QUIET_CURRENT per ps, and every
     junction is QUIET_PHASE short of its next crossing. Its pulses are
-    those of the full recorded run, and its time grid, node rows and
-    Newton counters those of a recorded run stopped at its end: the way
-    to run many variants whose test reads pulses or final node voltages.
+    those of a recorded run at the same tolerance, and its time grid,
+    node rows and Newton counters those of that run stopped at its end:
+    the way to run many variants whose test reads pulses or final node
+    voltages.
+
+    Newton ends a step once every junction's phase residual is at most
+    ftol radians, NEWTON_FTOL (read when the call runs) by default;
+    margin scans pass the looser PROBE_FTOL.
     """
+    ftol = NEWTON_FTOL if ftol is None else ftol
     groups: dict[tuple, list[int]] = {}
     for i, nl in enumerate(netlists):
         nl_step = step if step is not None else (nl.tran_step or DEFAULT_STEP_PS)
@@ -300,7 +324,7 @@ def run_transients(
         names = ix if len(netlists) > 1 else [None]
         t0 = time.perf_counter()
         with np.errstate(all="ignore"):  # the run checks its operators and states for finite values instead
-            group = _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record)
+            group = _run_group([netlists[i] for i in ix], nl_stop, nl_step, names, record, ftol)
         dt = time.perf_counter() - t0
         steps = max(len(tr.time_ps) for tr in group) - 1  # the steps the group stepped
         extra = sum(max(tr.newton_iterations - len(tr.time_ps) + 1, 0) for tr in group)
@@ -325,7 +349,7 @@ def _topology(d: Device) -> object:
 
 
 def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
-               record: bool) -> list[TraceSet]:
+               record: bool, tol: float) -> list[TraceSet]:
     """Transients of same-topology variants; names[v] is variant v's batch index."""
     h = step * 1e-12  # SI seconds
     n_steps = int(round(stop / step))
@@ -407,7 +431,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
     c, s, f, w, g, g2, dp = (np.empty((n_j, K)) for _ in range(7))
     zs = np.empty((dim, K))
     zs_ph = zs[ph]
-    ftol = np.full((n_j, K), NEWTON_FTOL)
+    ftol = np.full((n_j, K), tol)
     done = np.empty((n_j, K), dtype=bool)
     converged, alive = np.empty(K, dtype=bool), np.empty(K, dtype=bool)
 
@@ -530,6 +554,7 @@ def _run_group(batch: list[Netlist], stop: float, step: float, names: list,
                 newton_max_per_step=int(peak),
                 newton_residual=float(res),
                 newton_rho=float(rho[v]),
+                newton_ftol=float(tol),
             )
         )
     return out

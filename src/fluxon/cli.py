@@ -261,9 +261,12 @@ def _parse_input_vector(text: str, dim: int) -> np.ndarray:
 
 def cmd_simulate(cfg: dict, args) -> int:
     out = Path(cfg["out_dir"])
+    flag, value = ("--netlist", args.netlist) if args.mode == "behavioral" else ("--input", args.input)
+    if value is not None:
+        raise UserError(f"simulate {flag} does not apply in {args.mode} mode")
     if args.mode == "behavioral":
         spec = _read_artifact(out / "network.json", "discretize", snn.NetworkSpec.from_json)
-        if args.input:
+        if args.input is not None:
             vec = _parse_input_vector(args.input, spec.input_dim)
             t0 = time.perf_counter()
             report = snn.simulate_spiking(spec, vec)

@@ -309,6 +309,8 @@ class TestSimulate:
         assert run("--config", fast_config, "--out", str(out),
                    "simulate", "--mode", "behavioral", "--input", "a,b") == 2
         assert_clean_error(capsys, "error: malformed input vector 'a,b'")
+        assert run("--config", fast_config, "--out", str(out), "simulate", "--input", "") == 2
+        assert_clean_error(capsys, "error: malformed input vector ''")
         assert run("--config", fast_config, "--out", str(out), "simulate", "--input", "1,2") == 2
         assert_clean_error(capsys, "error: input vector needs 4 entries, got 2")
         for vec, entry in (("1,2,3,1", "entry 3 is 3"), ("1,2,-1,0", "entry 3 is -1")):
@@ -323,6 +325,17 @@ class TestSimulate:
         pulses = (out / "pulses.csv").read_text().splitlines()
         assert pulses[0] == "time_ps,node"
         assert len(pulses) == 3  # one slip each on b1 and b2
+
+    @pytest.mark.parametrize("argv, flag, mode", [
+        (["--mode", "circuit", "--input", "1,2,0,1"], "--input", "circuit"),
+        (["--netlist", "jtl"], "--netlist", "behavioral"),
+    ])
+    def test_flag_the_mode_ignores_exits_2(self, tmp_path, capsys, argv, flag, mode):
+        # each was once dropped silently: the default soma2 run, the network.json table
+        out = tmp_path / "out"
+        assert run("--out", str(out), "simulate", *argv) == 2
+        assert_clean_error(capsys, f"error: simulate {flag} does not apply in {mode} mode")
+        assert list(out.iterdir()) == []
 
     def test_circuit_error_exits_2(self, tmp_path, capsys):
         cir = tmp_path / "coarse.cir"

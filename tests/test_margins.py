@@ -12,6 +12,7 @@ from fluxon.circuit import (
     margins,
     parse_netlist,
     run_transient,
+    transient,
 )
 
 DIVIDER = """
@@ -207,6 +208,32 @@ def test_island_beyond_the_first_failure_is_not_margin(divider, param):
     low, high = margin_scan(divider, param, pass_test, resolution=0.01)
     assert low == pytest.approx(0.45, abs=0.01) and low < 0.45
     assert high == 0.9
+
+
+# soma2's lockstep parameters, every junction ic and source amplitude, and
+# two that run solo, whose margins are pinned
+SOMA2_LOCKSTEP = ["bj1.ic", "bj2.ic", "b1.ic", "b2.ic", "bo1.ic", "bout.ic",
+                  "vin.amp", "ib.amp", "ibo1.amp", "ibout.amp"]
+SOMA2_SOLO = {"lloop.l": (78.0, 62.0), "rloop.r": (60.0, 90.0)}
+
+
+def test_margins_equal_at_both_tolerances(monkeypatch):
+    # margin_scan's probes solve to PROBE_FTOL; at NEWTON_FTOL the soma2
+    # margins, at the `fluxon margins` resolution and pass test, are the same
+    soma2 = parse_netlist(resources.files("fluxon.data").joinpath("netlists/soma2.cir").read_text())
+    solved_to = set()
+    pass_test = lambda tr: solved_to.add(tr.newton_ftol) or len(detect_pulses_in(tr, "bout")) == 1
+
+    def table(ftol):
+        solved_to.clear()
+        got = {p: margin_scan(soma2, p, pass_test, resolution=0.02) for p in SOMA2_LOCKSTEP + list(SOMA2_SOLO)}
+        assert solved_to == {ftol}
+        return got
+
+    probe = table(transient.PROBE_FTOL)
+    monkeypatch.setattr(margins, "PROBE_FTOL", transient.NEWTON_FTOL)
+    assert probe == table(transient.NEWTON_FTOL)
+    assert {p: (round(100 * probe[p][0], 1), round(100 * probe[p][1], 1)) for p in SOMA2_SOLO} == SOMA2_SOLO
 
 
 def test_zero_nominal_raises_before_any_transient(monkeypatch):

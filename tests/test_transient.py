@@ -422,14 +422,15 @@ class TestBundledCells:
         assert 0.0 < traces.newton_rho <= 0.071
 
     @staticmethod
-    def margin_batch_extra_updates(step=None):
+    def margin_batch_extra_updates(step=None, ftol=None):
         """The extra updates beyond one a step of each variant of the default
         ib.amp grid's first batch: 19 lean soma2 variants from -90% to +90%."""
         nl = parse_netlist(bundled_text("soma2"))
         grid = [margins.BOUND * k / margins.PARTS for k in range(1, margins.PARTS)] + [margins.BOUND]
         amp = nl.resolve_selector("ib.amp")[2]
         stack = [nl.with_param("ib.amp", amp * (1.0 + f)) for f in (0.0, *(-f for f in grid), *grid)]
-        extra = [tr.newton_iterations - (len(tr.time_ps) - 1) for tr in run_transients(stack, step=step, record=False)]
+        runs = run_transients(stack, step=step, record=False, ftol=ftol)
+        extra = [tr.newton_iterations - (len(tr.time_ps) - 1) for tr in runs]
         assert len(extra) == 19 and min(extra) >= 0
         return extra
 
@@ -439,6 +440,47 @@ class TestBundledCells:
 
     def test_margin_batch_extra_updates_at_the_bundled_step(self):
         assert sum(self.margin_batch_extra_updates()) <= 5510
+
+    def test_margin_batch_extra_updates_at_the_probe_tolerance(self):
+        # what a margin scan's first batch runs: 11 against 5,510 at NEWTON_FTOL
+        assert sum(self.margin_batch_extra_updates(ftol=transient.PROBE_FTOL)) <= 11
+
+    def test_each_run_carries_the_tolerance_it_solved_to(self, bundled_traces):
+        probes = []
+        pass_test = lambda tr: probes.append(tr) or len(detect_pulses_in(tr, "bout")) == 1
+        margins.margin_scan(parse_netlist(bundled_text("soma2")), "ib.amp", pass_test, resolution=0.1)
+        assert len(probes) == 19
+        for tr in probes:
+            assert tr.newton_ftol == transient.PROBE_FTOL and 0.0 < tr.newton_residual <= tr.newton_ftol
+        for cell, tr in bundled_traces.items():
+            assert tr.newton_ftol == transient.NEWTON_FTOL, cell
+
+    # criterion 7's input counts of the somas, and the other cells' own stimuli
+    PROBE_INPUTS = [("soma2", 1), ("soma2", 2), ("soma3", 2), ("soma3", 3), ("jtl", None), ("sm1", None)]
+    # Newton updates a step of their lean runs at NEWTON_FTOL: 1.3310, 1.4034,
+    # 1.3854, 1.5156, 1.2924 and 1.5040. At PROBE_FTOL every step takes one.
+    PROBE_UPDATES_PER_STEP = 1.0
+
+    @pytest.mark.parametrize("cell, inputs", PROBE_INPUTS)
+    def test_probe_tolerance_keeps_the_pulse_budget(self, cell, inputs):
+        # PROBE_FTOL's derivation: a pulse at t moves by at most
+        # 2 N delta / (dphi/dt), N = t / step steps before it, against a run
+        # at NEWTON_FTOL (whose own share is 1e-5 of it), and that bound fits
+        # in the slack the 0.05 ps step budget leaves beside the 0.0384 ps
+        # the step takes. The worst bound is 0.0067 ps (soma2 x1's b1); the
+        # worst difference measured 2.7e-7 ps (soma3 x3's bo1)
+        nl = parse_netlist(bundled_text(cell, inputs))
+        (probe,), (want,) = (run_transients([nl], record=False, ftol=tol) for tol in (transient.PROBE_FTOL, None))
+        recorded = run_transient(nl)
+        assert {j: len(ts) for j, ts in probe.pulses.items()} == {j: len(ts) for j, ts in want.pulses.items()}
+        for j, times in want.pulses.items():
+            slope = 2 * math.pi / PHI0 * 1e-12 * np.interp(times, recorded.time_ps, recorded.junction_voltage[j])
+            assert np.all(slope > 0.0), j  # phases rise through their crossings
+            bound = 2 * np.ceil(np.array(times) / nl.tran_step) * (transient.PROBE_FTOL + transient.NEWTON_FTOL) / slope
+            assert np.all(bound <= 0.05 - 0.0384), j
+            assert np.all(np.abs(np.subtract(probe.pulses[j], times)) <= bound), j
+        steps = len(probe.time_ps) - 1
+        assert steps <= probe.newton_iterations <= self.PROBE_UPDATES_PER_STEP * steps
 
 
 class TestNeumannUpdate:
