@@ -105,21 +105,23 @@ SYNAPSE_KINDS = {"SM1": (0, 1, 1), "SM2": (-2, 2, 1), "SM4": (-2, 2, 2)}
 class SynapseConfig:
     kind: str
     weight: int
+    max_level: int = field(init=False, repr=False, compare=False)  # the kind's highest input level
 
     def __post_init__(self):
         if self.kind not in SYNAPSE_KINDS:
             raise ValueError(f"unknown synapse kind {self.kind!r}")
-        lo, hi, _ = SYNAPSE_KINDS[self.kind]
+        lo, hi, max_level = SYNAPSE_KINDS[self.kind]
         w = int(self.weight)
         if w != self.weight or not lo <= w <= hi:
             raise ValueError(f"{self.kind} weight must be an integer in [{lo},{hi}]")
         object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "max_level", max_level)
 
 
 def synapse_contribution(cfg: SynapseConfig, x: int) -> int:
     """Weighted contribution x*w of one synapse for input level x."""
     xi = int(x)
-    hi = SYNAPSE_KINDS[cfg.kind][2]
+    hi = cfg.max_level
     if xi != x or not 0 <= xi <= hi:
         raise ValueError(f"input level {x} outside 0..{hi} for {cfg.kind}")
     return xi * cfg.weight

@@ -205,17 +205,23 @@ def _ga_config(cfg: dict) -> trainmod.GaConfig:
         raise UserError(f"bad ga config: {exc}") from None
 
 
-def _log_spiking(n: int, t0: float) -> None:
-    dt = time.perf_counter() - t0
-    log.info("spiking: %d inputs in %.3f s (%.1f µs/input)", n, dt, 1e6 * dt / max(n, 1))
+def _log_spiking(n: int, seconds: float, extra: str = "") -> None:
+    log.info("spiking: %d inputs in %.3f s (%.1f µs/input%s)", n, seconds, 1e6 * seconds / max(n, 1), extra)
 
 
 def _both_engines(spec: snn.NetworkSpec, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Final-layer bits of each input row from the logged spiking pass, then from the discrete evaluator."""
+    """Final-layer bits of each input row from the logged spiking pass, then from the discrete
+    evaluator; the log line adds the evaluator's time and the pass's neuron-response cache use."""
+    before = snn._neuron_response.cache_info()
     t0 = time.perf_counter()
     spiking = np.array([snn.simulate_spiking(spec, xv).final_outputs for xv in inputs])
-    _log_spiking(len(inputs), t0)
-    return spiking, snn.evaluate_discrete(spec, inputs)[-1]
+    t1 = time.perf_counter()
+    after = snn._neuron_response.cache_info()
+    discrete = snn.evaluate_discrete(spec, inputs)[-1]
+    discrete_us = 1e6 * (time.perf_counter() - t1) / max(len(inputs), 1)
+    _log_spiking(len(inputs), t1 - t0, f"; discrete {discrete_us:.1f} µs/input; response cache "
+                 f"{after.hits - before.hits} hits, {after.misses - before.misses} misses")
+    return spiking, discrete
 
 
 def cmd_discretize(cfg: dict, args) -> int:
@@ -270,9 +276,9 @@ def cmd_simulate(cfg: dict, args) -> int:
             vec = _parse_input_vector(args.input, spec.input_dim)
             t0 = time.perf_counter()
             report = snn.simulate_spiking(spec, vec)
-            _log_spiking(1, t0)
+            _log_spiking(1, time.perf_counter() - t0)
             with open(out / "events.csv", "w") as fh:
-                write_event_log(fh, report.event_log)
+                write_event_log(fh, report.events)  # the writer sorts
             outputs = [o.tolist() for o in report.outputs]
             (out / "sim_report.json").write_text(
                 json_text({"input": vec.tolist(), "outputs": outputs, "fired_class": report.fired_class}))

@@ -191,17 +191,24 @@ def evaluate_discrete(spec: NetworkSpec, x: np.ndarray | Sequence[int]) -> list[
 
 @dataclass
 class SimReport:
-    """Outcome of one spiking run: the output port per clock plus the event log.
+    """Outcome of one spiking run: the output port per clock plus its pulse events.
 
     outputs[c] is the network's output port after clock c, one entry per
     layer. It has the width of the final layer and holds zeros until the
     last layer latches, so only outputs[-1] carries bits; the hidden
-    layers' latched bits appear in the event log alone.
+    layers' latched bits appear in the event log alone. `events` holds
+    the pulses in the order the run made them; `event_log` sorts them
+    by (time, node) on first read, so a reader of the outputs alone
+    never pays for the sort.
     """
 
     outputs: list[np.ndarray]
-    event_log: list[PulseEvent]
+    events: list[PulseEvent]
     fired_class: int | str | None
+
+    @functools.cached_property
+    def event_log(self) -> list[PulseEvent]:
+        return sorted_events(self.events)
 
     @property
     def final_outputs(self) -> np.ndarray:
@@ -275,7 +282,7 @@ def simulate_spiking(spec: NetworkSpec, x: Sequence[int]) -> SimReport:
     per_clock.append(np.asarray(acts, dtype=int))
     return SimReport(
         outputs=per_clock,
-        event_log=sorted_events(events),
+        events=events,
         fired_class=classify_outputs(acts),
     )
 

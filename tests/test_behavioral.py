@@ -1,7 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fluxon.behavioral import (
+    SYNAPSE_KINDS,
     SomaParams,
     SynapseConfig,
     bq_quantize,
@@ -130,6 +134,29 @@ class TestSynapse:
         assert synapse_contribution(SynapseConfig("SM1", 1), 1) == 1
         with pytest.raises(ValueError, match="input level 2 outside 0..1 for SM2"):
             synapse_contribution(SynapseConfig("SM2", 2), 2)
+
+    def test_config_bound_equals_the_table_lookup(self):
+        def table_contribution(cfg, x):
+            """synapse_contribution as it was when it read the kind's row on every call."""
+            xi = int(x)
+            hi = SYNAPSE_KINDS[cfg.kind][2]
+            if xi != x or not 0 <= xi <= hi:
+                raise ValueError(f"input level {x} outside 0..{hi} for {cfg.kind}")
+            return xi * cfg.weight
+
+        def outcome(fn, cfg, x):
+            try:
+                got = fn(cfg, x)
+            except ValueError as exc:
+                return ValueError, str(exc)
+            return type(got), got
+
+        levels = (-1, 0, 1, 2, 3, 1.0, 1.5, math.nan, True, np.int64(2))
+        for kind, (lo, hi, _) in SYNAPSE_KINDS.items():
+            for w in range(lo, hi + 1):
+                cfg = SynapseConfig(kind, w)
+                for x in levels:
+                    assert outcome(synapse_contribution, cfg, x) == outcome(table_contribution, cfg, x), (kind, w, x)
 
 
 class TestBufferQuantizer:

@@ -288,19 +288,28 @@ class TestSimulate:
         assert_clean_error(capsys, f"error: bad {tmp_path}/out/network.json: 3 inputs, the dataset has 4")
 
     def test_spiking_pass_logged(self, tmp_path, fast_config, capsys, caplog):
+        def cache_lookups(n):
+            """Hits plus misses of the logged pass over n inputs."""
+            figures = re.search(rf"spiking: {n} inputs in [\d.]+ s \([\d.]+ µs/input; discrete [\d.]+ "
+                                r"µs/input; response cache (\d+) hits, (\d+) misses\)", caplog.text)
+            assert figures, caplog.text
+            return sum(map(int, figures.groups()))
+
         out = tmp_path / "out"
         run("--config", fast_config, "--out", str(out), "train")
         with caplog.at_level("INFO", logger="fluxon.cli"):
             run("--config", fast_config, "--out", str(out), "discretize")
-            assert "spiking: 24 inputs in" in caplog.text  # the 150 samples' distinct inputs
+            spec = json.loads((out / "network.json").read_text())
+            responses = spec["input_dim"] + sum(len(layer["thresholds"]) for layer in spec["layers"])
+            assert cache_lookups(24) == 24 * responses  # the 150 samples' distinct inputs, one per input and neuron
             caplog.clear()
             run("--config", fast_config, "--out", str(out), "simulate", "--input", "1,0,2,1")
-            assert "spiking: 1 inputs in" in caplog.text
+            assert re.search(r"spiking: 1 inputs in [\d.]+ s \([\d.]+ µs/input\)", caplog.text)
             caplog.clear()
             capsys.readouterr()
             run("--config", fast_config, "--out", str(out), "simulate")
         unique = len(capsys.readouterr().out.splitlines()) - 1  # one line per test vector
-        assert f"spiking: {unique} inputs in" in caplog.text
+        assert cache_lookups(unique) == unique * responses  # counted from the cache as the pass found it
 
     def test_malformed_input_vector(self, tmp_path, fast_config, capsys):
         out = tmp_path / "out"

@@ -314,6 +314,22 @@ class TestAgainstReference:
             log[0].time = 0.5
         assert simulate_spiking(spec, (1, 2, 0, 1)).event_log == log
 
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (4, 16, 3)])
+    def test_event_log_is_sorted_on_first_read(self, shape):
+        rng = np.random.default_rng(sum(shape) + 7)
+        for _ in range(3):
+            spec = random_spec(rng, shape)
+            for x in all_ternary_inputs():
+                unread = simulate_spiking(spec, x)
+                report = simulate_spiking(spec, x)
+                log = report.event_log
+                assert log == sorted(log, key=lambda e: (e.time, e.node))
+                assert report.event_log is log
+                assert "event_log" not in vars(unread)  # never read, never sorted
+                assert np.array_equal(unread.final_outputs, report.final_outputs)
+                assert unread.fired_class == report.fired_class
+                assert_same_report(unread, reference_simulate_spiking(spec, x))  # read after a later run
+
 
 class TestSpecValidation:
     def test_weight_range(self):
